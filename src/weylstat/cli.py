@@ -27,7 +27,8 @@ from . import depgraph as depgraph_mod
 from . import formulas, stats, weyl
 from .errors import WeylstatError
 from .rootsys import build, parse_spec
-from .stats import frac_str
+
+MAX_THREADS = 64
 
 
 def decimal_str(x: Fraction, digits: int = 20) -> str:
@@ -66,11 +67,18 @@ def _psi_from_args(rs, args):
     return list(rs.roots_up_to_height(args.d))
 
 
+def _thread_count(text: str) -> int:
+    value = int(text)
+    if not 1 <= value <= MAX_THREADS:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_THREADS}, got {value}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--format", choices=("human", "json", "csv"), default="human")
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
 
 
 def _cap(args) -> int:
@@ -138,16 +146,16 @@ def _cmd_cov(args):
     if args.format == "json":
         return _json_text({
             "spec": str(rs.spec), "beta": args.beta, "gamma": args.gamma,
-            "method": args.method, "cov": frac_str(value),
+            "method": args.method, "cov": str(value),
             "decimal": decimal_str(value),
         })
     if args.format == "csv":
         return _csv_text([
             ("spec", "beta", "gamma", "method", "cov", "decimal"),
             (str(rs.spec), args.beta, args.gamma, args.method,
-             frac_str(value), decimal_str(value)),
+             str(value), decimal_str(value)),
         ])
-    return f"{frac_str(value)} = {decimal_str(value)} [method {args.method}]\n"
+    return f"{value} = {decimal_str(value)} [method {args.method}]\n"
 
 
 def _cmd_wpartition(args):
@@ -184,20 +192,20 @@ def _cmd_var(args):
         enum_value = stats.exact_variance(rs, psi, cap=_cap(args), threads=args.threads)
         if enum_value != value:
             raise WeylstatError(
-                f"formula {frac_str(value)} disagrees with enumeration {frac_str(enum_value)}"
+                f"formula {value} disagrees with enumeration {enum_value}"
             )
     if args.format == "json":
         return _json_text({
             "family": family, "n": n, "d": args.d, "statistic": args.stat,
-            "variance": frac_str(value), "decimal": decimal_str(value),
+            "variance": str(value), "decimal": decimal_str(value),
             "branch": branch,
         })
     if args.format == "csv":
         return _csv_text([
             ("family", "n", "d", "statistic", "variance", "decimal", "branch"),
-            (family, n, args.d, args.stat, frac_str(value), decimal_str(value), branch),
+            (family, n, args.d, args.stat, str(value), decimal_str(value), branch),
         ])
-    return f"{frac_str(value)} = {decimal_str(value)} [branch {branch}]\n"
+    return f"{value} = {decimal_str(value)} [branch {branch}]\n"
 
 
 def _cmd_dist(args):
@@ -228,9 +236,9 @@ def _cmd_sample(args):
     if args.format == "json":
         return _json_text(run.to_json_dict(include_values=not args.no_values))
     return (
-        f"{run.n_samples} samples, seed {run.seed}: mean {frac_str(run.sample_mean)}"
+        f"{run.n_samples} samples, seed {run.seed}: mean {run.sample_mean}"
         f" (= {float(run.sample_mean):.6f}),"
-        f" variance {frac_str(run.sample_variance)} (= {float(run.sample_variance):.6f})\n"
+        f" variance {run.sample_variance} (= {float(run.sample_variance):.6f})\n"
     )
 
 
@@ -248,7 +256,7 @@ def _cmd_clt(args):
     lines = [
         f"system {report.spec}, {report.statistic}, d = {report.d}",
         f"  k = {report.k}, dependency degree = {report.delta}",
-        f"  mean = {frac_str(report.mean)}, variance = {frac_str(report.variance)}"
+        f"  mean = {report.mean}, variance = {report.variance}"
         f" (= {float(report.variance):.6f})",
         f"  ks distance = {report.ks:.6f} ({report.n_samples} samples, seed {report.seed})",
         f"  rate bound k*delta^2/Var^(3/2) = {report.janson_m3:.6f}",

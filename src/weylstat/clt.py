@@ -13,10 +13,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import depgraph, formulas, stats
 from .errors import WeylstatError
 from .rootsys import RootSystem
-from .stats import SampleRun, frac_str
+from .stats import SampleRun
 from .weyl import DEFAULT_CAP
 
 
@@ -53,6 +55,34 @@ def ks_distance(standardized: list[float]) -> float:
     for i, x in enumerate(xs):
         phi = normal_cdf(x)
         best = max(best, abs((i + 1) / m - phi), abs(phi - i / m))
+    return best
+
+
+def _ks_over_atoms(values: list[int], mean: Fraction, variance: Fraction) -> float:
+    """``ks_distance(standardize(values, mean, variance))``, one step per distinct value.
+
+    Sorted, the sample holds a value in one index range ``a..b-1``, where all
+    points share one normal CDF value ``phi``.  The gaps ``|t/m - phi|`` for
+    ``t`` in ``a..b`` are largest at ``t = a`` or ``t = b``, also after
+    rounding, since rounded division and subtraction are monotone.  So the
+    result is bit-identical to the per-point evaluation.
+    """
+    if variance <= 0:
+        raise WeylstatError(f"variance must be positive, got {variance}")
+    if not values:
+        raise WeylstatError("cannot compute a KS distance of an empty sample")
+    mu = float(mean)
+    sigma = math.sqrt(float(variance))
+    m = len(values)
+    best = 0.0
+    a = 0
+    for v, count in enumerate(np.bincount(values).tolist()):
+        if not count:
+            continue
+        b = a + count
+        phi = normal_cdf((v - mu) / sigma)
+        best = max(best, abs(b / m - phi), abs(phi - a / m))
+        a = b
     return best
 
 
@@ -130,8 +160,8 @@ class CLTReport:
             "d": self.d,
             "k": self.k,
             "delta": self.delta,
-            "mean": frac_str(self.mean),
-            "variance": frac_str(self.variance),
+            "mean": str(self.mean),
+            "variance": str(self.variance),
             "seed": self.seed,
             "n": self.n_samples,
             "ks_distance": self.ks,
@@ -151,7 +181,7 @@ class CLTReport:
         return out
 
     def csv_row(self, rank: int):
-        return (rank, self.d, self.k, self.delta, frac_str(self.variance),
+        return (rank, self.d, self.k, self.delta, str(self.variance),
                 repr(self.ks), repr(self.janson_m3))
 
 
@@ -212,8 +242,7 @@ def clt_report(
         rs, psi, n_samples, seed, threads=threads,
         descriptor={"stat": statistic, "d": d},
     )
-    z = standardize(run, mean, variance)
-    ks = ks_distance(z)
+    ks = _ks_over_atoms(run.values, mean, variance)
     crit = janson_criterion(len(psi), graph.max_degree, variance, m=3)
     regime = None
     if statistic == "inversions":

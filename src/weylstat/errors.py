@@ -20,8 +20,8 @@ class ComponentMismatchError(WeylstatError):
 class TooLargeError(WeylstatError):
     """Full enumeration was requested for a group exceeding the cap."""
 
-    def __init__(self, order: int, cap: int):
-        super().__init__(f"group order {order} exceeds enumeration cap {cap}")
+    def __init__(self, order: int, cap: int, what: str = "group order"):
+        super().__init__(f"{what} {order} exceeds enumeration cap {cap}")
         self.order = order
         self.cap = cap
 

@@ -142,24 +142,24 @@ class RootSystem:
         roots: list[Root] = []
         heights: list[int] = []
         norms: list[int] = []
-        sparse: list[tuple[tuple[int, int], ...]] = []
+        # parent_edges[k] lists (parent_id, simple_id) with root_k - simple = parent.
+        parent_edges: list[tuple[tuple[int, int], ...]] = []
         comp_root_ranges: list[tuple[int, int]] = []
 
-        offset = 0  # ambient coordinate offset of the current component
         for ci, comp in enumerate(spec.components):
             start = len(roots)
-            for root, ht in _component_roots(ci, comp):
+            items = _component_roots(ci, comp)
+            locate = _locator(items, start)
+            for root, ht in items:
                 roots.append(root)
                 heights.append(ht)
                 norms.append(_norm_sq(comp.family, root))
-                sparse.append(_sparse_vector(comp.family, root, offset))
+                parent_edges.append(_cover_parents(comp.family, root, locate))
             comp_root_ranges.append((start, len(roots)))
-            offset += comp.dimension
 
         self.roots: tuple[Root, ...] = tuple(roots)
         self.heights: tuple[int, ...] = tuple(heights)
         self._norms = tuple(norms)
-        self._sparse = tuple(sparse)
         self._index = {r: k for k, r in enumerate(roots)}
         self._comp_ranges = tuple(comp_root_ranges)
 
@@ -169,15 +169,6 @@ class RootSystem:
         self.height_index = {h: tuple(ids) for h, ids in sorted(hidx.items())}
         self.max_height = max(heights)
 
-        # parent_edges[k] lists (parent_id, simple_id) with root_k - simple = parent.
-        parent_edges: list[tuple[tuple[int, int], ...]] = []
-        for k, r in enumerate(roots):
-            fam = spec.components[r.component].family
-            edges = tuple(
-                (self._index[p], self._index[s])
-                for p, s in _cover_parents(fam, r)
-            )
-            parent_edges.append(edges)
         self._parent_edges = tuple(parent_edges)
         self.covers: tuple[tuple[int, int], ...] = tuple(
             sorted((p, k) for k, edges in enumerate(parent_edges) for p, _ in edges)
@@ -230,9 +221,11 @@ class RootSystem:
             return 0
         if rb.form == "G":
             return _g2_ip(_G2_COEFFS[rb.i - 1], _G2_COEFFS[rg.i - 1])
+        # Both roots share the component's coordinate block, so its offset cancels.
+        fam = self.spec.components[rb.component].family
         total = 0
-        for ib, cb in self._sparse[b]:
-            for ig, cg in self._sparse[g]:
+        for ib, cb in _sparse_vector(fam, rb):
+            for ig, cg in _sparse_vector(fam, rg):
                 if ib == ig:
                     total += cb * cg
         return total
@@ -474,77 +467,101 @@ def _norm_sq(fam: str, root: Root) -> int:
     return 2
 
 
-def _sparse_vector(fam: str, root: Root, offset: int) -> tuple[tuple[int, int], ...]:
-    if fam == "G2":
-        return ()
+def _sparse_vector(fam: str, root: Root) -> tuple[tuple[int, int], ...]:
+    """Nonzero (coordinate, coefficient) pairs of a classical root in its component."""
     if root.form == "N":
-        return ((offset + root.i, -1), (offset + root.j, 1))
+        return ((root.i, -1), (root.j, 1))
     if root.form == "P":
-        return ((offset + root.i, 1), (offset + root.j, 1))
-    coeff = 1 if fam == "B" else 2
-    return ((offset + root.i, coeff),)
+        return ((root.i, 1), (root.j, 1))
+    return ((root.i, 1 if fam == "B" else 2),)
 
 
-def _cover_parents(fam: str, r: Root):
-    """Roots obtained by subtracting one simple root, as (parent, simple) pairs."""
-    ci = r.component
+def _locator(items, start: int):
+    """Catalog id of a root of one component, from its (form, i, j).
+
+    Roots on one diagonal (``N`` roots with equal ``j - i``, ``P`` roots with
+    equal ``i + j``) share a height, so catalog order keeps them contiguous
+    with consecutive ``i``; ``O`` and ``G`` roots are diagonals of their own.
+    One table entry per diagonal therefore locates every root.
+    """
+    first: dict[tuple[str, int], tuple[int, int]] = {}
+    for k, (r, _) in enumerate(items, start):
+        first.setdefault((r.form, _diagonal(r.form, r.i, r.j)), (k, r.i))
+
+    def locate(form: str, i: int, j: int = 0) -> int:
+        k, i0 = first[(form, _diagonal(form, i, j))]
+        return k + i - i0
+
+    return locate
+
+
+def _diagonal(form: str, i: int, j: int) -> int:
+    if form == "N":
+        return j - i
+    if form == "P":
+        return i + j
+    return i
+
+
+def _cover_parents(fam: str, r: Root, locate) -> tuple[tuple[int, int], ...]:
+    """Ids of the roots obtained by subtracting one simple root, as (parent, simple) pairs."""
     out = []
     if fam == "G2":
         k = r.i
         if k == 3:
-            out = [(Root(ci, "G", 2), Root(ci, "G", 1)), (Root(ci, "G", 1), Root(ci, "G", 2))]
+            out = [(locate("G", 2), locate("G", 1)), (locate("G", 1), locate("G", 2))]
         elif k == 4:
-            out = [(Root(ci, "G", 3), Root(ci, "G", 1))]
+            out = [(locate("G", 3), locate("G", 1))]
         elif k == 5:
-            out = [(Root(ci, "G", 4), Root(ci, "G", 1))]
+            out = [(locate("G", 4), locate("G", 1))]
         elif k == 6:
-            out = [(Root(ci, "G", 5), Root(ci, "G", 2))]
-        return out
+            out = [(locate("G", 5), locate("G", 2))]
+        return tuple(out)
 
     i, j = r.i, r.j
     if r.form == "N":
         if i + 1 < j:
-            out.append((Root(ci, "N", i + 1, j), Root(ci, "N", i, i + 1)))
-            out.append((Root(ci, "N", i, j - 1), Root(ci, "N", j - 1, j)))
-        return out
+            out.append((locate("N", i + 1, j), locate("N", i, i + 1)))
+            out.append((locate("N", i, j - 1), locate("N", j - 1, j)))
+        return tuple(out)
 
     if r.form == "O":
         if fam == "B":
             if i > 1:
-                out.append((Root(ci, "N", 1, i), Root(ci, "O", 1)))
-                out.append((Root(ci, "O", i - 1), Root(ci, "N", i - 1, i)))
+                out.append((locate("N", 1, i), locate("O", 1)))
+                out.append((locate("O", i - 1), locate("N", i - 1, i)))
         else:  # type C
             if i > 1:
-                out.append((Root(ci, "P", i - 1, i), Root(ci, "N", i - 1, i)))
-        return out
+                out.append((locate("P", i - 1, i), locate("N", i - 1, i)))
+        return tuple(out)
 
     # P roots
     if fam == "B":
         if i < j - 1:
-            out.append((Root(ci, "P", i, j - 1), Root(ci, "N", j - 1, j)))
+            out.append((locate("P", i, j - 1), locate("N", j - 1, j)))
         if i >= 2:
-            out.append((Root(ci, "P", i - 1, j), Root(ci, "N", i - 1, i)))
+            out.append((locate("P", i - 1, j), locate("N", i - 1, i)))
         if i == 1:
-            out.append((Root(ci, "O", j), Root(ci, "O", 1)))
+            out.append((locate("O", j), locate("O", 1)))
     elif fam == "C":
         if i < j - 1:
-            out.append((Root(ci, "P", i, j - 1), Root(ci, "N", j - 1, j)))
+            out.append((locate("P", i, j - 1), locate("N", j - 1, j)))
         else:  # i == j - 1: subtracting N[j-1,j] leaves the long root 2 e_{j-1}
-            out.append((Root(ci, "O", j - 1), Root(ci, "N", j - 1, j)))
+            out.append((locate("O", j - 1), locate("N", j - 1, j)))
         if i >= 2:
-            out.append((Root(ci, "P", i - 1, j), Root(ci, "N", i - 1, i)))
+            out.append((locate("P", i - 1, j), locate("N", i - 1, i)))
         if i == 1:
-            out.append((Root(ci, "N", 1, j), Root(ci, "O", 1)))
+            out.append((locate("N", 1, j), locate("O", 1)))
     else:  # type D
         if i < j - 1:
-            out.append((Root(ci, "P", i, j - 1), Root(ci, "N", j - 1, j)))
+            out.append((locate("P", i, j - 1), locate("N", j - 1, j)))
         if i >= 2 and not (i - 1 == 1 and j == 2):
-            out.append((Root(ci, "P", i - 1, j), Root(ci, "N", i - 1, i)))
+            out.append((locate("P", i - 1, j), locate("N", i - 1, i)))
         if i == 1 and j > 2:
-            out.append((Root(ci, "N", 2, j), Root(ci, "P", 1, 2)))
+            out.append((locate("N", 2, j), locate("P", 1, 2)))
         if i == 2:
-            out.append((Root(ci, "N", 1, j), Root(ci, "P", 1, 2)))
-    return out
+            out.append((locate("N", 1, j), locate("P", 1, 2)))
+    return tuple(out)
 
 
 def build(spec: FamilySpec | str, validate: bool = True) -> RootSystem:

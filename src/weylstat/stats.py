@@ -7,6 +7,10 @@ histograms (components act on orthogonal blocks, so their contributions are
 independent); everything on the exact path is integer or rational, never
 floating point.
 
+Both paths evaluate the statistic with one kernel over blocks of signed
+one-line rows: the roots of Psi are grouped into runs along diagonals, and
+each run is tested with one comparison of two column slices.
+
 Monte Carlo runs draw in fixed chunks of :data:`CHUNK_SAMPLES` samples; chunk
 ``c`` uses an independent rng stream seeded with ``derived_seed(seed, c)``.
 Results are therefore bit-identical for any worker count: workers process
@@ -35,13 +39,10 @@ from .weyl import (
 
 CHUNK_ELEMENTS = 65536
 CHUNK_SAMPLES = 4096
+BLOCK_SAMPLES = 512
 BOOTSTRAP_RESAMPLES = 200
 _MATRIX_CACHE_LIMIT = 200_000
 JOINT_OUTCOME_GUARD = 20
-
-
-def frac_str(x: Fraction) -> str:
-    return str(x)
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,8 @@ class SampleRun:
         if include_values:
             out["values"] = list(self.values)
         out["moments"] = {
-            "mean": frac_str(self.sample_mean),
-            "variance": frac_str(self.sample_variance),
+            "mean": str(self.sample_mean),
+            "variance": str(self.sample_variance),
         }
         return out
 
@@ -97,6 +98,17 @@ def _check_cap(rs: RootSystem, cap: int) -> int:
     if order > cap:
         raise TooLargeError(order, cap)
     return order
+
+
+def _check_enumerated(rs: RootSystem, components, cap: int) -> None:
+    """Refuse when the components to be enumerated hold more than ``cap`` elements.
+
+    Components are enumerated one at a time and combined by convolution, so
+    the work is the sum of their orders, not the order of the product.
+    """
+    work = sum(_component_order(rs.spec.components[ci]) for ci in components)
+    if work > cap:
+        raise TooLargeError(work, cap, what="element count")
 
 
 def _canonical_ids(rs: RootSystem, roots) -> tuple[int, ...]:
@@ -180,41 +192,46 @@ def _row_chunks(fam: str, rank: int, order: int):
             yield np.repeat(perms, per_perm, axis=0) * np.tile(signs, (len(block), 1))
 
 
-def _compile_roots(roots) -> dict:
-    """Column-index arrays for vectorized sign tests, per root form."""
-    iN, jN, iP, jP, iO = [], [], [], [], []
-    for r in roots:
-        if r.form == "N":
-            iN.append(r.i - 1)
-            jN.append(r.j - 1)
-        elif r.form == "P":
-            iP.append(r.i - 1)
-            jP.append(r.j - 1)
+def _diagonal_runs(roots) -> tuple[tuple[str, int, int, int], ...]:
+    """Maximal runs of ``roots`` along diagonals, as (form, diagonal, first i, last i).
+
+    ``N`` roots lie on the diagonal ``j - i``, ``P`` roots on ``i + j`` and
+    ``O`` roots on one diagonal of their own (0).  Along a diagonal, roots with
+    consecutive ``i`` form one run, which :func:`_count_rows` tests with a
+    single comparison of two column slices.
+    """
+    runs: list[list] = []
+    keys = sorted(
+        (r.form, r.j - r.i if r.form == "N" else r.i + r.j if r.form == "P" else 0, r.i)
+        for r in roots
+    )
+    for form, diag, i in keys:
+        last = runs[-1] if runs else None
+        if last is not None and last[0] == form and last[1] == diag and last[3] == i - 1:
+            last[3] = i
         else:
-            iO.append(r.i - 1)
-    return {
-        "N": (np.array(iN, dtype=np.intp), np.array(jN, dtype=np.intp)),
-        "P": (np.array(iP, dtype=np.intp), np.array(jP, dtype=np.intp)),
-        "O": np.array(iO, dtype=np.intp),
-    }
+            runs.append([form, diag, i, i])
+    return tuple(tuple(run) for run in runs)
 
 
-def _values_for_rows(rows: np.ndarray, compiled: dict) -> np.ndarray:
+def _count_rows(rows: np.ndarray, runs) -> np.ndarray:
     """Statistic values for a block of signed one-line rows.
 
     A root ``N[i,j]`` is an inversion iff ``w_j < w_i``, ``P[i,j]`` iff
-    ``w_i + w_j < 0`` and ``O[i]`` iff ``w_i < 0``.
+    ``w_i + w_j < 0`` (tested as ``w_i < -w_j``, which cannot overflow) and
+    ``O[i]`` iff ``w_i < 0``.  ``runs`` comes from :func:`_diagonal_runs`.
     """
     vals = np.zeros(len(rows), dtype=np.int64)
-    iN, jN = compiled["N"]
-    if len(iN):
-        vals += (rows[:, jN] < rows[:, iN]).sum(axis=1)
-    iP, jP = compiled["P"]
-    if len(iP):
-        vals += (rows[:, iP] + rows[:, jP] < 0).sum(axis=1)
-    iO = compiled["O"]
-    if len(iO):
-        vals += (rows[:, iO] < 0).sum(axis=1)
+    for form, diag, lo, hi in runs:
+        wi = rows[:, lo - 1 : hi]
+        if form == "N":
+            neg = rows[:, lo - 1 + diag : hi + diag] < wi
+        elif form == "P":
+            # j = diag - i falls as i rises: the partner columns run backwards
+            neg = wi < -rows[:, diag - hi - 1 : diag - lo][:, ::-1]
+        else:
+            neg = wi < 0
+        vals += np.count_nonzero(neg, axis=1)
     return vals
 
 
@@ -248,12 +265,12 @@ def _component_hist(rs: RootSystem, ci: int, roots, threads: int) -> dict[int, i
             v = (m & psi_mask).bit_count()
             hist[v] = hist.get(v, 0) + 1
         return hist
-    compiled = _compile_roots(roots)
+    runs = _diagonal_runs(roots)
     counts = np.zeros(len(roots) + 1, dtype=np.int64)
     chunks = _row_chunks(comp.family, comp.rank, order)
 
     def evaluate(rows):
-        return np.bincount(_values_for_rows(rows, compiled), minlength=len(roots) + 1)
+        return np.bincount(_count_rows(rows, runs), minlength=len(roots) + 1)
 
     for c in _map_ordered(evaluate, chunks, threads):
         counts += c
@@ -279,9 +296,9 @@ def exact_distribution(
     Counts sum to the group order.  Components are enumerated independently
     and combined by convolution.
     """
-    _check_cap(rs, cap)
     ids = _canonical_ids(rs, psi)
     by_comp = _split_by_component(rs, ids)
+    _check_enumerated(rs, by_comp, cap)
     hist = {0: 1}
     for ci in range(len(rs.spec.components)):
         hist = _convolve(hist, _component_hist(rs, ci, by_comp.get(ci, []), threads))
@@ -304,37 +321,6 @@ def exact_variance(
     return Fraction(s2, n) - Fraction(s1, n) ** 2
 
 
-def _pair_counts_one_component(rs: RootSystem, beta: Root, gamma: Root) -> tuple[int, int, int, int]:
-    """(pp, pm, mp, mm) over the component group containing both roots."""
-    ci = beta.component
-    comp = rs.spec.components[ci]
-    if comp.family == "G2":
-        b_bit, g_bit = 1 << (beta.i - 1), 1 << (gamma.i - 1)
-        pp = pm = mp = mm = 0
-        for m in _G2_INV_MASKS:
-            bneg, gneg = bool(m & b_bit), bool(m & g_bit)
-            if bneg and gneg:
-                mm += 1
-            elif bneg:
-                mp += 1
-            elif gneg:
-                pm += 1
-            else:
-                pp += 1
-        return pp, pm, mp, mm
-    compiled_b = _compile_roots([beta])
-    compiled_g = _compile_roots([gamma])
-    pp = pm = mp = mm = 0
-    for rows in _row_chunks(comp.family, comp.rank, _component_order(comp)):
-        bneg = _values_for_rows(rows, compiled_b).astype(bool)
-        gneg = _values_for_rows(rows, compiled_g).astype(bool)
-        mm += int(np.count_nonzero(bneg & gneg))
-        mp += int(np.count_nonzero(bneg & ~gneg))
-        pm += int(np.count_nonzero(~bneg & gneg))
-        pp += int(np.count_nonzero(~bneg & ~gneg))
-    return pp, pm, mp, mm
-
-
 def wpartition_counts(
     rs: RootSystem, beta: Root, gamma: Root, cap: int = DEFAULT_CAP
 ) -> WPartitionCounts:
@@ -343,7 +329,9 @@ def wpartition_counts(
     rs.index(beta)
     rs.index(gamma)
     if beta.component == gamma.component:
-        pp, pm, mp, mm = _pair_counts_one_component(rs, beta, gamma)
+        comp = rs.spec.components[beta.component]
+        joint = _component_joint(comp, [(0, beta)], [(0, gamma)])
+        pp, pm, mp, mm = (joint.get(key, 0) for key in ((0, 0), (0, 1), (1, 0), (1, 1)))
         cofactor = order // sum((pp, pm, mp, mm))
         return WPartitionCounts(pp * cofactor, pm * cofactor, mp * cofactor, mm * cofactor)
     # Orthogonal components: each root is negative for exactly half its group.
@@ -372,9 +360,9 @@ def exact_joint_distribution(
         raise WeylstatError(
             f"joint outcome space too large: |psi|+|psi2| = {len(ids1) + len(ids2)} > {JOINT_OUTCOME_GUARD}"
         )
-    _check_cap(rs, cap)
     pos1 = {rid: k for k, rid in enumerate(ids1)}
     pos2 = {rid: k for k, rid in enumerate(ids2)}
+    _check_enumerated(rs, {rs.roots[rid].component for rid in ids1 + ids2}, cap)
 
     result: dict[tuple[int, int], int] = {(0, 0): 1}
     for ci, comp in enumerate(rs.spec.components):
@@ -415,17 +403,61 @@ def _masks_for_rows(rows: np.ndarray, local: list) -> np.ndarray:
     """Indicator bitmask per row; bit positions are supplied by the caller."""
     total = np.zeros(len(rows), dtype=np.int64)
     for pos, r in local:
-        if r.form == "N":
-            col = rows[:, r.j - 1] < rows[:, r.i - 1]
-        elif r.form == "P":
-            col = rows[:, r.i - 1] + rows[:, r.j - 1] < 0
-        else:
-            col = rows[:, r.i - 1] < 0
-        total += col.astype(np.int64) << pos
+        total += _count_rows(rows, _diagonal_runs([r])) << pos
     return total
 
 
 # -- Monte Carlo --------------------------------------------------------------------
+
+def _random_keys(rng: np.random.Generator, m: int, dim: int) -> np.ndarray:
+    """An (m, dim) block of i.i.d. uniform 31-bit keys as int32.
+
+    Each key is the top 31 bits of one little-endian 32-bit word of the raw
+    bit stream, so the block does not depend on the platform's byte order.
+    """
+    n = m * dim
+    raw = rng.bit_generator.random_raw((n + 1) // 2)
+    words = raw.astype("<u8", copy=False).view("<u4")[:n]
+    return np.right_shift(words, 1, out=words).view(np.int32).reshape(m, dim)
+
+
+def _tied_or_zero(keys: np.ndarray) -> np.ndarray:
+    """Rows of ``keys`` holding a zero or a repeated key."""
+    s = np.sort(keys, axis=1)
+    return (s[:, 0] == 0) | (s[:, 1:] == s[:, :-1]).any(axis=1)
+
+
+def _redraw_rejected(rng: np.random.Generator, keys: np.ndarray) -> np.ndarray:
+    """Redraw from ``rng``, in place, every row with a zero or a tied key.
+
+    A row of distinct keys orders its coordinates by a uniformly random
+    permutation, and a nonzero key keeps its sign once signs are applied:
+    ``0 * -1`` is not negative.  Rejecting the other rows therefore makes
+    each kept row an exact uniform draw.  Returns ``keys``.
+    """
+    bad = np.flatnonzero(_tied_or_zero(keys))
+    while len(bad):
+        keys[bad] = _random_keys(rng, len(bad), keys.shape[1])
+        bad = bad[_tied_or_zero(keys[bad])]
+    return keys
+
+
+def _draw_rows(rng: np.random.Generator, fam: str, rank: int, m: int) -> np.ndarray:
+    """(m, dim) uniform random orbit points of one classical component.
+
+    Row entries are signed distinct keys rather than a signed permutation of
+    ``1..dim``; every root test compares entries or their signs only, so the
+    statistic has the same law.
+    """
+    dim = rank + 1 if fam == "A" else rank
+    keys = _redraw_rejected(rng, _random_keys(rng, m, dim))
+    if fam == "A":
+        return keys
+    flips = rng.integers(0, 2, size=(m, rank), dtype=np.int8)
+    if fam == "D":  # an even number of sign changes: the last one fixes the parity
+        flips[:, -1] = flips[:, :-1].sum(axis=1) & 1
+    return keys * (1 - 2 * flips)
+
 
 def mc_run(
     rs: RootSystem,
@@ -445,8 +477,8 @@ def mc_run(
     ids = _canonical_ids(rs, psi)
     by_comp = _split_by_component(rs, ids)
     comps = rs.spec.components
-    compiled = {
-        ci: _compile_roots(by_comp[ci])
+    runs = {
+        ci: _diagonal_runs(by_comp[ci])
         for ci in by_comp
         if comps[ci].family != "G2"
     }
@@ -458,35 +490,32 @@ def mc_run(
 
     n_chunks = (n_samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
 
-    def run_chunk(c: int) -> np.ndarray:
-        m = min(CHUNK_SAMPLES, n_samples - c * CHUNK_SAMPLES)
-        rng = np.random.default_rng(derived_seed(seed, c))
+    def run_block(rng: np.random.Generator, m: int) -> np.ndarray:
         vals = np.zeros(m, dtype=np.int64)
         for ci, comp in enumerate(comps):
-            fam, n = comp.family, comp.rank
-            if fam == "G2":
+            if comp.family == "G2":
                 idx = rng.integers(0, _G2_ORDER, size=m)
                 if ci in g2_tables:
                     vals += g2_tables[ci][idx]
                 continue
-            dim = comp.dimension
-            perms = rng.permuted(np.tile(np.arange(1, dim + 1), (m, 1)), axis=1)
-            if fam == "A":
-                rows = perms
-            elif fam in ("B", "C"):
-                rows = perms * (1 - 2 * rng.integers(0, 2, size=(m, n)))
-            else:
-                head = 1 - 2 * rng.integers(0, 2, size=(m, n - 1))
-                last = head.prod(axis=1, keepdims=True)
-                rows = perms * np.concatenate([head, last], axis=1)
-            if ci in compiled:
-                vals += _values_for_rows(rows, compiled[ci])
+            rows = _draw_rows(rng, comp.family, comp.rank, m)
+            if ci in runs:
+                vals += _count_rows(rows, runs[ci])
         return vals
 
-    chunks = list(_map_ordered(run_chunk, range(n_chunks), threads))
-    values = [int(v) for v in np.concatenate(chunks)] if chunks else []
-    s1 = sum(values)
-    s2 = sum(v * v for v in values)
+    def run_chunk(c: int) -> np.ndarray:
+        m = min(CHUNK_SAMPLES, n_samples - c * CHUNK_SAMPLES)
+        rng = np.random.default_rng(derived_seed(seed, c))
+        # Blocks small enough to stay in cache, drawn in a fixed order from the chunk's stream.
+        return np.concatenate([
+            run_block(rng, min(BLOCK_SAMPLES, m - lo)) for lo in range(0, m, BLOCK_SAMPLES)
+        ])
+
+    values = np.concatenate(list(_map_ordered(run_chunk, range(n_chunks), threads)))
+    # Moments from the histogram in Python ints: exact, with no int64 overflow.
+    hist = np.bincount(values).tolist()
+    s1 = sum(v * c for v, c in enumerate(hist))
+    s2 = sum(v * v * c for v, c in enumerate(hist))
     n = n_samples
     mean = Fraction(s1, n)
     variance = Fraction(0) if n == 1 else Fraction(n * s2 - s1 * s1, n * (n - 1))
@@ -497,7 +526,7 @@ def mc_run(
         descriptor=descriptor,
         seed=seed,
         n_samples=n_samples,
-        values=values,
+        values=values.tolist(),
         sample_mean=mean,
         sample_variance=variance,
     )
@@ -529,7 +558,7 @@ def histogram_json(rs: RootSystem, psi, hist: dict[int, int]) -> dict:
         "psi": [rs.render_root(rs.roots[k]) for k in ids],
         "n": n,
         "counts": [[v, c] for v, c in sorted(hist.items())],
-        "moments": {"mean": frac_str(mean), "variance": frac_str(variance)},
+        "moments": {"mean": str(mean), "variance": str(variance)},
     }
 
 

@@ -148,3 +148,30 @@ def test_golden_roots_output_locked():
         "4,r5,4\n"
         "5,r6,5\n"
     )
+
+
+@pytest.mark.parametrize("value", ["0", "-3", str(cli.MAX_THREADS + 1)])
+def test_threads_out_of_range_is_a_usage_error(monkeypatch, capsys, value):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr("weylstat.stats.ThreadPoolExecutor", no_thread)
+    with pytest.raises(SystemExit) as err:
+        cli.run(["sample", "B3", "-d", "2", "--samples", "10", "--seed", "1", "--threads", value])
+    assert err.value.code == 2
+    assert f"between 1 and {cli.MAX_THREADS}" in capsys.readouterr().err
+
+
+def test_cap_counts_enumerated_components_not_the_product():
+    # |B6| = 46080: the product order 46080^2 exceeds the default cap, but the
+    # exact path enumerates each factor once and convolves
+    single = json.loads(run_cli("dist", "B6", "-d", "2", "--format", "json"))
+    product = json.loads(run_cli("dist", "B6xB6", "-d", "2", "--format", "json"))
+    hist = dict(single["counts"])
+    square: dict[int, int] = {}
+    for v1, c1 in hist.items():
+        for v2, c2 in hist.items():
+            square[v1 + v2] = square.get(v1 + v2, 0) + c1 * c2
+    assert product["counts"] == [[v, c] for v, c in sorted(square.items())]
+    assert run_cli("dist", "B6xB6", "-d", "2", "--cap", str(2 * 46080))
+    run_cli("dist", "B6xB6", "-d", "2", "--cap", str(2 * 46080 - 1), expect=1)

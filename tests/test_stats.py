@@ -190,3 +190,16 @@ def test_histogram_serialization(systems):
     assert data["n"] == 24 and data["counts"][0] == [0, 1]
     rows = list(stats.histogram_csv_rows(hist))
     assert rows[0] == ("value", "count") and sum(r[1] for r in rows[1:]) == 24
+
+
+def test_cap_guards_the_components_enumerated(systems):
+    rs = systems("B3xB3")  # each factor has 48 elements
+    beta, gamma = rs.parse_root("B3.1:O[1]"), rs.parse_root("B3.2:N[1,2]")
+    assert stats.exact_distribution(rs, [beta], cap=48) == {0: 48 * 48 // 2, 1: 48 * 48 // 2}
+    with pytest.raises(ws.TooLargeError):
+        stats.exact_distribution(rs, [beta, gamma], cap=95)
+    assert sum(stats.exact_distribution(rs, [beta, gamma], cap=96).values()) == 48 * 48
+    joint = stats.exact_joint_distribution(rs, [beta], [gamma], cap=96)
+    assert joint == {key: 48 * 48 // 4 for key in ((0, 0), (0, 1), (1, 0), (1, 1))}
+    with pytest.raises(ws.TooLargeError):
+        stats.exact_joint_distribution(rs, [beta], [gamma], cap=95)
