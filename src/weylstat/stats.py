@@ -33,6 +33,7 @@ from .weyl import (
     _G2_INV_MASKS,
     _G2_ORDER,
     DEFAULT_CAP,
+    component_order,
     derived_seed,
     group_order,
 )
@@ -41,7 +42,7 @@ CHUNK_ELEMENTS = 65536
 CHUNK_SAMPLES = 4096
 BLOCK_SAMPLES = 512
 BOOTSTRAP_RESAMPLES = 200
-_MATRIX_CACHE_LIMIT = 200_000
+SUFFIX_POSITIONS = 8
 JOINT_OUTCOME_GUARD = 20
 
 
@@ -93,41 +94,19 @@ class SampleRun:
 
 # -- helpers -------------------------------------------------------------------
 
-def _check_cap(rs: RootSystem, cap: int) -> int:
-    order = group_order(rs)
-    if order > cap:
-        raise TooLargeError(order, cap)
-    return order
-
-
 def _check_enumerated(rs: RootSystem, components, cap: int) -> None:
     """Refuse when the components to be enumerated hold more than ``cap`` elements.
 
     Components are enumerated one at a time and combined by convolution, so
     the work is the sum of their orders, not the order of the product.
     """
-    work = sum(_component_order(rs.spec.components[ci]) for ci in components)
+    work = sum(component_order(rs.spec.components[ci]) for ci in components)
     if work > cap:
         raise TooLargeError(work, cap, what="element count")
 
 
 def _canonical_ids(rs: RootSystem, roots) -> tuple[int, ...]:
     return tuple(sorted({rs.index(r) for r in roots}))
-
-
-def _component_order(comp) -> int:
-    fam, n = comp.family, comp.rank
-    if fam == "G2":
-        return _G2_ORDER
-    f = 1
-    top = n + 1 if fam == "A" else n
-    for k in range(2, top + 1):
-        f *= k
-    if fam in ("B", "C"):
-        f *= 2**n
-    elif fam == "D":
-        f *= 2 ** (n - 1)
-    return f
 
 
 def _split_by_component(rs: RootSystem, ids):
@@ -150,46 +129,60 @@ def _signs_matrix(fam: str, n: int) -> np.ndarray:
             for s in head:
                 last *= s
             rows.append(head + (last,))
-    return np.array(rows, dtype=np.int64)
+    return np.array(rows, dtype=np.int8)
 
 
-@lru_cache(maxsize=8)
-def _cached_matrix(fam: str, rank: int) -> np.ndarray:
-    """Full element matrix of one component, rows in enumeration order."""
+def _row_dtype(dim: int):
+    """Smallest signed integer dtype holding every value in ``-dim..dim``."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if dim <= np.iinfo(t).max)
+
+
+@lru_cache(maxsize=None)
+def _suffix_table(k: int) -> np.ndarray:
+    """Every permutation of ``0..k-1`` in lexicographic order, as int8 rows."""
+    return np.array(list(itertools.permutations(range(k))), dtype=np.int8)
+
+
+def _permutation_blocks(dim: int, dtype):
+    """Yield every permutation of ``1..dim`` as row blocks, in lexicographic order.
+
+    Each block fixes one prefix of the first ``dim - k`` values, ``k =
+    min(dim, SUFFIX_POSITIONS)``, and fills the last ``k`` columns from the
+    cached table of every permutation of ``k`` positions applied to the
+    remaining values in increasing order.
+    """
+    k = min(dim, SUFFIX_POSITIONS)
+    table = _suffix_table(k)
+    free = np.ones(dim + 1, dtype=bool)
+    free[0] = False
+    for prefix in itertools.permutations(range(1, dim + 1), dim - k):
+        free[1:] = True
+        free[list(prefix)] = False
+        block = np.empty((len(table), dim), dtype=dtype)
+        block[:, : dim - k] = prefix
+        block[:, dim - k :] = np.flatnonzero(free).astype(dtype)[table]
+        yield block
+
+
+def _row_blocks(fam: str, rank: int):
+    """Yield the signed one-line rows of one classical component in enumeration order.
+
+    Blocks hold at most :data:`CHUNK_ELEMENTS` rows of the smallest dtype
+    that holds ``-dim..dim``, so memory stays bounded whatever the order.
+    """
     dim = rank + 1 if fam == "A" else rank
-    perms = np.array(list(itertools.permutations(range(1, dim + 1))), dtype=np.int64)
+    blocks = _permutation_blocks(dim, _row_dtype(dim))
     if fam == "A":
-        return perms
-    signs = _signs_matrix(fam, rank)
-    reps = np.repeat(perms, len(signs), axis=0)
-    return reps * np.tile(signs, (len(perms), 1))
-
-
-def _row_chunks(fam: str, rank: int, order: int):
-    """Yield (m, dim) blocks of element rows in enumeration order."""
-    if order <= _MATRIX_CACHE_LIMIT:
-        full = _cached_matrix(fam, rank)
-        for lo in range(0, len(full), CHUNK_ELEMENTS):
-            yield full[lo : lo + CHUNK_ELEMENTS]
+        yield from blocks
         return
-    dim = rank + 1 if fam == "A" else rank
-    perm_iter = itertools.permutations(range(1, dim + 1))
-    if fam == "A":
-        while True:
-            block = list(itertools.islice(perm_iter, CHUNK_ELEMENTS))
-            if not block:
-                return
-            yield np.array(block, dtype=np.int64)
-    else:
-        signs = _signs_matrix(fam, rank)
-        per_perm = len(signs)
-        batch = max(1, CHUNK_ELEMENTS // per_perm)
-        while True:
-            block = list(itertools.islice(perm_iter, batch))
-            if not block:
-                return
-            perms = np.array(block, dtype=np.int64)
-            yield np.repeat(perms, per_perm, axis=0) * np.tile(signs, (len(block), 1))
+    signs = _signs_matrix(fam, rank)
+    # Each permutation is crossed with every sign vector, signs varying fastest.
+    step = max(1, CHUNK_ELEMENTS // len(signs))
+    for perms in blocks:
+        for lo in range(0, len(perms), step):
+            part = perms[lo : lo + step, None, :]
+            for s in range(0, len(signs), CHUNK_ELEMENTS):
+                yield (part * signs[None, s : s + CHUNK_ELEMENTS]).reshape(-1, dim)
 
 
 def _diagonal_runs(roots) -> tuple[tuple[str, int, int, int], ...]:
@@ -255,9 +248,8 @@ def _map_ordered(fn, items, threads: int):
 def _component_hist(rs: RootSystem, ci: int, roots, threads: int) -> dict[int, int]:
     """Histogram of the statistic over one component's group."""
     comp = rs.spec.components[ci]
-    order = _component_order(comp)
     if not roots:
-        return {0: order}
+        return {0: component_order(comp)}
     if comp.family == "G2":
         hist: dict[int, int] = {}
         psi_mask = sum(1 << (r.i - 1) for r in roots)
@@ -267,7 +259,7 @@ def _component_hist(rs: RootSystem, ci: int, roots, threads: int) -> dict[int, i
         return hist
     runs = _diagonal_runs(roots)
     counts = np.zeros(len(roots) + 1, dtype=np.int64)
-    chunks = _row_chunks(comp.family, comp.rank, order)
+    chunks = _row_blocks(comp.family, comp.rank)
 
     def evaluate(rows):
         return np.bincount(_count_rows(rows, runs), minlength=len(roots) + 1)
@@ -324,11 +316,16 @@ def exact_variance(
 def wpartition_counts(
     rs: RootSystem, beta: Root, gamma: Root, cap: int = DEFAULT_CAP
 ) -> WPartitionCounts:
-    """Sizes of the four sign classes for (beta, gamma), by direct enumeration."""
-    order = _check_cap(rs, cap)
+    """Sizes of the four sign classes for (beta, gamma), by direct enumeration.
+
+    Only the component holding both roots is enumerated, so ``cap`` bounds
+    its order; roots in different components need no enumeration.
+    """
     rs.index(beta)
     rs.index(gamma)
+    order = group_order(rs)
     if beta.component == gamma.component:
+        _check_enumerated(rs, {beta.component}, cap)
         comp = rs.spec.components[beta.component]
         joint = _component_joint(comp, [(0, beta)], [(0, gamma)])
         pp, pm, mp, mm = (joint.get(key, 0) for key in ((0, 0), (0, 1), (1, 0), (1, 1)))
@@ -380,7 +377,7 @@ def exact_joint_distribution(
 
 def _component_joint(comp, local1, local2) -> dict[tuple[int, int], int]:
     if not local1 and not local2:
-        return {(0, 0): _component_order(comp)}
+        return {(0, 0): component_order(comp)}
     out: dict[tuple[int, int], int] = {}
     if comp.family == "G2":
         for m in _G2_INV_MASKS:
@@ -388,8 +385,7 @@ def _component_joint(comp, local1, local2) -> dict[tuple[int, int], int]:
             m2 = sum(1 << pos for pos, r in local2 if m >> (r.i - 1) & 1)
             out[(m1, m2)] = out.get((m1, m2), 0) + 1
         return out
-    order = _component_order(comp)
-    for rows in _row_chunks(comp.family, comp.rank, order):
+    for rows in _row_blocks(comp.family, comp.rank):
         m1 = _masks_for_rows(rows, local1)
         m2 = _masks_for_rows(rows, local2)
         pairs, counts = np.unique(np.stack([m1, m2], axis=1), axis=0, return_counts=True)

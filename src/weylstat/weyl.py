@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -190,7 +191,31 @@ def is_inversion(w: WeylElement, beta: Root) -> bool:
 
 
 def inversion_set(w: WeylElement) -> set[Root]:
-    return {beta for beta in w.system.roots if is_inversion(w, beta)}
+    """The positive roots ``w`` sends to negative roots.
+
+    Reads the signed one-line values ``v`` of each classical part: ``N[i,j]``
+    is an inversion iff ``v_j < v_i``, ``P[i,j]`` iff ``v_i + v_j < 0`` and
+    ``O[i]`` iff ``v_i < 0``, the tests :func:`apply` agrees with.
+    """
+    rs = w.system
+    out = set()
+    for ci, part in enumerate(w.parts):
+        roots = [rs.roots[k] for k in rs.component_root_ids(ci)]
+        if isinstance(part, G2Part):
+            mask = _G2_INV_MASKS[part.index]
+            out.update(r for r in roots if mask >> (r.i - 1) & 1)
+            continue
+        v = (0,) + tuple(s * t for t, s in zip(part.perm, part.signs))
+        for r in roots:
+            if r.form == "N":
+                neg = v[r.j] < v[r.i]
+            elif r.form == "P":
+                neg = v[r.i] + v[r.j] < 0
+            else:
+                neg = v[r.i] < 0
+            if neg:
+                out.add(r)
+    return out
 
 
 # -- group structure -----------------------------------------------------------
@@ -273,23 +298,18 @@ def longest_element(rs: RootSystem) -> WeylElement:
     return WeylElement(rs, tuple(parts))
 
 
+def component_order(comp) -> int:
+    """Order of the Weyl group of one irreducible component."""
+    fam, n = comp.family, comp.rank
+    if fam == "G2":
+        return _G2_ORDER
+    if fam == "A":
+        return math.factorial(n + 1)
+    return math.factorial(n) * 2 ** (n if fam in ("B", "C") else n - 1)
+
+
 def group_order(rs: RootSystem) -> int:
-    order = 1
-    for comp in rs.spec.components:
-        fam, n = comp.family, comp.rank
-        if fam == "A":
-            f = 1
-            for k in range(2, n + 2):
-                f *= k
-            order *= f
-        elif fam in ("B", "C", "D"):
-            f = 1
-            for k in range(2, n + 1):
-                f *= k
-            order *= f * (2 ** (n if fam != "D" else n - 1))
-        else:
-            order *= _G2_ORDER
-    return order
+    return math.prod(component_order(c) for c in rs.spec.components)
 
 
 # -- enumeration ----------------------------------------------------------------

@@ -175,3 +175,14 @@ def test_cap_counts_enumerated_components_not_the_product():
     assert product["counts"] == [[v, c] for v, c in sorted(square.items())]
     assert run_cli("dist", "B6xB6", "-d", "2", "--cap", str(2 * 46080))
     run_cli("dist", "B6xB6", "-d", "2", "--cap", str(2 * 46080 - 1), expect=1)
+
+
+def test_wpartition_caps_the_component_it_enumerates():
+    # both roots lie in one B6 factor: 46,080 elements are enumerated, not 46080^2
+    single = run_cli("wpartition", "B6", "N[1,2]", "N[2,3]", "--format", "csv")
+    product = run_cli("wpartition", "B6xB6", "B6.1:N[1,2]", "B6.1:N[2,3]", "--format", "csv")
+    counts = list(csv.reader(io.StringIO(single)))[1]
+    assert list(csv.reader(io.StringIO(product)))[1] == [str(int(c) * 46080) for c in counts]
+    args = ("wpartition", "B6xB6", "B6.1:N[1,2]", "B6.1:N[2,3]", "--cap")
+    run_cli(*args, "46080")
+    run_cli(*args, "46079", expect=1)

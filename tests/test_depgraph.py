@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weylstat as ws
 from weylstat import depgraph, formulas, stats
@@ -131,3 +133,25 @@ def test_antichain_variance_band(systems, spec):
         psi = [rs.roots[k] for k in ids]
         var = stats.exact_variance(rs, psi)
         assert F(len(psi), 12) <= var <= F(len(psi), 4)
+
+
+def _all_pairs_graph(rs, psi):
+    """The dependency graph by testing every pair of psi."""
+    ids = sorted({rs.index(r) for r in psi})
+    adj = {v: set() for v in ids}
+    for a, v in enumerate(ids):
+        for w in ids[a + 1 :]:
+            if rs.inner_product_int(rs.roots[v], rs.roots[w]) != 0:
+                adj[v].add(w)
+                adj[w].add(v)
+    return adj
+
+
+@pytest.mark.parametrize("spec", ["A6", "B5", "C4", "D5", "A3xG2"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_build_graph_matches_all_pairs(systems, spec, data):
+    rs = systems(spec)
+    psi = data.draw(st.lists(st.sampled_from(rs.roots), unique=True))
+    g = depgraph.build_graph(rs, psi)
+    assert g.adjacency == {v: frozenset(s) for v, s in _all_pairs_graph(rs, psi).items()}

@@ -1,6 +1,9 @@
+import itertools
 import json
+import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import weylstat as ws
@@ -203,3 +206,71 @@ def test_cap_guards_the_components_enumerated(systems):
     assert joint == {key: 48 * 48 // 4 for key in ((0, 0), (0, 1), (1, 0), (1, 1))}
     with pytest.raises(ws.TooLargeError):
         stats.exact_joint_distribution(rs, [beta], [gamma], cap=95)
+
+
+def _one_line_rows(rs, ci):
+    """Signed one-line rows of component ``ci`` over ``enumerate_elements(rs)``."""
+    values = (
+        s * p
+        for w in weyl.enumerate_elements(rs)
+        for p, s in zip(w.parts[ci].perm, w.parts[ci].signs)
+    )
+    return np.fromiter(values, dtype=np.int64).reshape(-1, rs.spec.components[ci].dimension)
+
+
+BLOCK_SYSTEMS = [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 7)] + ["C3"]
+BLOCK_SYSTEMS += [f"D{n}" for n in range(2, 7)] + ["A3xG2"]
+
+
+@pytest.mark.parametrize("spec", BLOCK_SYSTEMS)
+def test_row_blocks_follow_enumeration_order(systems, spec):
+    rs = systems(spec)
+    orders = [weyl.component_order(c) for c in rs.spec.components]
+    for ci, comp in enumerate(rs.spec.components):
+        if comp.family == "G2":
+            continue
+        rows = np.concatenate(list(stats._row_blocks(comp.family, comp.rank)))
+        # components combine most-significant-first: repeat by the later orders
+        after = math.prod(orders[ci + 1 :])
+        before = math.prod(orders[:ci])
+        expected = _one_line_rows(rs, ci)
+        assert np.array_equal(np.tile(np.repeat(rows, after, axis=0), (before, 1)), expected)
+
+
+def test_row_blocks_are_bounded(systems):
+    rs = systems("B8")
+    sizes = [len(rows) for rows in stats._row_blocks("B", 8)]
+    assert max(sizes) <= stats.CHUNK_ELEMENTS
+    assert sum(sizes) == weyl.group_order(rs)
+
+
+@pytest.mark.parametrize("spec", ["B3", "D4"])
+def test_row_blocks_split_the_sign_vectors(systems, monkeypatch, spec):
+    # fewer rows per block than sign vectors: one permutation spans several blocks
+    monkeypatch.setattr(stats, "CHUNK_ELEMENTS", 5)
+    rs = systems(spec)
+    comp = rs.spec.components[0]
+    blocks = list(stats._row_blocks(comp.family, comp.rank))
+    assert max(len(rows) for rows in blocks) <= 5
+    expected = _one_line_rows(rs, 0)
+    assert np.array_equal(np.concatenate(blocks), expected)
+
+
+@pytest.mark.parametrize("dim, dtype", [(127, np.int8), (128, np.int16)])
+def test_row_blocks_use_the_smallest_dtype(dim, dtype):
+    # only the first block: the group itself is far too large
+    rows = next(stats._row_blocks("A", dim - 1))
+    assert rows.dtype == dtype
+    expected = list(itertools.islice(itertools.permutations(range(1, dim + 1)), len(rows)))
+    assert np.array_equal(rows, np.array(expected))
+
+
+def test_wpartition_guards_the_enumerated_component(systems):
+    rs = systems("B3xB3")  # each factor has 48 elements
+    beta, gamma = rs.parse_root("B3.1:O[1]"), rs.parse_root("B3.1:N[1,2]")
+    with pytest.raises(ws.TooLargeError):
+        stats.wpartition_counts(rs, beta, gamma, cap=47)
+    assert stats.wpartition_counts(rs, beta, gamma, cap=48).total == 48 * 48
+    # roots in different components: nothing is enumerated
+    other = rs.parse_root("B3.2:O[1]")
+    assert stats.wpartition_counts(rs, beta, other, cap=1).total == 48 * 48

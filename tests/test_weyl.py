@@ -235,3 +235,10 @@ def test_component_mismatch_rejected(systems):
         weyl.apply(w, Root(0, "O", 1))  # not a root of A3
     with pytest.raises(ws.ComponentMismatchError):
         weyl.compose(weyl.identity(a3), weyl.identity(b3))
+
+
+@pytest.mark.parametrize("spec", ["B4", "C3", "D4", "A2xG2"])
+def test_inversion_set_matches_apply(systems, spec):
+    rs = systems(spec)
+    for w in weyl.enumerate_elements(rs):
+        assert weyl.inversion_set(w) == {beta for beta in rs.roots if weyl.apply(w, beta)[1] < 0}
