@@ -29,6 +29,8 @@ from .errors import WeylstatError
 from .rootsys import build, parse_spec
 
 MAX_THREADS = 64
+# A sample run holds one Python int per sample: 10**7 values take ~80 MB of list.
+MAX_SAMPLES = 10**7
 
 
 def decimal_str(x: Fraction, digits: int = 20) -> str:
@@ -67,11 +69,19 @@ def _psi_from_args(rs, args):
     return list(rs.roots_up_to_height(args.d))
 
 
-def _thread_count(text: str) -> int:
+def _count_up_to(text: str, limit: int) -> int:
     value = int(text)
-    if not 1 <= value <= MAX_THREADS:
-        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_THREADS}, got {value}")
+    if not 1 <= value <= limit:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {limit}, got {value}")
     return value
+
+
+def _thread_count(text: str) -> int:
+    return _count_up_to(text, MAX_THREADS)
+
+
+def _sample_count(text: str) -> int:
+    return _count_up_to(text, MAX_SAMPLES)
 
 
 def _add_common(p):
@@ -278,9 +288,9 @@ def _cmd_depgraph(args):
     if args.format == "json":
         return _json_text({
             "spec": str(rs.spec),
-            "vertices": [rs.render_root(rs.roots[v]) for v in graph.vertices],
+            "vertices": [rs.render_root(rs.root(v)) for v in graph.vertices],
             "edges": [
-                [rs.render_root(rs.roots[a]), rs.render_root(rs.roots[b])]
+                [rs.render_root(rs.root(a)), rs.render_root(rs.root(b))]
                 for a, b in graph.edges()
             ],
             "max_degree": graph.max_degree,
@@ -347,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--stat", choices=("descents", "inversions"), default="inversions")
         p.add_argument("--psi", nargs="+", default=None, help="explicit root list")
         if needs_seed:
-            p.add_argument("--samples", type=int, required=True)
+            p.add_argument("--samples", type=_sample_count, required=True)
             p.add_argument("--seed", type=int, required=True)
             p.add_argument("--no-values", action="store_true")
         _add_common(p)
@@ -362,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system")
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--stat", choices=("descents", "inversions"), default="inversions")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_sample_count, required=True)
     p.add_argument("--seed", type=int, required=True)
     _add_common(p)
     p.set_defaults(fn=_cmd_clt)

@@ -195,12 +195,8 @@ def theoretical_variance(rs: RootSystem, d: int, statistic: str) -> Fraction:
     total = Fraction(0)
     for ci, comp in enumerate(rs.spec.components):
         if comp.family == "G2":
-            sub = stats._component_hist(
-                rs, ci,
-                [rs.roots[k] for k in rs.component_root_ids(ci)
-                 if (rs.heights[k] == d if statistic == "descents" else rs.heights[k] <= d)],
-                threads=1,
-            )
+            psi = rs.roots_of_height(d) if statistic == "descents" else rs.roots_up_to_height(d)
+            sub = stats._component_hist(rs, ci, [r for r in psi if r.component == ci], threads=1)
             n = sum(sub.values())
             s1 = sum(v * c for v, c in sub.items())
             s2 = sum(v * v * c for v, c in sub.items())

@@ -40,15 +40,16 @@ def build_graph(rs: RootSystem, psi) -> DependencyGraph:
     only those pairs have their inner product tested.
     """
     ids = sorted({rs.index(r) for r in psi})
+    roots = {v: rs.root(v) for v in ids}
     adj: dict[int, set[int]] = {v: set() for v in ids}
     buckets: dict[tuple[int, int], list[int]] = {}
     for v in ids:
-        for cell in _cells(rs.roots[v]):
+        for cell in _cells(roots[v]):
             buckets.setdefault(cell, []).append(v)
     for v in ids:
         # ascending pairs, as the all-pairs loop visits them: edges() follows set order
-        for w in sorted({w for cell in _cells(rs.roots[v]) for w in buckets[cell] if w > v}):
-            if rs._ip_ids(v, w) != 0:
+        for w in sorted({w for cell in _cells(roots[v]) for w in buckets[cell] if w > v}):
+            if rs._ip(roots[v], roots[w]) != 0:
                 adj[v].add(w)
                 adj[w].add(v)
     sizes = []
@@ -124,11 +125,11 @@ def degree_bound_phi_d(rs: RootSystem, d: int):
     classical_present = any(c.family != "G2" for c in rs.spec.components)
     bound = 4 * d if classical_present else 5
     for v in graph.vertices:
-        fam = rs.spec.components[rs.roots[v].component].family
+        fam = rs.spec.components[rs.root(v).component].family
         limit = 5 if fam == "G2" else 4 * d
         if len(graph.adjacency[v]) > limit:
             raise PropertyViolationError(
-                f"vertex {rs.render_root(rs.roots[v])} has degree "
+                f"vertex {rs.render_root(rs.root(v))} has degree "
                 f"{len(graph.adjacency[v])} > {limit}"
             )
     return graph.max_degree, bound
@@ -165,16 +166,16 @@ def antichains(rs: RootSystem, limit: int = ANTICHAIN_ENUMERATION_CAP):
 def edge_csv_rows(rs: RootSystem, graph: DependencyGraph):
     yield ("source", "target")
     for v, w in graph.edges():
-        yield (rs.render_root(rs.roots[v]), rs.render_root(rs.roots[w]))
+        yield (rs.render_root(rs.root(v)), rs.render_root(rs.root(w)))
 
 
 def to_dot(rs: RootSystem, graph: DependencyGraph) -> str:
     lines = ["graph dependency {"]
     for v in graph.vertices:
-        lines.append(f'  "{rs.render_root(rs.roots[v])}";')
+        lines.append(f'  "{rs.render_root(rs.root(v))}";')
     for v, w in graph.edges():
         lines.append(
-            f'  "{rs.render_root(rs.roots[v])}" -- "{rs.render_root(rs.roots[w])}";'
+            f'  "{rs.render_root(rs.root(v))}" -- "{rs.render_root(rs.root(w))}";'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,10 +18,12 @@ class ComponentMismatchError(WeylstatError):
 
 
 class TooLargeError(WeylstatError):
-    """Full enumeration was requested for a group exceeding the cap."""
+    """A request exceeds a size limit: the enumeration cap or the catalog limit."""
 
-    def __init__(self, order: int, cap: int, what: str = "group order"):
-        super().__init__(f"{what} {order} exceeds enumeration cap {cap}")
+    def __init__(
+        self, order: int, cap: int, what: str = "group order", limit: str = "enumeration cap"
+    ):
+        super().__init__(f"{what} {order} exceeds {limit} {cap}")
         self.order = order
         self.cap = cap
 

@@ -22,20 +22,35 @@ with that of ``e_i``.
 Catalog order is part of the public contract: components in spec order, and
 inside a component roots sorted by ``(height, form, i, j)``.  All derived
 file and CLI outputs inherit this order.
+
+Inside a component, the roots of one form on one diagonal (``N`` roots with
+equal ``j - i``, ``P`` roots with equal ``i + j``) share a height, so they
+hold consecutive ids with consecutive ``i``; each ``O`` and ``G`` root is a
+diagonal of its own.  A catalog stores only these runs, whose number grows
+with the rank, and derives ids, heights, norms and cover parents from them
+by arithmetic.
 """
 
 from __future__ import annotations
 
+import bisect
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
-from .errors import InternalConsistencyError, InvalidSpecError, StaleRootError
+import numpy as np
+
+from .errors import InternalConsistencyError, InvalidSpecError, StaleRootError, TooLargeError
 
 FAMILIES = ("A", "B", "C", "D", "G2")
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 2, "G2": 2}
+
+# Largest catalog build() accepts: A999 (499,500 roots) fits, A100000 does not.
+MAX_CATALOG_ROOTS = 2_000_000
 
 # G2 root table over the simple pair (alpha short, gamma long), in catalog
 # order r1..r6: coefficient vectors, heights, squared norms and Gram matrix.
@@ -131,65 +146,84 @@ class Root:
     j: int = 0
 
 
+class _Run(NamedTuple):
+    """Consecutive catalog ids holding the roots of one diagonal of one form.
+
+    The roots are ``i = first_i .. first_i + length - 1``, ``j`` following
+    from the diagonal (see :func:`_partner`); all share one height.
+    """
+
+    component: int
+    form: str
+    diagonal: int
+    first_id: int
+    first_i: int
+    length: int
+    height: int
+
+
 class RootSystem:
     """Immutable positive-root catalog; safe to share across threads.
 
-    Build through :func:`build`; the constructor is internal.
+    Build through :func:`build`; the constructor is internal.  The catalog is
+    stored as diagonal runs, so ids, heights and cover parents follow by
+    arithmetic; the tuples :attr:`roots`, :attr:`heights` and :attr:`covers`
+    are built the first time they are read.
     """
 
     def __init__(self, spec: FamilySpec, validate: bool = True):
+        size = sum(_positive_root_count(c) for c in spec.components)
+        if size > MAX_CATALOG_ROOTS:
+            raise TooLargeError(size, MAX_CATALOG_ROOTS, what="catalog size", limit="catalog limit")
         self.spec = spec
-        roots: list[Root] = []
-        heights: list[int] = []
-        norms: list[int] = []
-        # parent_edges[k] lists (parent_id, simple_id) with root_k - simple = parent.
-        parent_edges: list[tuple[tuple[int, int], ...]] = []
+        runs: list[_Run] = []
         comp_root_ranges: list[tuple[int, int]] = []
-
+        start = 0
         for ci, comp in enumerate(spec.components):
-            start = len(roots)
-            items = _component_roots(ci, comp)
-            locate = _locator(items, start)
-            for root, ht in items:
-                roots.append(root)
-                heights.append(ht)
-                norms.append(_norm_sq(comp.family, root))
-                parent_edges.append(_cover_parents(comp.family, root, locate))
-            comp_root_ranges.append((start, len(roots)))
-
-        self.roots: tuple[Root, ...] = tuple(roots)
-        self.heights: tuple[int, ...] = tuple(heights)
-        self._norms = tuple(norms)
-        self._index = {r: k for k, r in enumerate(roots)}
+            first = start
+            for form, diag, i0, length, height in _component_runs(comp):
+                runs.append(_Run(ci, form, diag, start, i0, length, height))
+                start += length
+            comp_root_ranges.append((first, start))
+        self._runs = tuple(runs)
+        self._run_starts = tuple(r.first_id for r in runs)
+        self._run_of = {(r.component, r.form, r.diagonal): r for r in runs}
         self._comp_ranges = tuple(comp_root_ranges)
-
-        hidx: dict[int, list[int]] = {}
-        for k, h in enumerate(heights):
-            hidx.setdefault(h, []).append(k)
-        self.height_index = {h: tuple(ids) for h, ids in sorted(hidx.items())}
-        self.max_height = max(heights)
-
-        self._parent_edges = tuple(parent_edges)
-        self.covers: tuple[tuple[int, int], ...] = tuple(
-            sorted((p, k) for k, edges in enumerate(parent_edges) for p, _ in edges)
-        )
-
+        self._size = start
+        self.max_height = max(r.height for r in runs)
         if validate:
             self._validate()
 
     # -- basic access ------------------------------------------------------
 
     def __len__(self):
-        return len(self.roots)
+        return self._size
+
+    def _locate(self, root: Root) -> tuple[_Run, int]:
+        """The run holding ``root`` and its catalog id."""
+        try:
+            run = self._run_of[root.component, root.form, _diagonal(root.form, root.i, root.j)]
+            offset = operator.index(root.i) - run.first_i
+            if 0 <= offset < run.length and (run.form in "NP" or root.j == 0):
+                return run, run.first_id + offset
+        except (AttributeError, KeyError, TypeError):
+            pass
+        raise StaleRootError(f"root {root} is not in the catalog of {self.spec}")
 
     def index(self, root: Root) -> int:
-        try:
-            return self._index[root]
-        except KeyError:
-            raise StaleRootError(f"root {root} is not in the catalog of {self.spec}") from None
+        return self._locate(root)[1]
+
+    def root(self, k: int) -> Root:
+        """The root with catalog id ``k``."""
+        k = operator.index(k)
+        if not 0 <= k < self._size:
+            raise IndexError(f"root id {k} out of range for {self.spec}")
+        run = self._runs[bisect.bisect_right(self._run_starts, k) - 1]
+        i = run.first_i + k - run.first_id
+        return Root(run.component, run.form, i, _partner(run.form, run.diagonal, i))
 
     def height(self, root: Root) -> int:
-        return self.heights[self.index(root)]
+        return self._locate(root)[0].height
 
     def component_family(self, root: Root) -> str:
         return self.spec.components[root.component].family
@@ -199,11 +233,64 @@ class RootSystem:
         return len(self.spec.components) == 1
 
     def simple_roots(self) -> tuple[Root, ...]:
-        return tuple(self.roots[k] for k in self.height_index[1])
+        return self.roots_of_height(1)
 
     def component_root_ids(self, ci: int) -> range:
         a, b = self._comp_ranges[ci]
         return range(a, b)
+
+    # -- materialized views ------------------------------------------------
+
+    @cached_property
+    def roots(self) -> tuple[Root, ...]:
+        """Every root in catalog order."""
+        return _decode_runs(self._runs)
+
+    @cached_property
+    def heights(self) -> tuple[int, ...]:
+        """Height of every root, by catalog id."""
+        return tuple(self._height_array().tolist())
+
+    @cached_property
+    def height_index(self) -> dict[int, tuple[int, ...]]:
+        """Catalog ids of each height, ascending; heights in increasing order."""
+        hidx: dict[int, list[int]] = {}
+        for r in self._runs:
+            hidx.setdefault(r.height, []).extend(range(r.first_id, r.first_id + r.length))
+        return {h: tuple(ids) for h, ids in sorted(hidx.items())}
+
+    @cached_property
+    def _parent_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """``_parent_edges[k]`` lists (parent_id, simple_id) with root_k - simple = parent."""
+        child, parent, simple = self._edge_arrays
+        pairs = list(zip(parent.tolist(), simple.tolist()))
+        bounds = np.searchsorted(child, np.arange(self._size + 1)).tolist()
+        return tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Every cover (parent_id, child_id), sorted."""
+        child, parent, _ = self._edge_arrays
+        order = np.lexsort((child, parent))
+        return tuple(zip(parent[order].tolist(), child[order].tolist()))
+
+    def _height_array(self) -> np.ndarray:
+        return np.repeat(
+            np.array([r.height for r in self._runs], dtype=np.int64),
+            [r.length for r in self._runs],
+        )
+
+    @cached_property
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(child, parent, simple) ids of every cover, by child, each child's parents in rule order."""
+        edges = [
+            edge
+            for ci, comp in enumerate(self.spec.components)
+            for edge in _cover_edges(comp.family, [r for r in self._runs if r.component == ci])
+        ]
+        child, parent, simple, rule = (np.concatenate(col) for col in zip(*edges))
+        order = np.lexsort((rule, child))
+        return child[order], parent[order], simple[order]
 
     # -- geometry ----------------------------------------------------------
 
@@ -212,11 +299,12 @@ class RootSystem:
         return Fraction(self.inner_product_int(beta, gamma))
 
     def inner_product_int(self, beta: Root, gamma: Root) -> int:
-        b, g = self.index(beta), self.index(gamma)
-        return self._ip_ids(b, g)
+        self.index(beta)
+        self.index(gamma)
+        return self._ip(beta, gamma)
 
-    def _ip_ids(self, b: int, g: int) -> int:
-        rb, rg = self.roots[b], self.roots[g]
+    def _ip(self, rb: Root, rg: Root) -> int:
+        """Inner product of two catalog roots (membership unchecked)."""
         if rb.component != rg.component:
             return 0
         if rb.form == "G":
@@ -231,13 +319,13 @@ class RootSystem:
         return total
 
     def norm_sq(self, beta: Root) -> int:
-        return self._norms[self.index(beta)]
+        self.index(beta)
+        return _norm_sq(self.component_family(beta), beta)
 
     def reflection_order(self, beta: Root, gamma: Root) -> int:
         """Order of the rotation composed of the two reflections: 1, 2, 3, 4 or 6."""
-        b, g = self.index(beta), self.index(gamma)
-        ip = self._ip_ids(b, g)
-        c = Fraction(ip * ip, self._norms[b] * self._norms[g])
+        ip = self.inner_product_int(beta, gamma)
+        c = Fraction(ip * ip, self.norm_sq(beta) * self.norm_sq(gamma))
         try:
             return _ORD_FROM_COS2[c]
         except KeyError:
@@ -250,9 +338,9 @@ class RootSystem:
     @cached_property
     def _ancestor_masks(self) -> tuple[int, ...] | None:
         # Bitmask DP over the graded cover relation; skipped for huge catalogs.
-        if len(self.roots) > 4096:
+        if len(self) > 4096:
             return None
-        masks = [0] * len(self.roots)
+        masks = [0] * len(self)
         for h in sorted(self.height_index):
             if h == 1:
                 continue
@@ -292,7 +380,7 @@ class RootSystem:
         ids = [self.index(r) for r in roots]
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):
-                x, y = self.roots[ids[a]], self.roots[ids[b]]
+                x, y = self.root(ids[a]), self.root(ids[b])
                 if self.poset_leq(x, y) or self.poset_leq(y, x):
                     return False
         return True
@@ -301,11 +389,11 @@ class RootSystem:
 
     def roots_of_height(self, d: int) -> tuple[Root, ...]:
         """All roots of height exactly ``d`` in catalog order (empty if none)."""
-        return tuple(self.roots[k] for k in self.height_index.get(d, ()))
+        return _decode_runs(r for r in self._runs if r.height == d)
 
     def roots_up_to_height(self, d: int) -> tuple[Root, ...]:
         """All roots of height at most ``d`` in catalog order."""
-        return tuple(r for k, r in enumerate(self.roots) if self.heights[k] <= d)
+        return _decode_runs(r for r in self._runs if r.height <= d)
 
     # -- expansions over simple roots ---------------------------------------
 
@@ -313,7 +401,7 @@ class RootSystem:
     def _expansions(self) -> tuple[tuple[int, ...], ...]:
         simple_pos = {k: p for p, k in enumerate(self.height_index[1])}
         n_simple = len(simple_pos)
-        exp = [None] * len(self.roots)
+        exp = [None] * len(self)
         for h in sorted(self.height_index):
             for k in self.height_index[h]:
                 if h == 1:
@@ -340,18 +428,16 @@ class RootSystem:
                 raise InternalConsistencyError(
                     f"component {comp}: {count} roots, expected {expected}"
                 )
-        for k in range(len(self.roots)):
-            h = self.heights[k]
-            edges = self._parent_edges[k]
-            if h == 1:
-                if edges:
-                    raise InternalConsistencyError("height-1 root with a cover parent")
-            else:
-                if not edges:
-                    raise InternalConsistencyError(f"root {self.roots[k]} has no cover parent")
-                for p, s in edges:
-                    if self.heights[p] != h - 1 or self.heights[s] != 1:
-                        raise InternalConsistencyError("cover relation is not graded")
+        child, parent, simple = self._edge_arrays
+        heights = self._height_array()
+        n_parents = np.bincount(child, minlength=self._size)
+        if np.any(n_parents[heights == 1]):
+            raise InternalConsistencyError("height-1 root with a cover parent")
+        orphans = np.flatnonzero((heights > 1) & (n_parents == 0))
+        if len(orphans):
+            raise InternalConsistencyError(f"root {self.root(orphans[0])} has no cover parent")
+        if np.any(heights[parent] != heights[child] - 1) or np.any(heights[simple] != 1):
+            raise InternalConsistencyError("cover relation is not graded")
 
     # -- rendering -----------------------------------------------------------
 
@@ -419,31 +505,44 @@ _ORD_FROM_COS2 = {
 }
 
 
-def _component_roots(ci: int, comp: Component):
-    """Yield (root, height) pairs of one component, sorted by (height, form, i, j)."""
+def _component_runs(comp: Component):
+    """(form, diagonal, first i, length, height) of each run of one component.
+
+    Every run lies at one height and each height holds at most one run of
+    each form, so sorting the runs by ``(height, form, first i)`` puts the
+    roots in catalog order.
+    """
     fam, n = comp.family, comp.rank
-    items = []
     if fam == "G2":
-        for k in range(6):
-            items.append((Root(ci, "G", k + 1), _G2_HEIGHTS[k]))
-    else:
-        dim = comp.dimension
-        for i in range(1, dim + 1):
-            for j in range(i + 1, dim + 1):
-                items.append((Root(ci, "N", i, j), j - i))
-        if fam == "B":
-            for i in range(1, n + 1):
-                items.append((Root(ci, "O", i), i))
-        if fam == "C":
-            for i in range(1, n + 1):
-                items.append((Root(ci, "O", i), 2 * i - 1))
-        if fam in ("B", "C", "D"):
-            shift = {"B": 0, "C": -1, "D": -2}[fam]
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    items.append((Root(ci, "P", i, j), i + j + shift))
-    items.sort(key=lambda t: (t[1], t[0].form, t[0].i, t[0].j))
-    return items
+        return [("G", k, k, 1, h) for k, h in enumerate(_G2_HEIGHTS, 1)]
+    dim = comp.dimension
+    runs = [("N", d, 1, dim - d, d) for d in range(1, dim)]
+    if fam == "B":
+        runs += [("O", i, i, 1, i) for i in range(1, n + 1)]
+    if fam == "C":
+        runs += [("O", i, i, 1, 2 * i - 1) for i in range(1, n + 1)]
+    if fam in ("B", "C", "D"):
+        shift = {"B": 0, "C": -1, "D": -2}[fam]
+        for s in range(3, 2 * n):  # P[i, s - i] for max(1, s - n) <= i < s / 2
+            lo = max(1, s - n)
+            runs.append(("P", s, lo, (s - 1) // 2 - lo + 1, s + shift))
+    runs.sort(key=lambda run: (run[4], run[0], run[2]))
+    return runs
+
+
+def _decode_runs(runs) -> tuple[Root, ...]:
+    """The roots of ``runs``, run after run."""
+    out: list[Root] = []
+    for r in runs:
+        c, form, d = r.component, r.form, r.diagonal
+        values = range(r.first_i, r.first_i + r.length)
+        if form == "N":
+            out.extend(Root(c, form, i, i + d) for i in values)
+        elif form == "P":
+            out.extend(Root(c, form, i, d - i) for i in values)
+        else:
+            out.extend(Root(c, form, i) for i in values)
+    return tuple(out)
 
 
 def _positive_root_count(comp: Component) -> int:
@@ -476,26 +575,8 @@ def _sparse_vector(fam: str, root: Root) -> tuple[tuple[int, int], ...]:
     return ((root.i, 1 if fam == "B" else 2),)
 
 
-def _locator(items, start: int):
-    """Catalog id of a root of one component, from its (form, i, j).
-
-    Roots on one diagonal (``N`` roots with equal ``j - i``, ``P`` roots with
-    equal ``i + j``) share a height, so catalog order keeps them contiguous
-    with consecutive ``i``; ``O`` and ``G`` roots are diagonals of their own.
-    One table entry per diagonal therefore locates every root.
-    """
-    first: dict[tuple[str, int], tuple[int, int]] = {}
-    for k, (r, _) in enumerate(items, start):
-        first.setdefault((r.form, _diagonal(r.form, r.i, r.j)), (k, r.i))
-
-    def locate(form: str, i: int, j: int = 0) -> int:
-        k, i0 = first[(form, _diagonal(form, i, j))]
-        return k + i - i0
-
-    return locate
-
-
-def _diagonal(form: str, i: int, j: int) -> int:
+def _diagonal(form: str, i, j):
+    """The diagonal of a root's run: ``j - i`` for ``N``, ``i + j`` for ``P``, else ``i``."""
     if form == "N":
         return j - i
     if form == "P":
@@ -503,65 +584,97 @@ def _diagonal(form: str, i: int, j: int) -> int:
     return i
 
 
-def _cover_parents(fam: str, r: Root, locate) -> tuple[tuple[int, int], ...]:
-    """Ids of the roots obtained by subtracting one simple root, as (parent, simple) pairs."""
-    out = []
+def _partner(form: str, diag: int, i: int) -> int:
+    """The ``j`` of the root ``i`` on a diagonal (0 for ``O`` and ``G``)."""
+    if form == "N":
+        return i + diag
+    if form == "P":
+        return diag - i
+    return 0
+
+
+# G2 covers as (child, parent, simple) table entries, each child's parents in order.
+_G2_COVERS = ((3, 2, 1), (3, 1, 2), (4, 3, 1), (5, 4, 1), (6, 5, 2))
+
+
+def _cover_edges(fam: str, runs) -> list[tuple[np.ndarray, ...]]:
+    """Cover edges of one component as (child, parent, simple, rule) id arrays.
+
+    Each classical rule subtracts one simple root from every root of one form
+    that meets its condition; ``rule`` numbers the rules of a form so that
+    sorting by it lists each root's parents in a fixed order.
+    """
     if fam == "G2":
-        k = r.i
-        if k == 3:
-            out = [(locate("G", 2), locate("G", 1)), (locate("G", 1), locate("G", 2))]
-        elif k == 4:
-            out = [(locate("G", 3), locate("G", 1))]
-        elif k == 5:
-            out = [(locate("G", 4), locate("G", 1))]
-        elif k == 6:
-            out = [(locate("G", 5), locate("G", 2))]
-        return tuple(out)
+        g = {r.first_i: r.first_id for r in runs}  # table entry -> catalog id
+        child, parent, simple = (np.array([g[k] for k in col]) for col in zip(*_G2_COVERS))
+        return [(child, parent, simple, np.arange(len(_G2_COVERS)))]
 
-    i, j = r.i, r.j
-    if r.form == "N":
-        if i + 1 < j:
-            out.append((locate("N", i + 1, j), locate("N", i, i + 1)))
-            out.append((locate("N", i, j - 1), locate("N", j - 1, j)))
-        return tuple(out)
+    tables = {}
+    for form in {r.form for r in runs}:
+        own = [r for r in runs if r.form == form]
+        table = np.zeros((3, max(r.diagonal for r in own) + 1), dtype=np.int64)
+        for r in own:
+            table[:, r.diagonal] = r.first_id, r.first_i, r.length
+        tables[form] = table
 
-    if r.form == "O":
+    def arrays(form):
+        # (ids, i, j) of every root of one form
+        own = [r for r in runs if r.form == form]
+        lengths = [r.length for r in own]
+        offset = np.arange(sum(lengths)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        i = np.repeat([r.first_i for r in own], lengths) + offset
+        j = _partner(form, np.repeat([r.diagonal for r in own], lengths), i)
+        return np.repeat([r.first_id for r in own], lengths) + offset, i, j
+
+    def locate(form, i, j=None):
+        # vectorised catalog id of (form, i, j); every located root must exist
+        first_id, first_i, length = tables[form]
+        diag = _diagonal(form, i, j)
+        d = np.clip(diag, 0, len(first_id) - 1)
+        offset = i - first_i[d]
+        if not np.all((d == diag) & (offset >= 0) & (offset < length[d])):
+            raise InternalConsistencyError(f"cover rule reaches a {form} root outside the catalog")
+        return first_id[d] + offset
+
+    edges = []
+
+    def add(rule, child, mask, parent, simple):
+        (ids, _, _), (pform, *pargs), (sform, *sargs) = child, parent, simple
+        edges.append((
+            ids[mask],
+            locate(pform, *(a[mask] for a in pargs)),
+            locate(sform, *(a[mask] for a in sargs)),
+            np.full(int(np.count_nonzero(mask)), rule),
+        ))
+
+    n = arrays("N")
+    i, j = n[1], n[2]
+    add(0, n, i + 1 < j, ("N", i + 1, j), ("N", i, i + 1))
+    add(1, n, i + 1 < j, ("N", i, j - 1), ("N", j - 1, j))
+    if fam in ("B", "C"):
+        o = arrays("O")
+        i, one = o[1], np.ones_like(o[1])
         if fam == "B":
-            if i > 1:
-                out.append((locate("N", 1, i), locate("O", 1)))
-                out.append((locate("O", i - 1), locate("N", i - 1, i)))
-        else:  # type C
-            if i > 1:
-                out.append((locate("P", i - 1, i), locate("N", i - 1, i)))
-        return tuple(out)
-
-    # P roots
-    if fam == "B":
-        if i < j - 1:
-            out.append((locate("P", i, j - 1), locate("N", j - 1, j)))
-        if i >= 2:
-            out.append((locate("P", i - 1, j), locate("N", i - 1, i)))
-        if i == 1:
-            out.append((locate("O", j), locate("O", 1)))
-    elif fam == "C":
-        if i < j - 1:
-            out.append((locate("P", i, j - 1), locate("N", j - 1, j)))
-        else:  # i == j - 1: subtracting N[j-1,j] leaves the long root 2 e_{j-1}
-            out.append((locate("O", j - 1), locate("N", j - 1, j)))
-        if i >= 2:
-            out.append((locate("P", i - 1, j), locate("N", i - 1, i)))
-        if i == 1:
-            out.append((locate("N", 1, j), locate("O", 1)))
-    else:  # type D
-        if i < j - 1:
-            out.append((locate("P", i, j - 1), locate("N", j - 1, j)))
-        if i >= 2 and not (i - 1 == 1 and j == 2):
-            out.append((locate("P", i - 1, j), locate("N", i - 1, i)))
-        if i == 1 and j > 2:
-            out.append((locate("N", 2, j), locate("P", 1, 2)))
-        if i == 2:
-            out.append((locate("N", 1, j), locate("P", 1, 2)))
-    return tuple(out)
+            add(0, o, i > 1, ("N", one, i), ("O", one))
+            add(1, o, i > 1, ("O", i - 1), ("N", i - 1, i))
+        else:
+            add(0, o, i > 1, ("P", i - 1, i), ("N", i - 1, i))
+    if fam in ("B", "C", "D"):
+        p = arrays("P")
+        i, j = p[1], p[2]
+        one = np.ones_like(i)
+        add(0, p, i < j - 1, ("P", i, j - 1), ("N", j - 1, j))
+        if fam == "C":  # i == j - 1: subtracting N[j-1,j] leaves the long root 2 e_{j-1}
+            add(0, p, i == j - 1, ("O", j - 1), ("N", j - 1, j))
+        add(1, p, i >= 2, ("P", i - 1, j), ("N", i - 1, i))
+        if fam == "B":
+            add(2, p, i == 1, ("O", j), ("O", one))
+        elif fam == "C":
+            add(2, p, i == 1, ("N", one, j), ("O", one))
+        else:
+            add(2, p, (i == 1) & (j > 2), ("N", one + 1, j), ("P", one, one + 1))
+            add(3, p, i == 2, ("N", one, j), ("P", one, one + 1))
+    return edges
 
 
 def build(spec: FamilySpec | str, validate: bool = True) -> RootSystem:

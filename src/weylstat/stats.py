@@ -112,7 +112,7 @@ def _canonical_ids(rs: RootSystem, roots) -> tuple[int, ...]:
 def _split_by_component(rs: RootSystem, ids):
     by_comp: dict[int, list[Root]] = {}
     for k in ids:
-        r = rs.roots[k]
+        r = rs.root(k)
         by_comp.setdefault(r.component, []).append(r)
     return by_comp
 
@@ -359,12 +359,13 @@ def exact_joint_distribution(
         )
     pos1 = {rid: k for k, rid in enumerate(ids1)}
     pos2 = {rid: k for k, rid in enumerate(ids2)}
-    _check_enumerated(rs, {rs.roots[rid].component for rid in ids1 + ids2}, cap)
+    roots = {rid: rs.root(rid) for rid in ids1 + ids2}
+    _check_enumerated(rs, {r.component for r in roots.values()}, cap)
 
     result: dict[tuple[int, int], int] = {(0, 0): 1}
     for ci, comp in enumerate(rs.spec.components):
-        local1 = [(pos1[rid], rs.roots[rid]) for rid in ids1 if rs.roots[rid].component == ci]
-        local2 = [(pos2[rid], rs.roots[rid]) for rid in ids2 if rs.roots[rid].component == ci]
+        local1 = [(pos1[rid], roots[rid]) for rid in ids1 if roots[rid].component == ci]
+        local2 = [(pos2[rid], roots[rid]) for rid in ids2 if roots[rid].component == ci]
         part = _component_joint(comp, local1, local2)
         merged: dict[tuple[int, int], int] = {}
         for (a1, a2), ca in result.items():
@@ -385,13 +386,16 @@ def _component_joint(comp, local1, local2) -> dict[tuple[int, int], int]:
             m2 = sum(1 << pos for pos, r in local2 if m >> (r.i - 1) & 1)
             out[(m1, m2)] = out.get((m1, m2), 0) + 1
         return out
+    # One int64 key per row, m1 above m2: ascending keys are ascending (m1, m2)
+    # pairs, and the joint guard keeps the key below 2**JOINT_OUTCOME_GUARD.
+    shift = max((pos + 1 for pos, _ in local2), default=0)
+    low = (1 << shift) - 1
     for rows in _row_blocks(comp.family, comp.rank):
-        m1 = _masks_for_rows(rows, local1)
-        m2 = _masks_for_rows(rows, local2)
-        pairs, counts = np.unique(np.stack([m1, m2], axis=1), axis=0, return_counts=True)
-        for (a, b), c in zip(pairs, counts):
-            key = (int(a), int(b))
-            out[key] = out.get(key, 0) + int(c)
+        keys = _masks_for_rows(rows, local1) << shift | _masks_for_rows(rows, local2)
+        values, counts = np.unique(keys, return_counts=True)
+        for key, c in zip(values.tolist(), counts.tolist()):
+            pair = (key >> shift, key & low)
+            out[pair] = out.get(pair, 0) + c
     return out
 
 
@@ -516,7 +520,7 @@ def mc_run(
     mean = Fraction(s1, n)
     variance = Fraction(0) if n == 1 else Fraction(n * s2 - s1 * s1, n * (n - 1))
     if descriptor is None:
-        descriptor = {"psi": [rs.render_root(rs.roots[k]) for k in ids]}
+        descriptor = {"psi": [rs.render_root(rs.root(k)) for k in ids]}
     return SampleRun(
         spec=str(rs.spec),
         descriptor=descriptor,
@@ -551,7 +555,7 @@ def histogram_json(rs: RootSystem, psi, hist: dict[int, int]) -> dict:
     variance = Fraction(s2, n) - mean**2
     return {
         "spec": str(rs.spec),
-        "psi": [rs.render_root(rs.roots[k]) for k in ids],
+        "psi": [rs.render_root(rs.root(k)) for k in ids],
         "n": n,
         "counts": [[v, c] for v, c in sorted(hist.items())],
         "moments": {"mean": str(mean), "variance": str(variance)},

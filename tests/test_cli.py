@@ -186,3 +186,29 @@ def test_wpartition_caps_the_component_it_enumerates():
     args = ("wpartition", "B6xB6", "B6.1:N[1,2]", "B6.1:N[2,3]", "--cap")
     run_cli(*args, "46080")
     run_cli(*args, "46079", expect=1)
+
+
+@pytest.mark.parametrize("command", ["sample", "clt"])
+@pytest.mark.parametrize("value", ["0", "-1", str(cli.MAX_SAMPLES + 1)])
+def test_samples_out_of_range_is_a_usage_error(monkeypatch, capsys, command, value):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a catalog was built")
+
+    monkeypatch.setattr(cli, "build", no_build)
+    with pytest.raises(SystemExit) as err:
+        cli.run([command, "B3", "-d", "2", "--samples", value, "--seed", "1"])
+    assert err.value.code == 2
+    assert f"between 1 and {cli.MAX_SAMPLES}" in capsys.readouterr().err
+
+
+def test_samples_bound_is_inclusive():
+    args = cli.build_parser().parse_args(
+        ["sample", "B3", "-d", "2", "--samples", str(cli.MAX_SAMPLES), "--seed", "1"]
+    )
+    assert args.samples == cli.MAX_SAMPLES
+
+
+@pytest.mark.parametrize("spec, count", [("A100000", 5000050000), ("B100000", 10**10)])
+def test_catalog_size_guard_exits_1(capsys, spec, count):
+    run_cli("roots", spec, expect=1)
+    assert f"catalog size {count} exceeds catalog limit" in capsys.readouterr().err

@@ -274,3 +274,21 @@ def test_wpartition_guards_the_enumerated_component(systems):
     # roots in different components: nothing is enumerated
     other = rs.parse_root("B3.2:O[1]")
     assert stats.wpartition_counts(rs, beta, other, cap=1).total == 48 * 48
+
+
+@pytest.mark.parametrize("spec", ["A2xB2", "B2xG2xA1"])
+def test_joint_distribution_against_object_level_brute_force(systems, spec):
+    # both sets span components, so a component's bits need not start at bit 0
+    rs = systems(spec)
+    psi, psi2 = rs.roots[::2], rs.roots[1::3]
+    ids1, ids2 = sorted(map(rs.index, psi)), sorted(map(rs.index, psi2))
+    expected: dict[tuple[int, int], int] = {}
+    for w in weyl.enumerate_elements(rs):
+        inv = {rs.index(r) for r in weyl.inversion_set(w)}
+        key = tuple(
+            sum(1 << k for k, rid in enumerate(ids) if rid in inv) for ids in (ids1, ids2)
+        )
+        expected[key] = expected.get(key, 0) + 1
+    joint = stats.exact_joint_distribution(rs, psi, psi2)
+    assert joint == expected
+    assert list(joint) == sorted(expected)
