@@ -638,8 +638,8 @@ def _cover_edges(fam: str, runs) -> list[tuple[np.ndarray, ...]]:
 
     edges = []
 
-    def add(rule, child, mask, parent, simple):
-        (ids, _, _), (pform, *pargs), (sform, *sargs) = child, parent, simple
+    def add(rule, ids, mask, parent, simple):
+        (pform, *pargs), (sform, *sargs) = parent, simple
         edges.append((
             ids[mask],
             locate(pform, *(a[mask] for a in pargs)),
@@ -647,33 +647,31 @@ def _cover_edges(fam: str, runs) -> list[tuple[np.ndarray, ...]]:
             np.full(int(np.count_nonzero(mask)), rule),
         ))
 
-    n = arrays("N")
-    i, j = n[1], n[2]
-    add(0, n, i + 1 < j, ("N", i + 1, j), ("N", i, i + 1))
-    add(1, n, i + 1 < j, ("N", i, j - 1), ("N", j - 1, j))
+    ids, i, j = arrays("N")
+    add(0, ids, i + 1 < j, ("N", i + 1, j), ("N", i, i + 1))
+    add(1, ids, i + 1 < j, ("N", i, j - 1), ("N", j - 1, j))
     if fam in ("B", "C"):
-        o = arrays("O")
-        i, one = o[1], np.ones_like(o[1])
-        if fam == "B":
-            add(0, o, i > 1, ("N", one, i), ("O", one))
-            add(1, o, i > 1, ("O", i - 1), ("N", i - 1, i))
-        else:
-            add(0, o, i > 1, ("P", i - 1, i), ("N", i - 1, i))
-    if fam in ("B", "C", "D"):
-        p = arrays("P")
-        i, j = p[1], p[2]
+        ids, i, _ = arrays("O")
         one = np.ones_like(i)
-        add(0, p, i < j - 1, ("P", i, j - 1), ("N", j - 1, j))
-        if fam == "C":  # i == j - 1: subtracting N[j-1,j] leaves the long root 2 e_{j-1}
-            add(0, p, i == j - 1, ("O", j - 1), ("N", j - 1, j))
-        add(1, p, i >= 2, ("P", i - 1, j), ("N", i - 1, i))
         if fam == "B":
-            add(2, p, i == 1, ("O", j), ("O", one))
-        elif fam == "C":
-            add(2, p, i == 1, ("N", one, j), ("O", one))
+            add(0, ids, i > 1, ("N", one, i), ("O", one))
+            add(1, ids, i > 1, ("O", i - 1), ("N", i - 1, i))
         else:
-            add(2, p, (i == 1) & (j > 2), ("N", one + 1, j), ("P", one, one + 1))
-            add(3, p, i == 2, ("N", one, j), ("P", one, one + 1))
+            add(0, ids, i > 1, ("P", i - 1, i), ("N", i - 1, i))
+    if fam in ("B", "C", "D"):
+        ids, i, j = arrays("P")
+        one = np.ones_like(i)
+        add(0, ids, i < j - 1, ("P", i, j - 1), ("N", j - 1, j))
+        if fam == "C":  # i == j - 1: subtracting N[j-1,j] leaves the long root 2 e_{j-1}
+            add(0, ids, i == j - 1, ("O", j - 1), ("N", j - 1, j))
+        add(1, ids, i >= 2, ("P", i - 1, j), ("N", i - 1, i))
+        if fam == "B":
+            add(2, ids, i == 1, ("O", j), ("O", one))
+        elif fam == "C":
+            add(2, ids, i == 1, ("N", one, j), ("O", one))
+        else:
+            add(2, ids, (i == 1) & (j > 2), ("N", one + 1, j), ("P", one, one + 1))
+            add(3, ids, i == 2, ("N", one, j), ("P", one, one + 1))
     return edges
 
 

@@ -193,3 +193,18 @@ def test_catalog_size_guard_boundary(monkeypatch):
     for spec in ("A5", "A3xA3"):
         with pytest.raises(ws.TooLargeError):
             ws.build(spec)
+
+
+@pytest.mark.parametrize(
+    "covers, message",
+    [
+        (((3, 2, 1), (3, 1, 2), (4, 2, 1), (5, 4, 1), (6, 5, 2)), "not graded"),
+        (((3, 2, 1), (3, 1, 2), (4, 3, 1), (5, 4, 1)), "no cover parent"),
+        (((2, 1, 1), (3, 2, 1), (4, 3, 1), (5, 4, 1), (6, 5, 2)), "height-1 root"),
+    ],
+)
+def test_build_validates_the_cover_arrays(monkeypatch, covers, message):
+    monkeypatch.setattr(rootsys, "_G2_COVERS", covers)
+    with pytest.raises(ws.InternalConsistencyError, match=message):
+        ws.build("G2xA3")
+    assert len(ws.build("G2xA3", validate=False)) == 12
