@@ -262,7 +262,7 @@ class RootSystem:
     @cached_property
     def _parent_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """``_parent_edges[k]`` lists (parent_id, simple_id) with root_k - simple = parent."""
-        child, parent, simple = self._edge_arrays
+        child, parent, simple = self._cover_arrays()
         pairs = list(zip(parent.tolist(), simple.tolist()))
         bounds = np.searchsorted(child, np.arange(self._size + 1)).tolist()
         return tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:]))
@@ -270,7 +270,7 @@ class RootSystem:
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Every cover (parent_id, child_id), sorted."""
-        child, parent, _ = self._edge_arrays
+        child, parent, _ = self._cover_arrays()
         order = np.lexsort((child, parent))
         return tuple(zip(parent[order].tolist(), child[order].tolist()))
 
@@ -280,8 +280,7 @@ class RootSystem:
             [r.length for r in self._runs],
         )
 
-    @cached_property
-    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _cover_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(child, parent, simple) ids of every cover, by child, each child's parents in rule order."""
         edges = [
             edge
@@ -428,7 +427,7 @@ class RootSystem:
                 raise InternalConsistencyError(
                     f"component {comp}: {count} roots, expected {expected}"
                 )
-        child, parent, simple = self._edge_arrays
+        child, parent, simple = self._cover_arrays()
         heights = self._height_array()
         n_parents = np.bincount(child, minlength=self._size)
         if np.any(n_parents[heights == 1]):
