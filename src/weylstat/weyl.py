@@ -198,9 +198,11 @@ def inversion_set(w: WeylElement) -> set[Root]:
     ``O[i]`` iff ``v_i < 0``, the tests :func:`apply` agrees with.
     """
     rs = w.system
+    catalog = rs.roots
     out = set()
     for ci, part in enumerate(w.parts):
-        roots = [rs.roots[k] for k in rs.component_root_ids(ci)]
+        ids = rs.component_root_ids(ci)
+        roots = catalog[ids.start : ids.stop]
         if isinstance(part, G2Part):
             mask = _G2_INV_MASKS[part.index]
             out.update(r for r in roots if mask >> (r.i - 1) & 1)
