@@ -95,7 +95,12 @@ def _cap(args) -> int:
     if args.cap is not None:
         return args.cap
     env = os.environ.get("WEYLSTAT_CAP")
-    return int(env) if env else weyl.DEFAULT_CAP
+    if not env:
+        return weyl.DEFAULT_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise WeylstatError(f"WEYLSTAT_CAP must be an integer, got {env!r}") from None
 
 
 # -- subcommand handlers ---------------------------------------------------------

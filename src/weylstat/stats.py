@@ -9,7 +9,10 @@ floating point.
 
 Both paths evaluate the statistic with one kernel over blocks of signed
 one-line rows: the roots of Psi are grouped into runs along diagonals, and
-each run is tested with one comparison of two column slices.
+each run is tested with one comparison of two coordinate slices.  The exact
+path stores its blocks coordinate-major (the values of one coordinate are
+contiguous), so each such slice is contiguous; sampled blocks are row-major
+and go through the same kernel.
 
 Monte Carlo runs draw in fixed chunks of :data:`CHUNK_SAMPLES` samples; chunk
 ``c`` uses an independent rng stream seeded with ``derived_seed(seed, c)``.
@@ -139,29 +142,35 @@ def _row_dtype(dim: int):
 
 @lru_cache(maxsize=None)
 def _suffix_table(k: int) -> np.ndarray:
-    """Every permutation of ``0..k-1`` in lexicographic order, as int8 rows."""
-    return np.array(list(itertools.permutations(range(k))), dtype=np.int8)
+    """Every permutation of ``0..k-1`` in lexicographic order, coordinate-major.
+
+    A C-contiguous int8 array of shape ``(k, k!)``: column ``c`` is the
+    ``c``-th permutation, so each coordinate's values are contiguous.
+    """
+    return np.ascontiguousarray(np.array(list(itertools.permutations(range(k))), dtype=np.int8).T)
 
 
 def _permutation_blocks(dim: int, dtype):
     """Yield every permutation of ``1..dim`` as row blocks, in lexicographic order.
 
-    Each block fixes one prefix of the first ``dim - k`` values, ``k =
-    min(dim, SUFFIX_POSITIONS)``, and fills the last ``k`` columns from the
-    cached table of every permutation of ``k`` positions applied to the
-    remaining values in increasing order.
+    Each block is built coordinate-major, as a C-contiguous ``(dim, k!)``
+    array, and yielded as its ``(k!, dim)`` transpose, so callers see one
+    permutation per row.  A block fixes one prefix of the first ``dim - k``
+    values, ``k = min(dim, SUFFIX_POSITIONS)``, and fills the last ``k``
+    coordinates from the cached table of ranks: ``rank + 1``, raised by one
+    past each prefix value in increasing order, is the rank-th remaining
+    value in increasing order.
     """
     k = min(dim, SUFFIX_POSITIONS)
     table = _suffix_table(k)
-    free = np.ones(dim + 1, dtype=bool)
-    free[0] = False
     for prefix in itertools.permutations(range(1, dim + 1), dim - k):
-        free[1:] = True
-        free[list(prefix)] = False
-        block = np.empty((len(table), dim), dtype=dtype)
-        block[:, : dim - k] = prefix
-        block[:, dim - k :] = np.flatnonzero(free).astype(dtype)[table]
-        yield block
+        block = np.empty((dim, table.shape[1]), dtype=dtype)
+        block[: dim - k] = np.array(prefix, dtype=dtype)[:, None]
+        suffix = block[dim - k :]
+        np.add(table, 1, out=suffix)
+        for p in sorted(prefix):
+            suffix += suffix >= p
+        yield block.T
 
 
 def _row_blocks(fam: str, rank: int):
@@ -169,20 +178,24 @@ def _row_blocks(fam: str, rank: int):
 
     Blocks hold at most :data:`CHUNK_ELEMENTS` rows of the smallest dtype
     that holds ``-dim..dim``, so memory stays bounded whatever the order.
+    Every block is the ``(m, dim)`` transpose of a C-contiguous ``(dim, m)``
+    array: the values of one coordinate are contiguous.
     """
     dim = rank + 1 if fam == "A" else rank
     blocks = _permutation_blocks(dim, _row_dtype(dim))
     if fam == "A":
         yield from blocks
         return
-    signs = _signs_matrix(fam, rank)
+    signs_t = np.ascontiguousarray(_signs_matrix(fam, rank).T)
+    n_signs = signs_t.shape[1]
     # Each permutation is crossed with every sign vector, signs varying fastest.
-    step = max(1, CHUNK_ELEMENTS // len(signs))
+    step = max(1, CHUNK_ELEMENTS // n_signs)
     for perms in blocks:
-        for lo in range(0, len(perms), step):
-            part = perms[lo : lo + step, None, :]
-            for s in range(0, len(signs), CHUNK_ELEMENTS):
-                yield (part * signs[None, s : s + CHUNK_ELEMENTS]).reshape(-1, dim)
+        cols = perms.T
+        for lo in range(0, cols.shape[1], step):
+            part = cols[:, lo : lo + step, None]
+            for s in range(0, n_signs, CHUNK_ELEMENTS):
+                yield (part * signs_t[:, None, s : s + CHUNK_ELEMENTS]).reshape(dim, -1).T
 
 
 def _diagonal_runs(roots) -> tuple[tuple[str, int, int, int], ...]:
@@ -208,24 +221,33 @@ def _diagonal_runs(roots) -> tuple[tuple[str, int, int, int], ...]:
 
 
 def _count_rows(rows: np.ndarray, runs) -> np.ndarray:
-    """Statistic values for a block of signed one-line rows.
+    """Statistic values (int64) for a block of signed one-line rows.
 
     A root ``N[i,j]`` is an inversion iff ``w_j < w_i``, ``P[i,j]`` iff
     ``w_i + w_j < 0`` (tested as ``w_i < -w_j``, which cannot overflow) and
     ``O[i]`` iff ``w_i < 0``.  ``runs`` comes from :func:`_diagonal_runs`.
+    The kernel reads the coordinates ``rows.T``: each run is one comparison
+    of two coordinate slices of shape ``(run length, m)``, summed over the
+    run.  These slices are contiguous when the block is coordinate-major, as
+    :func:`_row_blocks` yields it.  Counts accumulate in the smallest
+    unsigned dtype that holds the total of the run lengths.
     """
-    vals = np.zeros(len(rows), dtype=np.int64)
+    cols = rows.T
+    total = sum(hi - lo + 1 for _, _, lo, hi in runs)
+    acc = np.uint8 if total <= 0xFF else np.uint16 if total <= 0xFFFF else np.int64
+    vals = np.zeros(cols.shape[1], dtype=acc)
     for form, diag, lo, hi in runs:
-        wi = rows[:, lo - 1 : hi]
+        wi = cols[lo - 1 : hi]
         if form == "N":
-            neg = rows[:, lo - 1 + diag : hi + diag] < wi
+            neg = cols[lo - 1 + diag : hi + diag] < wi
         elif form == "P":
-            # j = diag - i falls as i rises: the partner columns run backwards
-            neg = wi < -rows[:, diag - hi - 1 : diag - lo][:, ::-1]
+            # j = diag - i falls as i rises: the partner coordinates run backwards
+            neg = wi < -cols[diag - hi - 1 : diag - lo][::-1]
         else:
             neg = wi < 0
-        vals += np.count_nonzero(neg, axis=1)
-    return vals
+        vals += neg.sum(axis=0, dtype=acc)
+    # int64 out: callers shift the counts into bit positions and add them.
+    return vals.astype(np.int64, copy=False)
 
 
 def _map_ordered(fn, items, threads: int):

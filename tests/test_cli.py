@@ -123,6 +123,15 @@ def test_cap_env_override(monkeypatch, capsys):
     assert cli.run(["dist", "A3", "-d", "1"]) == 0
 
 
+@pytest.mark.parametrize("value", ["abc", "1e6", "10.5"])
+def test_cap_env_must_be_an_integer(monkeypatch, capsys, value):
+    monkeypatch.setenv("WEYLSTAT_CAP", value)
+    assert cli.run(["dist", "A3", "-d", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: WEYLSTAT_CAP must be an integer")
+    assert "Traceback" not in err
+
+
 def test_thread_flag_does_not_change_output():
     argvs = [
         ["dist", "B4", "-d", "5", "--format", "csv"],

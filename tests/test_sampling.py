@@ -61,6 +61,43 @@ def test_run_kernel_on_width_one_runs(systems, spec):
     assert _kernel_values(rs, psi, elements) == _oracle_values(psi, elements)
 
 
+def _pairwise_oracle(rows, roots):
+    """The statistic of each row, testing every root on its own pair of coordinates."""
+    total = np.zeros(len(rows), dtype=np.int64)
+    for form in "NPO":
+        i = np.array([r.i for r in roots if r.form == form], dtype=np.int64) - 1
+        j = np.array([r.j for r in roots if r.form == form], dtype=np.int64) - 1
+        if form == "N":
+            neg = rows[:, j] < rows[:, i]
+        elif form == "P":
+            neg = rows[:, i] + rows[:, j] < 0
+        else:
+            neg = rows[:, i] < 0
+        total += neg.sum(axis=1)
+    return total
+
+
+@pytest.mark.parametrize("spec, n_roots", [
+    ("A499", 255), ("A499", 256), ("A499", 65535), ("A499", 65536), ("A499", 124750), ("B16", 256),
+])
+def test_run_kernel_accumulator_boundaries(systems, spec, n_roots):
+    # the longest element sends every root negative: its value is the run total itself
+    rs = systems(spec)
+    comp = rs.spec.components[0]
+    roots = rs.roots[:n_roots]
+    coords = np.arange(1, comp.dimension + 1)
+    longest = coords[::-1] if comp.family == "A" else -coords
+    drawn = stats._draw_rows(np.random.default_rng(5), comp.family, comp.rank, 3)
+    rows = np.vstack([coords, longest, drawn]).astype(np.int64)
+    expected = _pairwise_oracle(rows, roots)
+    assert expected[:2].tolist() == [0, n_roots]
+    runs = stats._diagonal_runs(roots)
+    for block in (rows, np.ascontiguousarray(rows.T).T):
+        values = stats._count_rows(block, runs)
+        assert values.dtype == np.int64
+        assert values.tolist() == expected.tolist()
+
+
 def _chi2_sf(x, k):
     """Survival function of the chi-square law with k degrees of freedom (closed form)."""
     if k % 2 == 0:

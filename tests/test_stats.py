@@ -265,6 +265,20 @@ def test_row_blocks_use_the_smallest_dtype(dim, dtype):
     assert np.array_equal(rows, np.array(expected))
 
 
+@pytest.mark.parametrize("fam, rank", [("A", 9), ("B", 4), ("D", 4)])
+def test_row_blocks_are_coordinate_major(fam, rank):
+    # the run kernel compares contiguous coordinate slices only in this layout
+    rows = next(stats._row_blocks(fam, rank))
+    assert rows.T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("k", [1, 3, stats.SUFFIX_POSITIONS])
+def test_suffix_table_is_coordinate_major(k):
+    table = stats._suffix_table(k)
+    assert table.shape == (k, math.factorial(k))
+    assert table.flags.c_contiguous
+
+
 def test_wpartition_guards_the_enumerated_component(systems):
     rs = systems("B3xB3")  # each factor has 48 elements
     beta, gamma = rs.parse_root("B3.1:O[1]"), rs.parse_root("B3.1:N[1,2]")
@@ -276,7 +290,7 @@ def test_wpartition_guards_the_enumerated_component(systems):
     assert stats.wpartition_counts(rs, beta, other, cap=1).total == 48 * 48
 
 
-@pytest.mark.parametrize("spec", ["A2xB2", "B2xG2xA1"])
+@pytest.mark.parametrize("spec", ["A2xB2", "B2xG2xA1", "B4xA1"])
 def test_joint_distribution_against_object_level_brute_force(systems, spec):
     # both sets span components, so a component's bits need not start at bit 0
     rs = systems(spec)
