@@ -48,7 +48,29 @@ def _csv_text(rows) -> str:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=1) + "\n"
+    """``json.dumps(obj, indent=1)`` and a newline, written at C speed.
+
+    With an indent, ``json.dumps`` runs the pure-Python encoder.  This writes
+    the same text: a non-empty list of plain ints is joined with ``str``,
+    dicts with ``str`` keys and other non-empty lists and tuples recurse, and
+    every other value goes through ``json.dumps`` and is re-indented.
+    """
+    return _json_value(obj, "") + "\n"
+
+
+def _json_value(obj, pad: str) -> str:
+    inner = pad + " "
+    if isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) == {int}:
+            items = map(str, obj)
+        else:
+            items = (_json_value(v, inner) for v in obj)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
+        items = (json.dumps(k) + ": " + _json_value(v, inner) for k, v in obj.items())
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    # JSON strings escape newlines, so every newline here is between lines.
+    return json.dumps(obj, indent=1).replace("\n", "\n" + pad)
 
 
 def _emit(text: str, out: str | None):

@@ -10,9 +10,9 @@ floating point.
 Both paths evaluate the statistic with one kernel over blocks of signed
 one-line rows: the roots of Psi are grouped into runs along diagonals, and
 each run is tested with one comparison of two coordinate slices.  The exact
-path stores its blocks coordinate-major (the values of one coordinate are
-contiguous), so each such slice is contiguous; sampled blocks are row-major
-and go through the same kernel.
+path and sampled types B, C and D store their blocks coordinate-major (the
+values of one coordinate are contiguous), so each such slice is contiguous;
+sampled type A blocks are row-major and go through the same kernel.
 
 Monte Carlo runs draw in fixed chunks of :data:`CHUNK_SAMPLES` samples; chunk
 ``c`` uses an independent rng stream seeded with ``derived_seed(seed, c)``.
@@ -87,7 +87,7 @@ class SampleRun:
             "n": self.n_samples,
         }
         if include_values:
-            out["values"] = list(self.values)
+            out["values"] = self.values
         out["moments"] = {
             "mean": str(self.sample_mean),
             "variance": str(self.sample_variance),
@@ -147,7 +147,19 @@ def _suffix_table(k: int) -> np.ndarray:
     A C-contiguous int8 array of shape ``(k, k!)``: column ``c`` is the
     ``c``-th permutation, so each coordinate's values are contiguous.
     """
-    return np.ascontiguousarray(np.array(list(itertools.permutations(range(k))), dtype=np.int8).T)
+    if k <= 1:
+        return np.zeros((k, 1), dtype=np.int8)
+    # Lexicographic order: first value f = 0..k-1, each followed by every
+    # permutation of the other values, which is the k - 1 table raised by one
+    # from f up.
+    prev = _suffix_table(k - 1)
+    n = prev.shape[1]
+    table = np.empty((k, k * n), dtype=np.int8)
+    table[0] = np.arange(k, dtype=np.int8).repeat(n)
+    rest = table[1:].reshape(k - 1, k, n)
+    rest[:] = prev[:, None, :]
+    rest += rest >= np.arange(k, dtype=np.int8)[:, None]
+    return table
 
 
 def _permutation_blocks(dim: int, dtype):
@@ -229,7 +241,8 @@ def _count_rows(rows: np.ndarray, runs) -> np.ndarray:
     The kernel reads the coordinates ``rows.T``: each run is one comparison
     of two coordinate slices of shape ``(run length, m)``, summed over the
     run.  These slices are contiguous when the block is coordinate-major, as
-    :func:`_row_blocks` yields it.  Counts accumulate in the smallest
+    :func:`_row_blocks` yields it and :func:`_draw_rows` draws types B, C
+    and D; type A draws are row-major.  Counts accumulate in the smallest
     unsigned dtype that holds the total of the run lengths.
     """
     cols = rows.T
@@ -470,15 +483,27 @@ def _draw_rows(rng: np.random.Generator, fam: str, rank: int, m: int) -> np.ndar
     Row entries are signed distinct keys rather than a signed permutation of
     ``1..dim``; every root test compares entries or their signs only, so the
     statistic has the same law.
+
+    Type A returns the key block itself, row-major.  Types B, C and D take
+    one sign bit per entry from the raw stream, right after the keys (bit
+    ``b`` of little-endian word ``w`` is entry ``64 * w + b`` of the
+    coordinate-major ``(rank, m)`` sign array), and return the ``.T`` view
+    of a C-contiguous ``(rank, m)`` array, so :func:`_count_rows` reads
+    contiguous coordinate slices.
     """
     dim = rank + 1 if fam == "A" else rank
     keys = _redraw_rejected(rng, _random_keys(rng, m, dim))
     if fam == "A":
         return keys
-    flips = rng.integers(0, 2, size=(m, rank), dtype=np.int8)
+    n = rank * m
+    raw = rng.bit_generator.random_raw(-(-n // 64)).astype("<u8", copy=False)
+    flips = np.unpackbits(raw.view(np.uint8), count=n, bitorder="little").reshape(rank, m)
     if fam == "D":  # an even number of sign changes: the last one fixes the parity
-        flips[:, -1] = flips[:, :-1].sum(axis=1) & 1
-    return keys * (1 - 2 * flips)
+        # a uint8 sum wraps at 256, which keeps its parity
+        flips[-1] = flips[:-1].sum(axis=0, dtype=np.uint8) & 1
+    rows = np.ascontiguousarray(keys.T)
+    rows *= (1 - 2 * flips).view(np.int8)  # uint8 1 - 2 wraps to 255, which is int8 -1
+    return rows.T
 
 
 def mc_run(
@@ -499,30 +524,26 @@ def mc_run(
     ids = _canonical_ids(rs, psi)
     by_comp = _split_by_component(rs, ids)
     comps = rs.spec.components
-    runs = {
-        ci: _diagonal_runs(by_comp[ci])
-        for ci in by_comp
-        if comps[ci].family != "G2"
-    }
-    g2_tables = {}
-    for ci in by_comp:
-        if comps[ci].family == "G2":
+    # Only components holding a root of Psi are drawn: the others add nothing.
+    # A G2 component is drawn as an index into its table of values.
+    parts = []
+    for ci in sorted(by_comp):
+        comp = comps[ci]
+        if comp.family == "G2":
             mask = sum(1 << (r.i - 1) for r in by_comp[ci])
-            g2_tables[ci] = np.array([(m & mask).bit_count() for m in _G2_INV_MASKS], dtype=np.int64)
+            parts.append((comp, np.array([(m & mask).bit_count() for m in _G2_INV_MASKS], dtype=np.int64)))
+        else:
+            parts.append((comp, _diagonal_runs(by_comp[ci])))
 
     n_chunks = (n_samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
 
     def run_block(rng: np.random.Generator, m: int) -> np.ndarray:
         vals = np.zeros(m, dtype=np.int64)
-        for ci, comp in enumerate(comps):
+        for comp, table in parts:
             if comp.family == "G2":
-                idx = rng.integers(0, _G2_ORDER, size=m)
-                if ci in g2_tables:
-                    vals += g2_tables[ci][idx]
-                continue
-            rows = _draw_rows(rng, comp.family, comp.rank, m)
-            if ci in runs:
-                vals += _count_rows(rows, runs[ci])
+                vals += table[rng.integers(0, _G2_ORDER, size=m)]
+            else:
+                vals += _count_rows(_draw_rows(rng, comp.family, comp.rank, m), table)
         return vals
 
     def run_chunk(c: int) -> np.ndarray:

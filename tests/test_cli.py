@@ -1,8 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylstat import cli
 
@@ -221,3 +224,64 @@ def test_samples_bound_is_inclusive():
 def test_catalog_size_guard_exits_1(capsys, spec, count):
     run_cli("roots", spec, expect=1)
     assert f"catalog size {count} exceeds catalog limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (["sample", "A9", "-d", "2", "--samples", "2000", "--seed", "7", "--format", "json"],
+     "4a983f95b22b15e43af6a0e6af6b234326810e95a38b1afa2a76d37d12f5f67b"),
+    (["sample", "A3xA40", "-d", "1", "--samples", "5000", "--seed", "3", "--format", "json"],
+     "c7e70df17ac4b2b32cabf720e2e93782f3bb13f69b23769f320ff8847c7a9faf"),
+])
+def test_type_a_sample_stream_is_pinned(argv, sha256):
+    # type A draws no sign bits: its seeded output is fixed byte for byte
+    out = run_cli(*argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")])
+    | st.text()
+    | st.sampled_from(["\u00e9\u4e2d", "tab\tnew\nline\x00\x1f", "\"quoted\\"])
+)
+_json_keys = st.text(max_size=4) | st.sampled_from([True, 1, 2.5, None])
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.lists(st.integers(), max_size=5)
+        | st.tuples(inner, inner)
+        | st.builds(tuple)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+        | st.dictionaries(_json_keys, inner, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=_json_trees)
+def test_json_text_matches_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "B4", "-d", "3"],
+    ["poset", "G2"],
+    ["cov", "G2", "r2", "r3"],
+    ["wpartition", "G2", "r2", "r3"],
+    ["var", "B4", "--stat", "inversions", "-d", "3"],
+    ["dist", "B3", "-d", "2"],
+    ["sample", "B3xG2", "-d", "2", "--samples", "50", "--seed", "5"],
+    ["sample", "B3", "-d", "2", "--samples", "50", "--seed", "5", "--no-values"],
+    ["clt", "B4", "-d", "2", "--samples", "500", "--seed", "5"],
+    ["depgraph", "B4", "-d", "2"],
+])
+def test_json_output_ends_in_one_newline(argv):
+    out = run_cli(*argv, "--format", "json")
+    assert out.endswith("}\n")
+    assert json.loads(out)

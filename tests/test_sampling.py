@@ -135,7 +135,9 @@ def _chi2_pvalue(observed: dict, exact: dict, n: int) -> float:
     return _chi2_sf(stat, len(bins) - 1)
 
 
-@pytest.mark.parametrize("spec, d", [("A5", 2), ("B4", 3), ("C3", 2), ("D4", 2), ("A2xG2", 2)])
+@pytest.mark.parametrize("spec, d", [
+    ("A5", 2), ("B4", 3), ("C3", 2), ("D4", 2), ("A2xG2", 2), ("D5", 3), ("C4", 7), ("B3xD4", 2),
+])
 def test_mc_histogram_matches_exact_law(systems, spec, d):
     rs = systems(spec)
     psi = rs.roots_up_to_height(d)
@@ -168,6 +170,36 @@ def test_type_d_rows_change_an_even_number_of_signs():
     rows = stats._draw_rows(np.random.default_rng(9), "D", 5, 2000)
     assert ((rows < 0).sum(axis=1) % 2 == 0).all()
     assert (rows < 0)[:, -1].any() and not stats._tied_or_zero(np.abs(rows)).any()
+
+
+@pytest.mark.parametrize("fam, rank", [("B", 5), ("C", 3), ("D", 4), ("D", 2)])
+def test_signed_blocks_are_coordinate_major(fam, rank):
+    # the keys come first in the stream, exactly as for type A; the signs follow
+    m = 700
+    rows = stats._draw_rows(np.random.default_rng(12), fam, rank, m)
+    assert rows.shape == (m, rank) and rows.T.flags.c_contiguous
+    rng = np.random.default_rng(12)
+    keys = stats._redraw_rejected(rng, stats._random_keys(rng, m, rank))
+    assert (np.abs(rows) == keys).all()
+
+
+def test_type_a_blocks_are_the_row_major_keys():
+    rows = stats._draw_rows(np.random.default_rng(12), "A", 6, 700)
+    rng = np.random.default_rng(12)
+    assert rows.flags.c_contiguous
+    assert (rows == stats._redraw_rejected(rng, stats._random_keys(rng, 700, 7))).all()
+
+
+@pytest.mark.parametrize("product, alone", [("A2xB300", "A2"), ("G2xA5xD4", "A5")])
+def test_components_without_roots_of_psi_are_not_drawn(systems, product, alone):
+    # only the component holding Psi draws from the stream, so the values are
+    # those of that component on its own
+    rs, single = systems(product), systems(alone)
+    ci = next(i for i, c in enumerate(rs.spec.components) if str(c) == alone)
+    psi = [r for r in rs.roots_up_to_height(2) if r.component == ci]
+    assert len(psi) == len(single.roots_up_to_height(2))
+    run = stats.mc_run(rs, psi, 5000, seed=4)
+    assert run.values == stats.mc_run(single, single.roots_up_to_height(2), 5000, seed=4).values
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -279,6 +279,13 @@ def test_suffix_table_is_coordinate_major(k):
     assert table.flags.c_contiguous
 
 
+def test_suffix_table_lists_permutations_in_lexicographic_order():
+    for k in range(1, stats.SUFFIX_POSITIONS + 1):
+        expected = np.array(list(itertools.permutations(range(k))), dtype=np.int8).T
+        table = stats._suffix_table(k)
+        assert table.dtype == np.int8 and (table == expected).all()
+
+
 def test_wpartition_guards_the_enumerated_component(systems):
     rs = systems("B3xB3")  # each factor has 48 elements
     beta, gamma = rs.parse_root("B3.1:O[1]"), rs.parse_root("B3.1:N[1,2]")
