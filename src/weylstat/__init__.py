@@ -76,4 +76,4 @@ from .clt import (
     theoretical_variance,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.3.0"

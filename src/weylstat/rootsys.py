@@ -132,12 +132,13 @@ def parse_spec(text: str) -> FamilySpec:
     return FamilySpec(tuple(parts))
 
 
-@dataclass(frozen=True, order=True)
-class Root:
+class Root(NamedTuple):
     """A positive root: labeled classical form or a G2 table entry.
 
     ``form`` is one of ``N`` (e_j - e_i), ``O`` (e_i, resp. 2 e_i in type C),
     ``P`` (e_j + e_i) or ``G`` (G2 table entry ``i`` in 1..6, ``j`` unused).
+    A named tuple: it hashes, compares and sorts as the plain tuple
+    ``(component, form, i, j)``.
     """
 
     component: int
@@ -245,6 +246,26 @@ class RootSystem:
     def roots(self) -> tuple[Root, ...]:
         """Every root in catalog order."""
         return _decode_runs(self._runs)
+
+    @cached_property
+    def sign_tests(self) -> tuple[tuple, ...]:
+        """Per component, ``(N, P, O)`` tuples of ``(i, j, root)``, ``(i, j, root)``
+        and ``(i, root)`` in catalog order; for G2 its roots, whose catalog order
+        is table order r1..r6.
+        """
+        out = []
+        for ci, comp in enumerate(self.spec.components):
+            ids = self.component_root_ids(ci)
+            roots = self.roots[ids.start : ids.stop]
+            if comp.family == "G2":
+                out.append(roots)
+            else:
+                out.append((
+                    tuple((r.i, r.j, r) for r in roots if r.form == "N"),
+                    tuple((r.i, r.j, r) for r in roots if r.form == "P"),
+                    tuple((r.i, r) for r in roots if r.form == "O"),
+                ))
+        return tuple(out)
 
     @cached_property
     def heights(self) -> tuple[int, ...]:

@@ -4,6 +4,10 @@ Elements of classical components are signed permutations stored per component
 as a permutation of ``1..n`` plus a sign vector (type A: all signs positive;
 type D: evenly many negative signs).  The G2 component uses indices into a
 fixed 12-element group table generated once from the two simple reflections.
+Roots and parts are named tuples (:class:`~weylstat.rootsys.Root`,
+:class:`SignedPermPart`, :class:`G2Part`), so hashing, comparison and
+construction run in C; a ``Root`` therefore also equals the plain tuple of
+its fields and unpacks like one.
 
 Composition convention, locked by tests: ``compose(u, v)`` is the map
 ``x -> u(v(x))``.
@@ -20,7 +24,10 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass, field
+from operator import itemgetter, mul
+from typing import NamedTuple
 
 from .errors import ComponentMismatchError, TooLargeError, WeylstatError
 from .rootsys import Root, RootSystem
@@ -73,16 +80,16 @@ _G2_SIMPLE_IDX = (_G2_INDEX[(-1, 5, 4, 3, 2, 6)], _G2_INDEX[(3, -2, 1, 4, 6, 5)]
 
 # -- element data model -------------------------------------------------------
 
-@dataclass(frozen=True)
-class SignedPermPart:
+class SignedPermPart(NamedTuple):
     """One classical component: ``e_i -> signs[i-1] * e_(perm[i-1])``."""
 
     perm: tuple[int, ...]
     signs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class G2Part:
+class G2Part(NamedTuple):
+    """The G2 component: an index into the 12-element group table."""
+
     index: int
 
 
@@ -97,13 +104,6 @@ class WeylElement:
         return compose(self, other)
 
 
-def _check_same_system(w: WeylElement, rs: RootSystem):
-    if w.system.spec != rs.spec:
-        raise ComponentMismatchError(
-            f"element of {w.system.spec} used with system {rs.spec}"
-        )
-
-
 def identity(rs: RootSystem) -> WeylElement:
     parts = []
     for comp in rs.spec.components:
@@ -115,14 +115,15 @@ def identity(rs: RootSystem) -> WeylElement:
     return WeylElement(rs, tuple(parts))
 
 
-def _validated_part(family: str, part):
+def _validated_part(comp, part):
+    family = comp.family
     if family == "G2":
         if not isinstance(part, G2Part) or not 0 <= part.index < _G2_ORDER:
             raise WeylstatError(f"invalid G2 part {part!r}")
         return part
     if not isinstance(part, SignedPermPart):
         raise WeylstatError(f"expected a signed permutation, got {part!r}")
-    n = len(part.perm)
+    n = comp.dimension
     if sorted(part.perm) != list(range(1, n + 1)) or len(part.signs) != n:
         raise WeylstatError(f"malformed signed permutation {part!r}")
     if any(s not in (1, -1) for s in part.signs):
@@ -141,7 +142,7 @@ def element(rs: RootSystem, parts) -> WeylElement:
     if len(parts) != len(comps):
         raise ComponentMismatchError(f"expected {len(comps)} parts, got {len(parts)}")
     return WeylElement(rs, tuple(
-        _validated_part(c.family, p) for c, p in zip(comps, parts)
+        _validated_part(c, p) for c, p in zip(comps, parts)
     ))
 
 
@@ -197,26 +198,27 @@ def inversion_set(w: WeylElement) -> set[Root]:
     is an inversion iff ``v_j < v_i``, ``P[i,j]`` iff ``v_i + v_j < 0`` and
     ``O[i]`` iff ``v_i < 0``, the tests :func:`apply` agrees with.
     """
-    rs = w.system
-    catalog = rs.roots
     out = set()
-    for ci, part in enumerate(w.parts):
-        ids = rs.component_root_ids(ci)
-        roots = catalog[ids.start : ids.stop]
+    add = out.add
+    for part, tests in zip(w.parts, w.system.sign_tests):
         if isinstance(part, G2Part):
             mask = _G2_INV_MASKS[part.index]
-            out.update(r for r in roots if mask >> (r.i - 1) & 1)
+            for r in tests:
+                if mask & 1:
+                    add(r)
+                mask >>= 1
             continue
-        v = (0,) + tuple(s * t for t, s in zip(part.perm, part.signs))
-        for r in roots:
-            if r.form == "N":
-                neg = v[r.j] < v[r.i]
-            elif r.form == "P":
-                neg = v[r.i] + v[r.j] < 0
-            else:
-                neg = v[r.i] < 0
-            if neg:
-                out.add(r)
+        v = (0, *map(mul, part.perm, part.signs))
+        n_tests, p_tests, o_tests = tests
+        for i, j, r in n_tests:
+            if v[j] < v[i]:
+                add(r)
+        for i, j, r in p_tests:
+            if v[i] + v[j] < 0:
+                add(r)
+        for i, r in o_tests:
+            if v[i] < 0:
+                add(r)
     return out
 
 
@@ -224,16 +226,17 @@ def inversion_set(w: WeylElement) -> set[Root]:
 
 def compose(u: WeylElement, v: WeylElement) -> WeylElement:
     """The element ``x -> u(v(x))``."""
-    _check_same_system(u, v.system)
+    if u.system is not v.system and u.system.spec != v.system.spec:
+        raise ComponentMismatchError(f"element of {u.system.spec} used with system {v.system.spec}")
     parts = []
     for pu, pv in zip(u.parts, v.parts):
         if isinstance(pu, G2Part):
             parts.append(G2Part(_G2_MUL[pu.index][pv.index]))
         else:
-            n = len(pu.perm)
-            perm = tuple(pu.perm[pv.perm[i] - 1] for i in range(n))
-            signs = tuple(pv.signs[i] * pu.signs[pv.perm[i] - 1] for i in range(n))
-            parts.append(SignedPermPart(perm, signs))
+            # reads the 1-based values of pv.perm from 1-prefixed tuples; a
+            # classical part has at least two entries, so ``at`` returns a tuple
+            at = itemgetter(*pv.perm)
+            parts.append(SignedPermPart(at((0, *pu.perm)), tuple(map(mul, pv.signs, at((0, *pu.signs))))))
     return WeylElement(u.system, tuple(parts))
 
 
@@ -418,6 +421,10 @@ def parabolic_decompose(w: WeylElement, gamma: set[Root] | list[Root] | tuple[Ro
 
 # -- rendering ----------------------------------------------------------------------
 
+_G2_CHUNK = re.compile(r"g(\d+)")
+_SIGNED_PERM_CHUNK = re.compile(r"\[(\s*[+-]?\d+\s*(?:,\s*[+-]?\d+\s*)*)\]")
+
+
 def render_element(w: WeylElement) -> str:
     """One-line notation, e.g. ``[3,-1,2]`` for a B3 element, ``g7`` for G2."""
     chunks = []
@@ -431,16 +438,20 @@ def render_element(w: WeylElement) -> str:
 
 
 def parse_element(rs: RootSystem, text: str) -> WeylElement:
+    """Inverse of :func:`render_element`: one chunk per component, joined by ``x``."""
+    comps = rs.spec.components
+    chunks = [chunk.strip() for chunk in text.strip().split("x")]
+    if len(chunks) != len(comps):
+        raise ComponentMismatchError(f"expected {len(comps)} parts, got {len(chunks)} in {text!r}")
     parts = []
-    for comp, chunk in zip(rs.spec.components, text.strip().split("x")):
-        chunk = chunk.strip()
-        if comp.family == "G2":
-            if not chunk.startswith("g"):
-                raise WeylstatError(f"expected g<idx> for a G2 part, got {chunk!r}")
-            parts.append(G2Part(int(chunk[1:])))
+    for comp, chunk in zip(comps, chunks):
+        g2 = comp.family == "G2"
+        m = (_G2_CHUNK if g2 else _SIGNED_PERM_CHUNK).fullmatch(chunk)
+        if m is None:
+            raise WeylstatError(f"cannot read {chunk!r} as a {comp} part")
+        vals = [int(v) for v in m[1].split(",")]
+        if g2:
+            parts.append(G2Part(vals[0]))
         else:
-            vals = [int(v) for v in chunk.strip("[]").split(",")]
-            perm = tuple(abs(v) for v in vals)
-            signs = tuple(1 if v > 0 else -1 for v in vals)
-            parts.append(SignedPermPart(perm, signs))
+            parts.append(SignedPermPart(tuple(map(abs, vals)), tuple(1 if v > 0 else -1 for v in vals)))
     return element(rs, parts)
