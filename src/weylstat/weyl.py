@@ -95,10 +95,22 @@ class G2Part(NamedTuple):
 
 @dataclass(frozen=True)
 class WeylElement:
-    """Immutable group element of the system it was created for."""
+    """Immutable group element of the system it was created for.
+
+    Two elements are equal when their systems have the same descriptor and
+    their parts are equal; the catalog object itself is not compared.
+    """
 
     system: RootSystem = field(compare=False, repr=False)
     parts: tuple[SignedPermPart | G2Part, ...]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts and self.system.spec == other.system.spec
+
+    def __hash__(self):
+        return hash((self.system.spec, self.parts))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return compose(self, other)

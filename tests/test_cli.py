@@ -2,6 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +240,32 @@ def test_type_a_sample_stream_is_pinned(argv, sha256):
     # type A draws no sign bits: its seeded output is fixed byte for byte
     out = run_cli(*argv)
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "8"])
+@pytest.mark.parametrize("argv, sha256", [
+    (["sample", "B100xG2", "-d", "5", "--samples", "5000", "--seed", "7", "--format", "json"],
+     "76f539ba1f813a7ce59d196d5ce795e5a6d767d8c6db07a230a96652a9402b47"),
+    (["sample", "D6", "-d", "3", "--samples", "4097", "--seed", "3", "--format", "json"],
+     "f1ca575098c3b1bc0f382ebdeac247f7c3c17c34406573226b2636f3c701b689"),
+    (["clt", "C8", "-d", "2", "--samples", "4000", "--seed", "11", "--format", "json"],
+     "9929d310933c758a5f1db2e00d629b06498e80bf792ae95afa1fdda9d5dba128"),
+])
+def test_signed_type_sample_stream_is_pinned(argv, sha256, threads):
+    # keys, then sign bits, from each chunk's raw stream: fixed byte for byte
+    out = run_cli(*argv, "--threads", threads)
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_cli_import_leaves_out_the_thread_pool():
+    # the pool is imported only by a run with more than one thread
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, weylstat.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout == "False\n"
 
 
 _json_leaves = (

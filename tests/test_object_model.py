@@ -121,6 +121,14 @@ def test_element_equality_ignores_the_system():
     assert repr(u) == "WeylElement(parts=(SignedPermPart(perm=(2, 1), signs=(1, -1)),))"
 
 
+def test_elements_of_different_systems_are_different():
+    # the identities of A1, B2 and D2 have the same parts, ((1, 2), (1, 1))
+    ids = [weyl.identity(ws.build(spec)) for spec in ("A1", "B2", "D2")]
+    assert len({w.parts for w in ids}) == 1
+    assert len(set(ids)) == 3
+    assert ids[1] != ids[2] and ids[1] == weyl.identity(ws.build("B2"))
+
+
 # -- parsing -------------------------------------------------------------------------
 
 @pytest.mark.parametrize("text", ["[2,1]x[9,9,9]", "[1,2]x", "[2,1]x[2,1]"])

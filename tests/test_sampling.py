@@ -160,6 +160,75 @@ def test_redraw_rejects_ties_and_zeros():
     assert not stats._tied_or_zero(keys).any()
 
 
+def _tied_or_zero_oracle(keys):
+    s = np.sort(keys, axis=1)
+    return (s[:, 0] == 0) | (s[:, 1:] == s[:, :-1]).any(axis=1)
+
+
+def test_tie_scan_flags_ties_and_zeros_within_rows():
+    keys = np.array([
+        [4, 9, 4, 7],  # a tie at the start of the sorted row
+        [8, 3, 6, 8],  # a tie at its end
+        [5, 0, 2, 1],  # a zero key
+        [7, 5, 6, 3],
+    ], dtype=np.int32)
+    assert stats._tied_or_zero(keys).tolist() == [True, True, True, False]
+
+
+def test_tie_scan_ignores_equal_keys_across_a_row_boundary():
+    # sorted, each row ends with the key the next row starts with; in a
+    # (m, 1) block every pair of neighbouring keys straddles a row boundary
+    keys = np.array([[3, 1, 5], [9, 5, 7], [9, 11, 10]], dtype=np.int32)
+    assert not stats._tied_or_zero(keys).any()
+    assert not stats._tied_or_zero(np.array([[4], [4], [2], [2], [6]], dtype=np.int32)).any()
+    assert stats._tied_or_zero(np.array([[4], [0], [4]], dtype=np.int32)).tolist() == [False, True, False]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 600), m=st.integers(1, 700),
+    top=st.sampled_from([1, 2, 50, 5000, 2**31]), seed=st.integers(0, 2**32 - 1),
+)
+def test_tie_scan_matches_the_per_row_sort(dim, m, top, seed):
+    # small key ranges force ties and zeros; a workspace reused from a larger
+    # block must not leak into a smaller one
+    rng = np.random.default_rng(seed)
+    ws = stats._Workspace()
+    stats._tied_or_zero(rng.integers(0, 2**31, size=(m + 1, dim + 1), dtype=np.int32), ws)
+    keys = rng.integers(0, top, size=(m, dim), dtype=np.int32)
+    expected = _tied_or_zero_oracle(keys)
+    assert (stats._tied_or_zero(keys, ws) == expected).all()
+    assert (stats._tied_or_zero(keys) == expected).all()
+
+
+def test_random_keys_drawn_in_pieces_continue_one_word_sequence():
+    m, dim = 700, 61  # 21,350 words: two full pieces and part of a third
+    assert m * dim // 2 > 2 * stats.RAW_PIECE_WORDS
+    keys = stats._random_keys(np.random.default_rng(3), m, dim)
+    words = np.random.default_rng(3).bit_generator.random_raw(-(-m * dim // 2))
+    expected = (words.astype("<u8").view("<u4")[: m * dim] >> 1).view(np.int32)
+    assert (keys.reshape(-1) == expected).all()
+
+
+def test_mc_run_workspace_matches_throwaway_buffers(systems):
+    # one workspace serves components of different dimensions in turn; the
+    # values equal those of the helpers run with fresh buffers every call
+    rs = systems("B40xA3xD5")
+    psi = rs.roots_up_to_height(3)
+    n = stats.CHUNK_SAMPLES + 700
+    values = []
+    for c in range(2):
+        rng = np.random.default_rng(weyl.derived_seed(29, c))
+        m = min(stats.CHUNK_SAMPLES, n - c * stats.CHUNK_SAMPLES)
+        for lo in range(0, m, stats.BLOCK_SAMPLES):
+            block = np.zeros(min(stats.BLOCK_SAMPLES, m - lo), dtype=np.int64)
+            for ci, comp in enumerate(rs.spec.components):
+                runs = stats._diagonal_runs([r for r in psi if r.component == ci])
+                block += stats._count_rows(stats._draw_rows(rng, comp.family, comp.rank, len(block)), runs)
+            values += block.tolist()
+    assert stats.mc_run(rs, psi, n, seed=29).values == values
+
+
 def test_random_keys_are_31_bit_and_nonnegative():
     keys = stats._random_keys(np.random.default_rng(5), 64, 7)
     assert keys.shape == (64, 7) and keys.dtype == np.int32
