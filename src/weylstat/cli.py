@@ -89,9 +89,7 @@ def _psi_from_args(rs, args):
         return [rs.parse_root(t) for t in args.psi]
     if args.d is None:
         raise WeylstatError("need either -d or --psi")
-    if getattr(args, "stat", "inversions") == "descents":
-        return list(rs.roots_of_height(args.d))
-    return list(rs.roots_up_to_height(args.d))
+    return list(stats.statistic_roots(rs, args.stat, args.d))
 
 
 def _count_up_to(text: str, limit: int) -> int:
@@ -228,7 +226,7 @@ def _cmd_var(args):
     if args.method == "enumerate":
         rank = n - 1 if family == "A" else n
         rs = build(f"{family}{rank}")
-        psi = rs.roots_of_height(args.d) if args.stat == "descents" else rs.roots_up_to_height(args.d)
+        psi = stats.statistic_roots(rs, args.stat, args.d)
         enum_value = stats.exact_variance(rs, psi, cap=_cap(args), threads=args.threads)
         if enum_value != value:
             raise WeylstatError(

@@ -189,18 +189,14 @@ def theoretical_variance(rs: RootSystem, d: int, statistic: str) -> Fraction:
     """Exact variance of the height-d statistic, one component at a time.
 
     Classical components use the closed formulas (clamped at their maximal
-    height); a G2 component is enumerated outright.  Components act
-    independently, so variances add.
+    height); a G2 component's variance is :func:`stats.exact_variance` of its
+    roots of Psi.  Components act independently, so variances add.
     """
     total = Fraction(0)
     for ci, comp in enumerate(rs.spec.components):
         if comp.family == "G2":
-            psi = rs.roots_of_height(d) if statistic == "descents" else rs.roots_up_to_height(d)
-            sub = stats._component_hist(rs, ci, [r for r in psi if r.component == ci], threads=1)
-            n = sum(sub.values())
-            s1 = sum(v * c for v, c in sub.items())
-            s2 = sum(v * v * c for v, c in sub.items())
-            total += Fraction(s2, n) - Fraction(s1, n) ** 2
+            psi = stats.statistic_roots(rs, statistic, d)
+            total += stats.exact_variance(rs, [r for r in psi if r.component == ci])
             continue
         n_param = comp.rank + 1 if comp.family == "A" else comp.rank
         top = {"A": n_param - 1, "B": 2 * comp.rank - 1,
@@ -226,9 +222,7 @@ def clt_report(
     cap: int = DEFAULT_CAP,
 ) -> CLTReport:
     """Run the sample-standardize-KS-criterion pipeline for one experiment."""
-    if statistic not in ("descents", "inversions"):
-        raise WeylstatError(f"unknown statistic {statistic!r}")
-    psi = rs.roots_of_height(d) if statistic == "descents" else rs.roots_up_to_height(d)
+    psi = stats.statistic_roots(rs, statistic, d)
     if not psi:
         raise WeylstatError(f"no roots of height {'=' if statistic == 'descents' else '<='} {d}")
     mean = stats.exact_mean(rs, psi)

@@ -14,6 +14,11 @@ path and sampled types B, C and D store their blocks coordinate-major (the
 values of one coordinate are contiguous), so each such slice is contiguous;
 sampled type A blocks are row-major and go through the same kernel.
 
+G2 is counted by the same kernel: W(G2) is +-S_3 acting on the sum-zero plane
+of R^3, its 12 elements are the rows :data:`_G2_ROWS` (images of one generic
+point), and each G2 root is a classical coordinate test (:data:`_G2_TESTS`).
+A sampled G2 component is still drawn as one uniform table index per sample.
+
 Monte Carlo runs draw in fixed chunks of :data:`CHUNK_SAMPLES` samples; chunk
 ``c`` uses an independent rng stream seeded with ``derived_seed(seed, c)``.
 Results are therefore bit-identical for any worker count: workers process
@@ -44,14 +49,7 @@ import numpy as np
 
 from .errors import TooLargeError, WeylstatError
 from .rootsys import Root, RootSystem
-from .weyl import (
-    _G2_INV_MASKS,
-    _G2_ORDER,
-    DEFAULT_CAP,
-    component_order,
-    derived_seed,
-    group_order,
-)
+from .weyl import DEFAULT_CAP, component_order, derived_seed, group_order
 
 CHUNK_ELEMENTS = 65536
 CHUNK_SAMPLES = 4096
@@ -125,6 +123,15 @@ def _canonical_ids(rs: RootSystem, roots) -> tuple[int, ...]:
     return tuple(sorted({rs.index(r) for r in roots}))
 
 
+def statistic_roots(rs: RootSystem, statistic: str, d: int):
+    """Psi of the height-``d`` statistic: height ``d`` for descents, ``<= d`` for inversions."""
+    if statistic == "descents":
+        return rs.roots_of_height(d)
+    if statistic == "inversions":
+        return rs.roots_up_to_height(d)
+    raise WeylstatError(f"unknown statistic {statistic!r}")
+
+
 def _split_by_component(rs: RootSystem, ids):
     by_comp: dict[int, list[Root]] = {}
     for k in ids:
@@ -155,7 +162,23 @@ class _Workspace:
         return buf[:nbytes].view(dtype).reshape(shape)
 
 
-# -- classical enumeration (numpy rows of signed one-line values) ----------------
+# -- enumeration (numpy rows of signed one-line values) ---------------------------
+
+# W(G2) = +-S_3 on the plane x1 + x2 + x3 = 0: row t is the image of the
+# generic point (-3, 1, 2) under element t of weyl's G2 table.
+_G2_ROWS = np.array([
+    (-3, 1, 2), (-3, 2, 1), (-2, -1, 3), (-1, -2, 3), (-2, 3, -1), (-1, 3, -2),
+    (1, -3, 2), (2, -3, 1), (1, 2, -3), (2, 1, -3), (3, -2, -1), (3, -1, -2),
+], dtype=np.int8)
+# A row inverts the G2 root r_k iff the classical test (form, i, j) of entry k
+# holds on it.  A short root e_j - e_i is an N test.  A long root
+# +-(2e_i - e_j - e_k) pairs with the plane as +-3x_i, so it reads one sign;
+# x_1 > 0 is x_2 + x_3 < 0 there, a P test.
+_G2_TESTS = {
+    1: ("N", 2, 3), 2: ("O", 2, 0), 3: ("N", 1, 2),
+    4: ("N", 1, 3), 5: ("O", 3, 0), 6: ("P", 2, 3),
+}
+
 
 def _signs_matrix(fam: str, n: int) -> np.ndarray:
     if fam in ("B", "C"):
@@ -221,13 +244,17 @@ def _permutation_blocks(dim: int, dtype):
 
 
 def _row_blocks(fam: str, rank: int):
-    """Yield the signed one-line rows of one classical component in enumeration order.
+    """Yield the signed one-line rows of one component in enumeration order.
 
     Blocks hold at most :data:`CHUNK_ELEMENTS` rows of the smallest dtype
     that holds ``-dim..dim``, so memory stays bounded whatever the order.
     Every block is the ``(m, dim)`` transpose of a C-contiguous ``(dim, m)``
-    array: the values of one coordinate are contiguous.
+    array: the values of one coordinate are contiguous.  G2 is one block,
+    :data:`_G2_ROWS` in table order.
     """
+    if fam == "G2":
+        yield np.ascontiguousarray(_G2_ROWS.T).T
+        return
     dim = rank + 1 if fam == "A" else rank
     blocks = _permutation_blocks(dim, _row_dtype(dim))
     if fam == "A":
@@ -249,14 +276,15 @@ def _diagonal_runs(roots) -> tuple[tuple[str, int, int, int], ...]:
     """Maximal runs of ``roots`` along diagonals, as (form, diagonal, first i, last i).
 
     ``N`` roots lie on the diagonal ``j - i``, ``P`` roots on ``i + j`` and
-    ``O`` roots on one diagonal of their own (0).  Along a diagonal, roots with
-    consecutive ``i`` form one run, which :func:`_count_rows` tests with a
-    single comparison of two column slices.
+    ``O`` roots on one diagonal of their own (0); a ``G`` root is read as its
+    test in :data:`_G2_TESTS`.  Along a diagonal, roots with consecutive ``i``
+    form one run, which :func:`_count_rows` tests with a single comparison of
+    two column slices.
     """
     runs: list[list] = []
+    tests = (_G2_TESTS[r.i] if r.form == "G" else (r.form, r.i, r.j) for r in roots)
     keys = sorted(
-        (r.form, r.j - r.i if r.form == "N" else r.i + r.j if r.form == "P" else 0, r.i)
-        for r in roots
+        (form, j - i if form == "N" else i + j if form == "P" else 0, i) for form, i, j in tests
     )
     for form, diag, i in keys:
         last = runs[-1] if runs else None
@@ -276,11 +304,12 @@ def _count_rows(rows: np.ndarray, runs, ws: _Workspace | None = None) -> np.ndar
     The kernel reads the coordinates ``rows.T``: each run is one comparison
     of two coordinate slices of shape ``(run length, m)``, summed over the
     run.  These slices are contiguous when the block is coordinate-major, as
-    :func:`_row_blocks` yields it and :func:`_draw_rows` draws types B, C
-    and D; type A draws are row-major.  The comparison (and the negated
+    :func:`_row_blocks` yields it and :func:`_draw_rows` draws types B, C,
+    D and G2; type A draws are row-major.  The comparison (and the negated
     partner slice of a ``P`` run) is written into buffers of ``ws``, or of
     a throwaway workspace.  Counts accumulate in the smallest unsigned dtype
-    that holds the total of the run lengths.
+    that holds the total of the run lengths; a run of at most 255 roots is
+    summed in uint8 first, which is cheaper than casting into that dtype.
     """
     ws = _Workspace() if ws is None else ws
     cols = rows.T
@@ -309,7 +338,7 @@ def _count_rows(rows: np.ndarray, runs, ws: _Workspace | None = None) -> np.ndar
             np.less(wi, partner, out=neg)
         else:
             np.less(wi, 0, out=neg)
-        vals += neg.sum(axis=0, dtype=acc)
+        vals += neg.view(np.uint8).sum(axis=0, dtype=np.uint8 if hi - lo + 1 <= 0xFF else acc)
     # int64 out: callers shift the counts into bit positions and add them.
     return vals.astype(np.int64, copy=False)
 
@@ -345,13 +374,6 @@ def _component_hist(rs: RootSystem, ci: int, roots, threads: int) -> dict[int, i
     comp = rs.spec.components[ci]
     if not roots:
         return {0: component_order(comp)}
-    if comp.family == "G2":
-        hist: dict[int, int] = {}
-        psi_mask = sum(1 << (r.i - 1) for r in roots)
-        for m in _G2_INV_MASKS:
-            v = (m & psi_mask).bit_count()
-            hist[v] = hist.get(v, 0) + 1
-        return hist
     runs = _diagonal_runs(roots)
     counts = np.zeros(len(roots) + 1, dtype=np.int64)
     chunks = _row_blocks(comp.family, comp.rank)
@@ -401,11 +423,14 @@ def exact_variance(
     rs: RootSystem, psi, cap: int = DEFAULT_CAP, threads: int = 1
 ) -> Fraction:
     """Exact variance of the Psi-statistic, as a rational number."""
-    hist = exact_distribution(rs, psi, cap=cap, threads=threads)
+    return _moments(exact_distribution(rs, psi, cap=cap, threads=threads))[2]
+
+
+def _moments(hist: dict[int, int]) -> tuple[int, Fraction, Fraction]:
+    """Size, mean and population variance of a histogram, exactly."""
     n = sum(hist.values())
-    s1 = sum(v * c for v, c in hist.items())
-    s2 = sum(v * v * c for v, c in hist.items())
-    return Fraction(s2, n) - Fraction(s1, n) ** 2
+    mean = Fraction(sum(v * c for v, c in hist.items()), n)
+    return n, mean, Fraction(sum(v * v * c for v, c in hist.items()), n) - mean**2
 
 
 def wpartition_counts(
@@ -475,12 +500,6 @@ def _component_joint(comp, local1, local2) -> dict[tuple[int, int], int]:
     if not local1 and not local2:
         return {(0, 0): component_order(comp)}
     out: dict[tuple[int, int], int] = {}
-    if comp.family == "G2":
-        for m in _G2_INV_MASKS:
-            m1 = sum(1 << pos for pos, r in local1 if m >> (r.i - 1) & 1)
-            m2 = sum(1 << pos for pos, r in local2 if m >> (r.i - 1) & 1)
-            out[(m1, m2)] = out.get((m1, m2), 0) + 1
-        return out
     # One int64 key per row, m1 above m2: ascending keys are ascending (m1, m2)
     # pairs, and the joint guard keeps the key below 2**JOINT_OUTCOME_GUARD.
     shift = max((pos + 1 for pos, _ in local2), default=0)
@@ -569,7 +588,7 @@ def _redraw_rejected(
 def _draw_rows(
     rng: np.random.Generator, fam: str, rank: int, m: int, ws: _Workspace | None = None
 ) -> np.ndarray:
-    """(m, dim) uniform random orbit points of one classical component.
+    """(m, dim) uniform random orbit points of one component.
 
     Row entries are signed distinct keys rather than a signed permutation of
     ``1..dim``; every root test compares entries or their signs only, so the
@@ -581,8 +600,11 @@ def _draw_rows(
     coordinate-major ``(rank, m)`` sign array), and return the ``.T`` view
     of a C-contiguous ``(rank, m)`` array, so :func:`_count_rows` reads
     contiguous coordinate slices.  The block lies in the ``keys`` (type A)
-    or ``rows`` buffer of ``ws``, or of a throwaway workspace.
+    or ``rows`` buffer of ``ws``, or of a throwaway workspace.  G2 gathers
+    one uniform row of :data:`_G2_ROWS` per sample, also coordinate-major.
     """
+    if fam == "G2":
+        return _G2_ROWS.T.take(rng.integers(0, len(_G2_ROWS), size=m), axis=1).T
     ws = _Workspace() if ws is None else ws
     dim = rank + 1 if fam == "A" else rank
     keys = _redraw_rejected(rng, _random_keys(rng, m, dim, ws), ws)
@@ -619,17 +641,8 @@ def mc_run(
         raise WeylstatError("n_samples must be positive")
     ids = _canonical_ids(rs, psi)
     by_comp = _split_by_component(rs, ids)
-    comps = rs.spec.components
     # Only components holding a root of Psi are drawn: the others add nothing.
-    # A G2 component is drawn as an index into its table of values.
-    parts = []
-    for ci in sorted(by_comp):
-        comp = comps[ci]
-        if comp.family == "G2":
-            mask = sum(1 << (r.i - 1) for r in by_comp[ci])
-            parts.append((comp, np.array([(m & mask).bit_count() for m in _G2_INV_MASKS], dtype=np.int64)))
-        else:
-            parts.append((comp, _diagonal_runs(by_comp[ci])))
+    parts = [(rs.spec.components[ci], _diagonal_runs(by_comp[ci])) for ci in sorted(by_comp)]
 
     n_chunks = (n_samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
 
@@ -638,11 +651,8 @@ def mc_run(
 
     def run_block(rng: np.random.Generator, m: int, ws: _Workspace) -> np.ndarray:
         vals = np.zeros(m, dtype=np.int64)
-        for comp, table in parts:
-            if comp.family == "G2":
-                vals += table[rng.integers(0, _G2_ORDER, size=m)]
-            else:
-                vals += _count_rows(_draw_rows(rng, comp.family, comp.rank, m, ws), table, ws)
+        for comp, runs in parts:
+            vals += _count_rows(_draw_rows(rng, comp.family, comp.rank, m, ws), runs, ws)
         return vals
 
     def run_chunk(c: int) -> np.ndarray:
@@ -693,11 +703,7 @@ def bootstrap_variance_se(run: SampleRun, resamples: int = BOOTSTRAP_RESAMPLES) 
 
 def histogram_json(rs: RootSystem, psi, hist: dict[int, int]) -> dict:
     ids = _canonical_ids(rs, psi)
-    n = sum(hist.values())
-    s1 = sum(v * c for v, c in hist.items())
-    s2 = sum(v * v * c for v, c in hist.items())
-    mean = Fraction(s1, n)
-    variance = Fraction(s2, n) - mean**2
+    n, mean, variance = _moments(hist)
     return {
         "spec": str(rs.spec),
         "psi": [rs.render_root(rs.root(k)) for k in ids],
