@@ -22,11 +22,11 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from . import clt as clt_mod
-from . import depgraph as depgraph_mod
-from . import formulas, stats, weyl
+# clt, depgraph and formulas are imported by the handlers that use them, so a
+# command compiles and runs only the modules it needs.
+from . import stats
 from .errors import WeylstatError
-from .rootsys import build, parse_spec
+from .rootsys import DEFAULT_CAP, build, parse_spec
 
 MAX_THREADS = 64
 # A sample run holds one Python int per sample: 10**7 values take ~80 MB of list.
@@ -107,6 +107,13 @@ def _sample_count(text: str) -> int:
     return _count_up_to(text, MAX_SAMPLES)
 
 
+def _height(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--format", choices=("human", "json", "csv"), default="human")
     p.add_argument("--out", help="write output to this file instead of stdout")
@@ -119,7 +126,7 @@ def _cap(args) -> int:
         return args.cap
     env = os.environ.get("WEYLSTAT_CAP")
     if not env:
-        return weyl.DEFAULT_CAP
+        return DEFAULT_CAP
     try:
         return int(env)
     except ValueError:
@@ -172,6 +179,8 @@ def _cmd_poset(args):
 
 
 def _cmd_cov(args):
+    from . import formulas
+
     rs = build(args.system)
     beta = rs.parse_root(args.beta)
     gamma = rs.parse_root(args.gamma)
@@ -214,6 +223,8 @@ def _cmd_wpartition(args):
 
 
 def _cmd_var(args):
+    from . import formulas
+
     spec = parse_spec(args.family)
     if len(spec.components) != 1 or spec.components[0].family == "G2":
         raise WeylstatError("var takes a single classical family, e.g. A5 or B4")
@@ -281,6 +292,8 @@ def _cmd_sample(args):
 
 
 def _cmd_clt(args):
+    from . import clt as clt_mod
+
     rs = build(args.system)
     report = clt_mod.clt_report(
         rs, args.d, args.stat, args.samples, args.seed,
@@ -308,6 +321,8 @@ def _cmd_clt(args):
 
 
 def _cmd_depgraph(args):
+    from . import depgraph as depgraph_mod
+
     rs = build(args.system)
     psi = _psi_from_args(rs, args)
     graph = depgraph_mod.build_graph(rs, psi)
@@ -341,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", help="list the positive-root catalog")
     p.add_argument("system")
-    p.add_argument("-d", type=int, default=None, help="restrict to height <= d")
+    p.add_argument("-d", type=_height, default=None, help="restrict to height <= d")
     p.add_argument("--exact-height", action="store_true", help="restrict to height == d")
     _add_common(p)
     p.set_defaults(fn=_cmd_roots)
@@ -381,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name)
         p.add_argument("system")
-        p.add_argument("-d", type=int, default=None)
+        p.add_argument("-d", type=_height, default=None)
         p.add_argument("--stat", choices=("descents", "inversions"), default="inversions")
         p.add_argument("--psi", nargs="+", default=None, help="explicit root list")
         if needs_seed:
@@ -398,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("clt", help="sample, standardize, KS distance and rate bound")
     p.add_argument("system")
-    p.add_argument("-d", type=int, required=True)
+    p.add_argument("-d", type=_height, required=True)
     p.add_argument("--stat", choices=("descents", "inversions"), default="inversions")
     p.add_argument("--samples", type=_sample_count, required=True)
     p.add_argument("--seed", type=int, required=True)

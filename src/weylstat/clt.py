@@ -17,9 +17,8 @@ import numpy as np
 
 from . import depgraph, formulas, stats
 from .errors import WeylstatError
-from .rootsys import RootSystem
+from .rootsys import DEFAULT_CAP, RootSystem
 from .stats import SampleRun
-from .weyl import DEFAULT_CAP
 
 
 def normal_cdf(x: float) -> float:
@@ -192,10 +191,10 @@ def theoretical_variance(rs: RootSystem, d: int, statistic: str) -> Fraction:
     height); a G2 component's variance is :func:`stats.exact_variance` of its
     roots of Psi.  Components act independently, so variances add.
     """
+    psi = stats.statistic_roots(rs, statistic, d)  # also rejects an unknown statistic
     total = Fraction(0)
     for ci, comp in enumerate(rs.spec.components):
         if comp.family == "G2":
-            psi = stats.statistic_roots(rs, statistic, d)
             total += stats.exact_variance(rs, [r for r in psi if r.component == ci])
             continue
         n_param = comp.rank + 1 if comp.family == "A" else comp.rank

@@ -34,6 +34,7 @@ by arithmetic.
 from __future__ import annotations
 
 import bisect
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -51,6 +52,9 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 2, "G2": 2}
 
 # Largest catalog build() accepts: A999 (499,500 roots) fits, A100000 does not.
 MAX_CATALOG_ROOTS = 2_000_000
+
+# Default limit on the group elements an exact computation may enumerate.
+DEFAULT_CAP = 10**7
 
 # G2 root table over the simple pair (alpha short, gamma long), in catalog
 # order r1..r6: coefficient vectors, heights, squared norms and Gram matrix.
@@ -705,3 +709,30 @@ def build(spec: FamilySpec | str, validate: bool = True) -> RootSystem:
     if isinstance(spec, str):
         spec = parse_spec(spec)
     return RootSystem(spec, validate=validate)
+
+
+# -- group orders and seeds ------------------------------------------------------
+# Both engines need these: the object model in ``weyl`` and the numpy engine
+# in ``stats``.  They live here, beside the catalog, so that neither engine
+# has to import the other.
+
+def component_order(comp: Component) -> int:
+    """Order of the Weyl group of one irreducible component."""
+    fam, n = comp.family, comp.rank
+    if fam == "G2":
+        return 12  # the dihedral group of order 12
+    if fam == "A":
+        return math.factorial(n + 1)
+    return math.factorial(n) * 2 ** (n if fam in ("B", "C") else n - 1)
+
+
+def group_order(rs: RootSystem) -> int:
+    return math.prod(component_order(c) for c in rs.spec.components)
+
+
+def derived_seed(master: int, stream) -> int:
+    """Split function for independent rng streams: sha256 of ``master:stream``."""
+    import hashlib  # only seeded runs need it
+
+    digest = hashlib.sha256(f"{master}:{stream}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")

@@ -48,8 +48,7 @@ import threading
 import numpy as np
 
 from .errors import TooLargeError, WeylstatError
-from .rootsys import Root, RootSystem
-from .weyl import DEFAULT_CAP, component_order, derived_seed, group_order
+from .rootsys import DEFAULT_CAP, Root, RootSystem, component_order, derived_seed, group_order
 
 CHUNK_ELEMENTS = 65536
 CHUNK_SAMPLES = 4096
@@ -181,16 +180,18 @@ _G2_TESTS = {
 
 
 def _signs_matrix(fam: str, n: int) -> np.ndarray:
-    if fam in ("B", "C"):
-        rows = list(itertools.product((1, -1), repeat=n))
-    else:  # type D: free head, last sign fixes even parity
-        rows = []
-        for head in itertools.product((1, -1), repeat=n - 1):
-            last = 1
-            for s in head:
-                last *= s
-            rows.append(head + (last,))
-    return np.array(rows, dtype=np.int8)
+    """Every sign vector of a B/C/D component, one int8 row each, ``+`` before ``-``.
+
+    Row ``k`` reads the free signs off the bits of ``k``, most significant
+    first (bit set is ``-1``), which is the order of
+    ``itertools.product((1, -1), repeat=free)``.  Type D has ``n - 1`` free
+    signs; the last one makes the number of ``-1`` even.
+    """
+    free = n if fam in ("B", "C") else n - 1
+    bits = (np.arange(1 << free)[:, None] >> np.arange(free - 1, -1, -1)) & 1
+    if fam == "D":
+        bits = np.hstack([bits, bits.sum(axis=1, keepdims=True) & 1])
+    return (1 - 2 * bits).astype(np.int8)
 
 
 def _row_dtype(dim: int):

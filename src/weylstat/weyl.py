@@ -20,19 +20,23 @@ G2 in table order.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import math
-import random
 import re
 from dataclasses import dataclass, field
 from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .errors import ComponentMismatchError, TooLargeError, WeylstatError
-from .rootsys import Root, RootSystem
-
-DEFAULT_CAP = 10**7
+# Group orders, the cap and the seed split are defined beside the catalog and
+# re-exported here unchanged.
+from .rootsys import (
+    DEFAULT_CAP,
+    Root,
+    RootSystem,
+    component_order,
+    derived_seed,
+    group_order,
+)
 
 
 # -- G2 group table ----------------------------------------------------------
@@ -315,20 +319,6 @@ def longest_element(rs: RootSystem) -> WeylElement:
     return WeylElement(rs, tuple(parts))
 
 
-def component_order(comp) -> int:
-    """Order of the Weyl group of one irreducible component."""
-    fam, n = comp.family, comp.rank
-    if fam == "G2":
-        return _G2_ORDER
-    if fam == "A":
-        return math.factorial(n + 1)
-    return math.factorial(n) * 2 ** (n if fam in ("B", "C") else n - 1)
-
-
-def group_order(rs: RootSystem) -> int:
-    return math.prod(component_order(c) for c in rs.spec.components)
-
-
 # -- enumeration ----------------------------------------------------------------
 
 def _component_parts_iter(comp):
@@ -368,12 +358,6 @@ def enumerate_elements(rs: RootSystem, cap: int = DEFAULT_CAP):
 
 
 # -- sampling --------------------------------------------------------------------
-
-def derived_seed(master: int, stream) -> int:
-    """Split function for independent rng streams: sha256 of ``master:stream``."""
-    digest = hashlib.sha256(f"{master}:{stream}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
 
 def sample_uniform(rs: RootSystem, rng: random.Random) -> WeylElement:
     """One exactly uniform draw from the group.

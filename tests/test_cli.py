@@ -217,6 +217,33 @@ def test_samples_out_of_range_is_a_usage_error(monkeypatch, capsys, command, val
     assert f"between 1 and {cli.MAX_SAMPLES}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "-2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "A3"],
+        ["dist", "A3"],
+        ["sample", "A3", "--samples", "10", "--seed", "1"],
+        ["depgraph", "A3"],
+        ["clt", "A3", "--samples", "10", "--seed", "1"],
+    ],
+)
+def test_height_below_one_is_a_usage_error(monkeypatch, capsys, argv, value):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a catalog was built")
+
+    monkeypatch.setattr(cli, "build", no_build)
+    with pytest.raises(SystemExit) as err:
+        cli.run([*argv, "-d", value])
+    assert err.value.code == 2
+    assert f"must be at least 1, got {value}" in capsys.readouterr().err
+
+
+def test_var_keeps_its_own_height_check(capsys):
+    assert cli.run(["var", "A5", "--stat", "descents", "-d", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_samples_bound_is_inclusive():
     args = cli.build_parser().parse_args(
         ["sample", "B3", "-d", "2", "--samples", str(cli.MAX_SAMPLES), "--seed", "1"]

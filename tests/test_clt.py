@@ -144,6 +144,12 @@ def test_theoretical_variance_matches_enumeration(systems):
                 assert clt.theoretical_variance(rs, d, stat) == stats.exact_variance(rs, psi), (spec, d, stat)
 
 
+@pytest.mark.parametrize("spec", ["A5", "B3", "A5xG2"])
+def test_theoretical_variance_rejects_an_unknown_statistic(systems, spec):
+    with pytest.raises(ws.WeylstatError, match="unknown statistic 'bogus'"):
+        clt.theoretical_variance(systems(spec), 2, "bogus")
+
+
 def test_clt_report_fields_and_json(systems):
     rs = systems("B10")
     rep = clt.clt_report(rs, 3, "inversions", 5000, seed=62)

@@ -1,0 +1,91 @@
+"""What importing the package and running a command loads, and the package's names."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import weylstat
+from weylstat import clt, depgraph, errors, formulas, rootsys, stats, weyl
+
+SRC = str(Path(weylstat.__file__).resolve().parents[1])
+OPTIONAL = ("weylstat.weyl", "weylstat.clt", "weylstat.depgraph", "weylstat.formulas",
+            "weylstat.stats", "hashlib")
+
+# Every name the package exported when it imported all of its modules eagerly,
+# by the module that defines it.
+EXPORTS = {
+    errors: ("ComponentMismatchError", "InternalConsistencyError", "InvalidSpecError",
+             "PropertyViolationError", "RangeError", "StaleRootError", "TooLargeError",
+             "WeylstatError"),
+    rootsys: ("Component", "FamilySpec", "Root", "RootSystem", "build", "parse_spec"),
+    weyl: ("G2Part", "SignedPermPart", "WeylElement", "apply", "compose", "derived_seed",
+           "element", "enumerate_elements", "group_order", "identity", "inverse",
+           "inversion_set", "is_inversion", "longest_element", "parabolic_decompose",
+           "parse_element", "render_element", "sample_uniform", "simple_reflection"),
+    stats: ("SampleRun", "WPartitionCounts", "bootstrap_variance_se", "exact_cov",
+            "exact_distribution", "exact_joint_distribution", "exact_mean", "exact_variance",
+            "mc_run", "wpartition_counts"),
+    formulas: ("BlockCovariancesB", "VarianceQuery", "block_covariances_b", "cov_closed",
+               "cov_closed_angle", "interaction_count", "nn_block_b", "var_descents",
+               "var_inversions", "var_lower_bound", "variance_with_branch"),
+    depgraph: ("DependencyGraph", "antichains", "build_graph", "check_antichain_degree",
+               "degree_bound_phi_d"),
+    clt: ("CLTReport", "RegimeClassification", "classify_regime", "clt_report",
+          "janson_criterion", "ks_distance", "normal_cdf", "standardize",
+          "theoretical_variance"),
+}
+
+
+def _loaded(code: str) -> set[str]:
+    """The modules of OPTIONAL that a fresh interpreter holds after running ``code``."""
+    report = f"import json, sys; print(json.dumps([m for m in {OPTIONAL!r} if m in sys.modules]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_package_import_loads_only_the_errors_and_the_catalog():
+    assert _loaded("import weylstat") == set()
+
+
+def test_cli_import_loads_neither_the_object_model_nor_the_other_commands():
+    assert _loaded("import weylstat.cli") == {"weylstat.stats"}
+
+
+@pytest.mark.parametrize("argv", [["dist", "A9", "-d", "3", "--format", "json"],
+                                  ["roots", "B3", "-d", "2"]])
+def test_a_command_loads_only_what_it_runs(argv):
+    code = ("import contextlib, io\nfrom weylstat import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.run({argv!r}) == 0")
+    assert _loaded(code) == {"weylstat.stats"}
+
+
+def test_a_name_loads_its_own_module():
+    assert _loaded("import weylstat\nweylstat.mc_run") == {"weylstat.stats"}
+    assert _loaded("import weylstat\nweylstat.inversion_set") == {"weylstat.weyl"}
+    assert "weylstat.clt" in _loaded("import weylstat\nweylstat.clt_report")
+    assert _loaded("from weylstat import formulas") == {"weylstat.formulas"}
+
+
+def test_exports_are_the_objects_of_their_modules():
+    names = [name for group in EXPORTS.values() for name in group]
+    assert sorted(weylstat.__all__) == sorted(names)
+    assert set(names) <= set(dir(weylstat))
+    for module, group in EXPORTS.items():
+        assert getattr(weylstat, module.__name__.rpartition(".")[2]) is module
+        for name in group:
+            assert getattr(weylstat, name) is getattr(module, name), name
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        weylstat.missing
+
+
+def test_weyl_reexports_the_shared_helpers():
+    for name in ("DEFAULT_CAP", "component_order", "derived_seed", "group_order"):
+        assert getattr(weyl, name) is getattr(rootsys, name)
+    assert weyl._G2_ORDER == rootsys.component_order(rootsys.Component("G2", 2))

@@ -256,6 +256,28 @@ def test_row_blocks_split_the_sign_vectors(systems, monkeypatch, spec):
     assert np.array_equal(np.concatenate(blocks), expected)
 
 
+def _signs_by_product(fam, n):
+    """The sign vectors in the order of itertools.product; type D fixes the last sign."""
+    if fam in ("B", "C"):
+        return list(itertools.product((1, -1), repeat=n))
+    rows = []
+    for head in itertools.product((1, -1), repeat=n - 1):
+        last = 1
+        for s in head:
+            last *= s
+        rows.append(head + (last,))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "fam, n", [(f, n) for f in "BC" for n in range(1, 13)] + [("D", n) for n in range(2, 13)]
+)
+def test_signs_matrix_matches_the_itertools_order(fam, n):
+    signs = stats._signs_matrix(fam, n)
+    assert signs.dtype == np.int8 and signs.flags.c_contiguous
+    assert np.array_equal(signs, np.array(_signs_by_product(fam, n), dtype=np.int8))
+
+
 @pytest.mark.parametrize("dim, dtype", [(127, np.int8), (128, np.int16)])
 def test_row_blocks_use_the_smallest_dtype(dim, dtype):
     # only the first block: the group itself is far too large
