@@ -187,27 +187,25 @@ class CLTReport:
 def theoretical_variance(rs: RootSystem, d: int, statistic: str) -> Fraction:
     """Exact variance of the height-d statistic, one component at a time.
 
-    Classical components use the closed formulas (clamped at their maximal
-    height); a G2 component's variance is :func:`stats.exact_variance` of its
-    roots of Psi.  Components act independently, so variances add.
+    A classical component takes the closed formula at the largest height
+    among its roots of Psi (``d`` for descents, ``d`` clamped at its maximal
+    height for inversions) and adds nothing without one; a G2 component takes
+    :func:`stats.exact_variance` of its roots of Psi.  Components act
+    independently, so variances add.
     """
     psi = stats.statistic_roots(rs, statistic, d)  # also rejects an unknown statistic
+    # Psi is in catalog order, by height within a component: the last root
+    # of each component has the largest height.
+    last = {r.component: r for r in psi}
     total = Fraction(0)
-    for ci, comp in enumerate(rs.spec.components):
+    for ci, top in last.items():
+        comp = rs.spec.components[ci]
         if comp.family == "G2":
             total += stats.exact_variance(rs, [r for r in psi if r.component == ci])
-            continue
-        n_param = comp.rank + 1 if comp.family == "A" else comp.rank
-        top = {"A": n_param - 1, "B": 2 * comp.rank - 1,
-               "C": 2 * comp.rank - 1, "D": 2 * comp.rank - 3}[comp.family]
-        if statistic == "descents":
-            if d > top:
-                continue  # no roots of that height in this component
-            q = formulas.VarianceQuery(comp.family, n_param, d, "descents")
-            total += formulas.var_descents(q)
         else:
-            q = formulas.VarianceQuery(comp.family, n_param, min(d, top), "inversions")
-            total += formulas.var_inversions(q)
+            n_param = comp.rank + 1 if comp.family == "A" else comp.rank
+            q = formulas.VarianceQuery(comp.family, n_param, rs.height(top), statistic)
+            total += formulas.variance_with_branch(q)[0]
     return total
 
 

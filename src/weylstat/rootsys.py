@@ -421,26 +421,20 @@ class RootSystem:
 
     # -- expansions over simple roots ---------------------------------------
 
-    @cached_property
-    def _expansions(self) -> tuple[tuple[int, ...], ...]:
-        simple_pos = {k: p for p, k in enumerate(self.height_index[1])}
-        n_simple = len(simple_pos)
-        exp = [None] * len(self)
-        for h in sorted(self.height_index):
-            for k in self.height_index[h]:
-                if h == 1:
-                    v = [0] * n_simple
-                    v[simple_pos[k]] = 1
-                else:
-                    p, s = self._parent_edges[k][0]
-                    v = list(exp[p])
-                    v[simple_pos[s]] += 1
-                exp[k] = tuple(v)
-        return tuple(exp)
-
     def simple_coefficients(self, root: Root) -> tuple[int, ...]:
-        """Coefficients of ``root`` over the simple roots, in catalog order."""
-        return self._expansions[self.index(root)]
+        """Coefficients of ``root`` over the simple roots, in catalog order.
+
+        Follows the chain of first cover parents down to a simple root; each
+        step subtracts one simple root.
+        """
+        simple = {k: p for p, k in enumerate(self.height_index[1])}
+        coeffs = [0] * len(simple)
+        k = self.index(root)
+        while self._parent_edges[k]:
+            k, s = self._parent_edges[k][0]
+            coeffs[simple[s]] += 1
+        coeffs[simple[k]] += 1
+        return tuple(coeffs)
 
     # -- validation ----------------------------------------------------------
 

@@ -1,9 +1,11 @@
 """Exact and Monte Carlo distributions of root-indicator statistics.
 
 For a set Psi of positive roots, the statistic of an element w counts the
-roots of Psi sent to negative roots.  Exact results come from enumerating
-each irreducible component's group once and convolving the per-component
-histograms (components act on orthogonal blocks, so their contributions are
+roots of Psi sent to negative roots.  Every exact result is the law of a
+weighted sum of root indicators (weight 1 for the histogram, one bit per
+root for joint laws and sign classes), found by enumerating each irreducible
+component's group once and convolving the per-component histograms
+(components act on orthogonal blocks, so their contributions are
 independent); everything on the exact path is integer or rational, never
 floating point.
 
@@ -296,25 +298,27 @@ def _diagonal_runs(roots) -> tuple[tuple[str, int, int, int], ...]:
     return tuple(tuple(run) for run in runs)
 
 
-def _count_rows(rows: np.ndarray, runs, ws: _Workspace | None = None) -> np.ndarray:
-    """Statistic values (int64) for a block of signed one-line rows.
+def _count_rows(rows: np.ndarray, runs, ws: _Workspace | None = None, weights=None) -> np.ndarray:
+    """Weighted statistic values (int64) for a block of signed one-line rows.
 
     A root ``N[i,j]`` is an inversion iff ``w_j < w_i``, ``P[i,j]`` iff
     ``w_i + w_j < 0`` (tested as ``w_i < -w_j``, which cannot overflow) and
-    ``O[i]`` iff ``w_i < 0``.  ``runs`` comes from :func:`_diagonal_runs`.
+    ``O[i]`` iff ``w_i < 0``.  ``runs`` comes from :func:`_diagonal_runs`;
+    each root of run ``k`` adds ``weights[k]`` (default 1) to a row's value.
     The kernel reads the coordinates ``rows.T``: each run is one comparison
     of two coordinate slices of shape ``(run length, m)``, summed over the
     run.  These slices are contiguous when the block is coordinate-major, as
     :func:`_row_blocks` yields it and :func:`_draw_rows` draws types B, C,
     D and G2; type A draws are row-major.  The comparison (and the negated
     partner slice of a ``P`` run) is written into buffers of ``ws``, or of
-    a throwaway workspace.  Counts accumulate in the smallest unsigned dtype
-    that holds the total of the run lengths; a run of at most 255 roots is
-    summed in uint8 first, which is cheaper than casting into that dtype.
+    a throwaway workspace.  Values accumulate in the smallest unsigned dtype
+    that holds the largest value; a run of at most 255 roots is summed in
+    uint8 first, which is cheaper than casting into that dtype.
     """
     ws = _Workspace() if ws is None else ws
+    weights = [1] * len(runs) if weights is None else weights
     cols = rows.T
-    total = sum(hi - lo + 1 for _, _, lo, hi in runs)
+    total = sum((hi - lo + 1) * w for (_, _, lo, hi), w in zip(runs, weights))
     acc = np.uint8 if total <= 0xFF else np.uint16 if total <= 0xFFFF else np.int64
     vals = np.zeros(cols.shape[1], dtype=acc)
     shape = (max((hi - lo + 1 for _, _, lo, hi in runs), default=0), cols.shape[1])
@@ -327,7 +331,7 @@ def _count_rows(rows: np.ndarray, runs, ws: _Workspace | None = None) -> np.ndar
         return ws.take(name, shape, dtype)
 
     neg_buf = scratch("neg", bool)
-    for form, diag, lo, hi in runs:
+    for (form, diag, lo, hi), w in zip(runs, weights):
         wi = cols[lo - 1 : hi]
         neg = neg_buf[: hi - lo + 1]
         if form == "N":
@@ -339,8 +343,8 @@ def _count_rows(rows: np.ndarray, runs, ws: _Workspace | None = None) -> np.ndar
             np.less(wi, partner, out=neg)
         else:
             np.less(wi, 0, out=neg)
-        vals += neg.view(np.uint8).sum(axis=0, dtype=np.uint8 if hi - lo + 1 <= 0xFF else acc)
-    # int64 out: callers shift the counts into bit positions and add them.
+        count = neg.view(np.uint8).sum(axis=0, dtype=np.uint8 if hi - lo + 1 <= 0xFF else acc)
+        vals += count if w == 1 else count * acc(w)
     return vals.astype(np.int64, copy=False)
 
 
@@ -370,21 +374,29 @@ def _map_ordered(fn, items, threads: int):
             yield fut.result()
 
 
-def _component_hist(rs: RootSystem, ci: int, roots, threads: int) -> dict[int, int]:
-    """Histogram of the statistic over one component's group."""
-    comp = rs.spec.components[ci]
-    if not roots:
-        return {0: component_order(comp)}
-    runs = _diagonal_runs(roots)
-    counts = np.zeros(len(roots) + 1, dtype=np.int64)
-    chunks = _row_blocks(comp.family, comp.rank)
+def _weighted_law(rs: RootSystem, terms: dict, threads: int = 1) -> dict[int, int]:
+    """Exact law over the group of a weighted sum of root indicators.
 
-    def evaluate(rows):
-        return np.bincount(_count_rows(rows, runs), minlength=len(roots) + 1)
+    ``terms`` maps a component to its ``(runs, weights)`` for
+    :func:`_count_rows`; the other components add 0 on every element.  Each
+    component's group is enumerated once and its values bincounted; the
+    per-component histograms convolve.  Keys are sorted.
+    """
+    law = {0: 1}
+    for ci, comp in enumerate(rs.spec.components):
+        part = {0: component_order(comp)}
+        if ci in terms:
+            runs, weights = terms[ci]
+            size = 1 + sum((hi - lo + 1) * w for (_, _, lo, hi), w in zip(runs, weights))
 
-    for c in _map_ordered(evaluate, chunks, threads):
-        counts += c
-    return {int(v): int(c) for v, c in enumerate(counts) if c}
+            def evaluate(rows):
+                return np.bincount(_count_rows(rows, runs, weights=weights), minlength=size)
+
+            counts = sum(_map_ordered(evaluate, _row_blocks(comp.family, comp.rank), threads))
+            values = np.flatnonzero(counts)
+            part = dict(zip(values.tolist(), counts[values].tolist()))
+        law = _convolve(law, part)
+    return dict(sorted(law.items()))
 
 
 def _convolve(h1: dict[int, int], h2: dict[int, int]) -> dict[int, int]:
@@ -409,10 +421,8 @@ def exact_distribution(
     ids = _canonical_ids(rs, psi)
     by_comp = _split_by_component(rs, ids)
     _check_enumerated(rs, by_comp, cap)
-    hist = {0: 1}
-    for ci in range(len(rs.spec.components)):
-        hist = _convolve(hist, _component_hist(rs, ci, by_comp.get(ci, []), threads))
-    return dict(sorted(hist.items()))
+    runs = {ci: _diagonal_runs(roots) for ci, roots in by_comp.items()}
+    return _weighted_law(rs, {ci: (r, [1] * len(r)) for ci, r in runs.items()}, threads)
 
 
 def exact_mean(rs: RootSystem, psi) -> Fraction:
@@ -444,16 +454,11 @@ def wpartition_counts(
     """
     rs.index(beta)
     rs.index(gamma)
-    order = group_order(rs)
     if beta.component == gamma.component:
-        _check_enumerated(rs, {beta.component}, cap)
-        comp = rs.spec.components[beta.component]
-        joint = _component_joint(comp, [(0, beta)], [(0, gamma)])
-        pp, pm, mp, mm = (joint.get(key, 0) for key in ((0, 0), (0, 1), (1, 0), (1, 1)))
-        cofactor = order // sum((pp, pm, mp, mm))
-        return WPartitionCounts(pp * cofactor, pm * cofactor, mp * cofactor, mm * cofactor)
+        joint = exact_joint_distribution(rs, [beta], [gamma], cap)
+        return WPartitionCounts(*(joint.get(key, 0) for key in ((0, 0), (0, 1), (1, 0), (1, 1))))
     # Orthogonal components: each root is negative for exactly half its group.
-    quarter = order // 4
+    quarter = group_order(rs) // 4
     return WPartitionCounts(quarter, quarter, quarter, quarter)
 
 
@@ -470,7 +475,8 @@ def exact_joint_distribution(
 
     Keys are bitmask pairs: bit ``k`` of the first mask is the indicator of
     the ``k``-th root of ``psi`` in canonical (catalog-sorted) order, and
-    likewise for ``psi2``.
+    likewise for ``psi2``.  The pair is read off the value ``m1 << len(psi2) | m2``
+    of one weighted indicator sum, so ascending values are ascending pairs.
     """
     ids1 = _canonical_ids(rs, psi)
     ids2 = _canonical_ids(rs, psi2)
@@ -478,48 +484,16 @@ def exact_joint_distribution(
         raise WeylstatError(
             f"joint outcome space too large: |psi|+|psi2| = {len(ids1) + len(ids2)} > {JOINT_OUTCOME_GUARD}"
         )
-    pos1 = {rid: k for k, rid in enumerate(ids1)}
-    pos2 = {rid: k for k, rid in enumerate(ids2)}
-    roots = {rid: rs.root(rid) for rid in ids1 + ids2}
-    _check_enumerated(rs, {r.component for r in roots.values()}, cap)
-
-    result: dict[tuple[int, int], int] = {(0, 0): 1}
-    for ci, comp in enumerate(rs.spec.components):
-        local1 = [(pos1[rid], roots[rid]) for rid in ids1 if roots[rid].component == ci]
-        local2 = [(pos2[rid], roots[rid]) for rid in ids2 if roots[rid].component == ci]
-        part = _component_joint(comp, local1, local2)
-        merged: dict[tuple[int, int], int] = {}
-        for (a1, a2), ca in result.items():
-            for (b1, b2), cb in part.items():
-                key = (a1 | b1, a2 | b2)
-                merged[key] = merged.get(key, 0) + ca * cb
-        result = merged
-    return dict(sorted(result.items()))
-
-
-def _component_joint(comp, local1, local2) -> dict[tuple[int, int], int]:
-    if not local1 and not local2:
-        return {(0, 0): component_order(comp)}
-    out: dict[tuple[int, int], int] = {}
-    # One int64 key per row, m1 above m2: ascending keys are ascending (m1, m2)
-    # pairs, and the joint guard keeps the key below 2**JOINT_OUTCOME_GUARD.
-    shift = max((pos + 1 for pos, _ in local2), default=0)
+    shift = len(ids2)
+    weight = {rid: 1 << k for k, rid in enumerate(ids2)}
+    for k, rid in enumerate(ids1):
+        weight[rid] = weight.get(rid, 0) + (1 << (shift + k))
+    terms = {}
+    for ci, roots in _split_by_component(rs, weight).items():
+        terms[ci] = ([_diagonal_runs([r])[0] for r in roots], [weight[rs.index(r)] for r in roots])
+    _check_enumerated(rs, terms, cap)
     low = (1 << shift) - 1
-    for rows in _row_blocks(comp.family, comp.rank):
-        keys = _masks_for_rows(rows, local1) << shift | _masks_for_rows(rows, local2)
-        values, counts = np.unique(keys, return_counts=True)
-        for key, c in zip(values.tolist(), counts.tolist()):
-            pair = (key >> shift, key & low)
-            out[pair] = out.get(pair, 0) + c
-    return out
-
-
-def _masks_for_rows(rows: np.ndarray, local: list) -> np.ndarray:
-    """Indicator bitmask per row; bit positions are supplied by the caller."""
-    total = np.zeros(len(rows), dtype=np.int64)
-    for pos, r in local:
-        total += _count_rows(rows, _diagonal_runs([r])) << pos
-    return total
+    return {(v >> shift, v & low): c for v, c in _weighted_law(rs, terms).items()}
 
 
 # -- Monte Carlo --------------------------------------------------------------------
@@ -669,12 +643,8 @@ def mc_run(
 
     values = np.concatenate(list(_map_ordered(run_chunk, range(n_chunks), threads)))
     # Moments from the histogram in Python ints: exact, with no int64 overflow.
-    hist = np.bincount(values).tolist()
-    s1 = sum(v * c for v, c in enumerate(hist))
-    s2 = sum(v * v * c for v, c in enumerate(hist))
-    n = n_samples
-    mean = Fraction(s1, n)
-    variance = Fraction(0) if n == 1 else Fraction(n * s2 - s1 * s1, n * (n - 1))
+    n, mean, variance = _moments(dict(enumerate(np.bincount(values).tolist())))
+    variance = Fraction(0) if n == 1 else variance * n / (n - 1)  # the sample variance
     if descriptor is None:
         descriptor = {"psi": [rs.render_root(rs.root(k)) for k in ids]}
     return SampleRun(

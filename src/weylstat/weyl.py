@@ -180,26 +180,14 @@ def apply(w: WeylElement, beta: Root) -> tuple[Root, int]:
     if beta.form == "O":
         a, sa = perm[beta.i - 1], signs[beta.i - 1]
         return Root(ci, "O", a), sa
+    # The image is c_a e_a + c_b e_b with a = w(i), b = w(j): an N root
+    # e_j - e_i has c_a = -s_i, a P root e_j + e_i has c_a = s_i; c_b = s_j.
+    # With x < y, c_x e_x + c_y e_y is c_y (e_y - e_x) when the signs differ,
+    # else c_y (e_x + e_y).
     i, j = beta.i, beta.j
-    a, sa = perm[i - 1], signs[i - 1]
-    b, sb = perm[j - 1], signs[j - 1]
-    if beta.form == "N":
-        # image is sb*e_b - sa*e_a
-        if sa == 1 and sb == 1:
-            return (Root(ci, "N", a, b), 1) if a < b else (Root(ci, "N", b, a), -1)
-        if sa == -1 and sb == 1:
-            return Root(ci, "P", min(a, b), max(a, b)), 1
-        if sa == 1 and sb == -1:
-            return Root(ci, "P", min(a, b), max(a, b)), -1
-        return (Root(ci, "N", b, a), 1) if b < a else (Root(ci, "N", a, b), -1)
-    # P root: image is sb*e_b + sa*e_a
-    if sa == 1 and sb == 1:
-        return Root(ci, "P", min(a, b), max(a, b)), 1
-    if sa == -1 and sb == -1:
-        return Root(ci, "P", min(a, b), max(a, b)), -1
-    if sa == -1:  # e_b - e_a
-        return (Root(ci, "N", a, b), 1) if a < b else (Root(ci, "N", b, a), -1)
-    return (Root(ci, "N", b, a), 1) if b < a else (Root(ci, "N", a, b), -1)
+    ca = signs[i - 1] if beta.form == "P" else -signs[i - 1]
+    (x, cx), (y, cy) = sorted(((perm[i - 1], ca), (perm[j - 1], signs[j - 1])))
+    return Root(ci, "N" if cx != cy else "P", x, y), cy
 
 
 def is_inversion(w: WeylElement, beta: Root) -> bool:

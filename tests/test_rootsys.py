@@ -1,4 +1,5 @@
 from fractions import Fraction
+import tracemalloc
 
 import pytest
 
@@ -203,3 +204,17 @@ def test_stale_root_rejected(systems):
         b3.inner_product(Root(0, "N", 1, 5), Root(0, "N", 1, 2))
     with pytest.raises(ws.StaleRootError):
         b3.parse_root("Q[1,2]")
+
+
+def test_simple_coefficients_hold_no_table_of_all_expansions():
+    # A150 has 11,325 roots over 150 simple roots: a table of every root's
+    # coefficients takes about 17 MB, the walk down its cover parents 4.4 MB.
+    rs = ws.build("A150")
+    tracemalloc.start()
+    try:
+        coeffs = rs.simple_coefficients(rs.roots[-1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coeffs == (1,) * 150
+    assert peak < 8_000_000

@@ -335,3 +335,38 @@ def test_joint_distribution_against_object_level_brute_force(systems, spec):
     joint = stats.exact_joint_distribution(rs, psi, psi2)
     assert joint == expected
     assert list(joint) == sorted(expected)
+
+
+def _brute_force_joint(rs, psi, psi2):
+    """Joint mask counts over ``weyl.enumerate_elements`` and ``weyl.inversion_set``."""
+    ids1, ids2 = sorted(map(rs.index, psi)), sorted(map(rs.index, psi2))
+    counts: dict[tuple[int, int], int] = {}
+    for w in weyl.enumerate_elements(rs):
+        inv = {rs.index(r) for r in weyl.inversion_set(w)}
+        key = tuple(
+            sum(1 << k for k, rid in enumerate(ids) if rid in inv) for ids in (ids1, ids2)
+        )
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def test_joint_distribution_at_the_guard_matches_brute_force(systems):
+    # 20 weighted roots: the kernel's values reach 2**20 - 1 and need its
+    # int64 accumulator; roots 6..9 lie in both sets and carry two bits each.
+    rs = systems("B4")
+    psi, psi2 = rs.roots[:10], rs.roots[6:16]
+    assert len(psi) + len(psi2) == stats.JOINT_OUTCOME_GUARD
+    expected = _brute_force_joint(rs, psi, psi2)
+    joint = stats.exact_joint_distribution(rs, psi, psi2)
+    assert joint == expected
+    assert list(joint) == sorted(expected)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "D4", "G2"])
+def test_wpartition_of_a_root_with_itself_matches_brute_force(systems, spec):
+    rs = systems(spec)
+    beta = rs.roots[len(rs) // 2]
+    joint = _brute_force_joint(rs, [beta], [beta])
+    assert stats.wpartition_counts(rs, beta, beta) == stats.WPartitionCounts(
+        joint.get((0, 0), 0), 0, 0, joint.get((1, 1), 0)
+    )
