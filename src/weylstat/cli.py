@@ -189,7 +189,7 @@ def _cmd_cov(args):
     elif args.method == "angle":
         value = formulas.cov_closed_angle(rs, beta, gamma)
     else:
-        value = stats.exact_cov(rs, beta, gamma, cap=_cap(args))
+        value = stats.exact_cov(rs, beta, gamma, cap=_cap(args), threads=args.threads)
     if args.format == "json":
         return _json_text({
             "spec": str(rs.spec), "beta": args.beta, "gamma": args.gamma,
@@ -208,7 +208,8 @@ def _cmd_cov(args):
 def _cmd_wpartition(args):
     rs = build(args.system)
     c = stats.wpartition_counts(
-        rs, rs.parse_root(args.beta), rs.parse_root(args.gamma), cap=_cap(args)
+        rs, rs.parse_root(args.beta), rs.parse_root(args.gamma), cap=_cap(args),
+        threads=args.threads,
     )
     if args.format == "json":
         return _json_text({

@@ -11,15 +11,20 @@ floating point.
 
 Both paths evaluate the statistic with one kernel over blocks of signed
 one-line rows: the roots of Psi are grouped into runs along diagonals, and
-each run is tested with one comparison of two coordinate slices.  The exact
-path and sampled types B, C and D store their blocks coordinate-major (the
-values of one coordinate are contiguous), so each such slice is contiguous;
-sampled type A blocks are row-major and go through the same kernel.
+each run is tested with one comparison of two coordinate slices.  Every
+block, enumerated or sampled, is stored coordinate-major (the values of one
+coordinate are contiguous), so each such slice is contiguous.
 
 G2 is counted by the same kernel: W(G2) is +-S_3 acting on the sum-zero plane
 of R^3, its 12 elements are the rows :data:`_G2_ROWS` (images of one generic
 point), and each G2 root is a classical coordinate test (:data:`_G2_TESTS`).
 A sampled G2 component is still drawn as one uniform table index per sample.
+
+A sampled row holds i.i.d. signed keys read off the raw bit stream
+(:func:`_draw_rows`).  Discrete keys can tie, and a tie matters only where a
+root compares the two keys: the kernel flags those rows, which are rare, and
+each is counted again from keys refined with one random permutation
+(:func:`_refined_keys`), which keeps every sampled value's law exact.
 
 Monte Carlo runs draw in fixed chunks of :data:`CHUNK_SAMPLES` samples; chunk
 ``c`` uses an independent rng stream seeded with ``derived_seed(seed, c)``.
@@ -27,15 +32,13 @@ Results are therefore bit-identical for any worker count: workers process
 disjoint chunks and the merge is associative integer accumulation.
 
 Each worker thread owns one :class:`_Workspace`, never shared, and reuses it
-for every block: the raw key words, the sorted copy for the tie check, the
-tie flags, the signed coordinate-major rows and the kernel's comparison live
-in its buffers.  These temporaries are 100 KiB to a few MiB per block, at or
-above glibc's mmap threshold, so allocating them afresh gave every block new
-pages and a page fault on each first touch: ``mc_run`` on B100xG2 with
-``d <= 5`` and 400,000 samples took about 79,000 minor faults, against about
-3,100 with the workspace.  The raw words are drawn in pieces small enough
-for the allocator's heap; the stream, the rejection rule and thread
-invariance are unchanged.
+for every block: the key words, the tie flags and the kernel's comparisons
+live in its buffers.  These temporaries are 100 KiB to a few MiB per block,
+at or above glibc's mmap threshold, so allocating them afresh gave every
+block new pages and a page fault on each first touch: ``mc_run`` on B100xG2
+with ``d <= 5`` and 400,000 samples took about 79,000 minor faults, against
+about 3,100 with the workspace.  The raw words are drawn in pieces small
+enough for the allocator's heap.
 """
 
 from __future__ import annotations
@@ -298,7 +301,9 @@ def _diagonal_runs(roots) -> tuple[tuple[str, int, int, int], ...]:
     return tuple(tuple(run) for run in runs)
 
 
-def _count_rows(rows: np.ndarray, runs, ws: _Workspace | None = None, weights=None) -> np.ndarray:
+def _count_rows(
+    rows: np.ndarray, runs, ws: _Workspace | None = None, weights=None, tied: np.ndarray | None = None
+) -> np.ndarray:
     """Weighted statistic values (int64) for a block of signed one-line rows.
 
     A root ``N[i,j]`` is an inversion iff ``w_j < w_i``, ``P[i,j]`` iff
@@ -307,13 +312,17 @@ def _count_rows(rows: np.ndarray, runs, ws: _Workspace | None = None, weights=No
     each root of run ``k`` adds ``weights[k]`` (default 1) to a row's value.
     The kernel reads the coordinates ``rows.T``: each run is one comparison
     of two coordinate slices of shape ``(run length, m)``, summed over the
-    run.  These slices are contiguous when the block is coordinate-major, as
-    :func:`_row_blocks` yields it and :func:`_draw_rows` draws types B, C,
-    D and G2; type A draws are row-major.  The comparison (and the negated
-    partner slice of a ``P`` run) is written into buffers of ``ws``, or of
-    a throwaway workspace.  Values accumulate in the smallest unsigned dtype
-    that holds the largest value; a run of at most 255 roots is summed in
-    uint8 first, which is cheaper than casting into that dtype.
+    run.  Every block :func:`_row_blocks` yields and :func:`_draw_rows` draws
+    is coordinate-major, so these slices are contiguous.  The comparison (and
+    the negated partner slice of a ``P`` run) is written into buffers of
+    ``ws``, or of a throwaway workspace.  Values accumulate in the smallest
+    unsigned dtype that holds the largest value; a run of at most 255 roots
+    is summed in uint8 first, which is cheaper than casting into that dtype.
+
+    If ``tied`` (a bool array of length ``m``) is given, the rows where some
+    compared pair is equal are set in it: ``w_j == w_i`` for an ``N`` root,
+    ``w_i == -w_j`` for a ``P`` root.  Such a comparison is undecided between
+    continuous keys.  An ``O`` test cannot tie on a nonzero entry.
     """
     ws = _Workspace() if ws is None else ws
     weights = [1] * len(runs) if weights is None else weights
@@ -322,27 +331,26 @@ def _count_rows(rows: np.ndarray, runs, ws: _Workspace | None = None, weights=No
     acc = np.uint8 if total <= 0xFF else np.uint16 if total <= 0xFFFF else np.int64
     vals = np.zeros(cols.shape[1], dtype=acc)
     shape = (max((hi - lo + 1 for _, _, lo, hi in runs), default=0), cols.shape[1])
-
-    def scratch(name, dtype):
-        # Sized for the longest run and laid out like the block: the
-        # coordinate axis is the fastest one of a row-major block.
-        if rows.flags.c_contiguous:
-            return ws.take(name, shape[::-1], dtype).T
-        return ws.take(name, shape, dtype)
-
-    neg_buf = scratch("neg", bool)
+    neg_buf = ws.take("neg", shape, bool)
     for (form, diag, lo, hi), w in zip(runs, weights):
         wi = cols[lo - 1 : hi]
         neg = neg_buf[: hi - lo + 1]
+        # the root is an inversion iff lesser < greater
         if form == "N":
-            np.less(cols[lo - 1 + diag : hi + diag], wi, out=neg)
+            lesser, greater = cols[lo - 1 + diag : hi + diag], wi
         elif form == "P":
             # j = diag - i falls as i rises: the partner coordinates run backwards
-            partner = scratch("partner", rows.dtype)[: hi - lo + 1]
-            np.negative(cols[diag - hi - 1 : diag - lo][::-1], out=partner)
-            np.less(wi, partner, out=neg)
+            greater = ws.take("partner", shape, rows.dtype)[: hi - lo + 1]
+            np.negative(cols[diag - hi - 1 : diag - lo][::-1], out=greater)
+            lesser = wi
         else:
-            np.less(wi, 0, out=neg)
+            lesser, greater = wi, 0
+        if tied is not None and form != "O":
+            eq = ws.take("eq", shape, bool)[: hi - lo + 1]
+            np.equal(lesser, greater, out=eq)
+            if eq.any():
+                tied |= eq.any(axis=0)
+        np.less(lesser, greater, out=neg)
         count = neg.view(np.uint8).sum(axis=0, dtype=np.uint8 if hi - lo + 1 <= 0xFF else acc)
         vals += count if w == 1 else count * acc(w)
     return vals.astype(np.int64, copy=False)
@@ -379,7 +387,9 @@ def _weighted_law(rs: RootSystem, terms: dict, threads: int = 1) -> dict[int, in
 
     ``terms`` maps a component to its ``(runs, weights)`` for
     :func:`_count_rows`; the other components add 0 on every element.  Each
-    component's group is enumerated once and its values bincounted; the
+    component's group is enumerated once and each block's values counted:
+    bincounted, or sorted with ``np.unique`` when the possible values
+    outnumber the block's rows, as for a joint law's ``2^k`` bitmasks.  The
     per-component histograms convolve.  Keys are sorted.
     """
     law = {0: 1}
@@ -390,11 +400,17 @@ def _weighted_law(rs: RootSystem, terms: dict, threads: int = 1) -> dict[int, in
             size = 1 + sum((hi - lo + 1) * w for (_, _, lo, hi), w in zip(runs, weights))
 
             def evaluate(rows):
-                return np.bincount(_count_rows(rows, runs, weights=weights), minlength=size)
+                values = _count_rows(rows, runs, weights=weights)
+                if size > len(values):
+                    return np.unique(values, return_counts=True)
+                counts = np.bincount(values, minlength=size)
+                values = np.flatnonzero(counts)
+                return values, counts[values]
 
-            counts = sum(_map_ordered(evaluate, _row_blocks(comp.family, comp.rank), threads))
-            values = np.flatnonzero(counts)
-            part = dict(zip(values.tolist(), counts[values].tolist()))
+            part = {}
+            for values, counts in _map_ordered(evaluate, _row_blocks(comp.family, comp.rank), threads):
+                for v, c in zip(values.tolist(), counts.tolist()):
+                    part[v] = part.get(v, 0) + c
         law = _convolve(law, part)
     return dict(sorted(law.items()))
 
@@ -445,7 +461,7 @@ def _moments(hist: dict[int, int]) -> tuple[int, Fraction, Fraction]:
 
 
 def wpartition_counts(
-    rs: RootSystem, beta: Root, gamma: Root, cap: int = DEFAULT_CAP
+    rs: RootSystem, beta: Root, gamma: Root, cap: int = DEFAULT_CAP, threads: int = 1
 ) -> WPartitionCounts:
     """Sizes of the four sign classes for (beta, gamma), by direct enumeration.
 
@@ -455,21 +471,23 @@ def wpartition_counts(
     rs.index(beta)
     rs.index(gamma)
     if beta.component == gamma.component:
-        joint = exact_joint_distribution(rs, [beta], [gamma], cap)
+        joint = exact_joint_distribution(rs, [beta], [gamma], cap, threads)
         return WPartitionCounts(*(joint.get(key, 0) for key in ((0, 0), (0, 1), (1, 0), (1, 1))))
     # Orthogonal components: each root is negative for exactly half its group.
     quarter = group_order(rs) // 4
     return WPartitionCounts(quarter, quarter, quarter, quarter)
 
 
-def exact_cov(rs: RootSystem, beta: Root, gamma: Root, cap: int = DEFAULT_CAP) -> Fraction:
+def exact_cov(
+    rs: RootSystem, beta: Root, gamma: Root, cap: int = DEFAULT_CAP, threads: int = 1
+) -> Fraction:
     """Exact covariance of two root indicators, from the sign-class sizes."""
-    c = wpartition_counts(rs, beta, gamma, cap=cap)
+    c = wpartition_counts(rs, beta, gamma, cap=cap, threads=threads)
     return Fraction(c.mm, c.total) - Fraction(1, 4)
 
 
 def exact_joint_distribution(
-    rs: RootSystem, psi, psi2, cap: int = DEFAULT_CAP
+    rs: RootSystem, psi, psi2, cap: int = DEFAULT_CAP, threads: int = 1
 ) -> dict[tuple[int, int], int]:
     """Joint counts of the two indicator vectors over the group.
 
@@ -493,110 +511,68 @@ def exact_joint_distribution(
         terms[ci] = ([_diagonal_runs([r])[0] for r in roots], [weight[rs.index(r)] for r in roots])
     _check_enumerated(rs, terms, cap)
     low = (1 << shift) - 1
-    return {(v >> shift, v & low): c for v, c in _weighted_law(rs, terms).items()}
+    return {(v >> shift, v & low): c for v, c in _weighted_law(rs, terms, threads).items()}
 
 
 # -- Monte Carlo --------------------------------------------------------------------
 
-def _random_keys(
-    rng: np.random.Generator, m: int, dim: int, ws: _Workspace | None = None
-) -> np.ndarray:
-    """An (m, dim) block of i.i.d. uniform 31-bit keys as int32.
-
-    Each key is the top 31 bits of one little-endian 32-bit word of the raw
-    bit stream, so the block does not depend on the platform's byte order.
-    The words are drawn in pieces of at most :data:`RAW_PIECE_WORDS` 64-bit
-    words and shifted into the ``keys`` buffer of ``ws`` (or of a throwaway
-    workspace); consecutive ``random_raw`` calls continue one word sequence,
-    so the pieces hold the same words as one call for all of them.
-    """
-    n = m * dim
-    n_words = (n + 1) // 2
-    keys = (_Workspace() if ws is None else ws).take("keys", (2 * n_words,), np.uint32)
-    for lo in range(0, n_words, RAW_PIECE_WORDS):
-        hi = min(lo + RAW_PIECE_WORDS, n_words)
-        raw = rng.bit_generator.random_raw(hi - lo).astype("<u8", copy=False)
-        np.right_shift(raw.view("<u4"), 1, out=keys[2 * lo : 2 * hi])
-    return keys[:n].view(np.int32).reshape(m, dim)
-
-
-def _tied_or_zero(keys: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
-    """Rows of ``keys`` holding a zero or a repeated key.
-
-    The rows are sorted in place in the ``sorted`` buffer of ``ws`` (or of a
-    throwaway workspace), and ties are found with one comparison of each
-    sorted key with the next over the whole flattened block.
-    """
-    ws = _Workspace() if ws is None else ws
-    m, dim = keys.shape
-    s = ws.take("sorted", (m, dim), keys.dtype)
-    np.copyto(s, keys)
-    s.sort(axis=1)
-    hit = ws.take("hits", (m, dim), bool)
-    flat = s.reshape(-1)
-    np.equal(flat[1:], flat[:-1], out=hit.reshape(-1)[:-1])
-    # The last slot of each row compared it with the next row: it holds
-    # the row's zero test instead (its smallest key is the first).
-    np.equal(s[:, 0], 0, out=hit[:, -1])
-    return hit.any(axis=1)
-
-
-def _redraw_rejected(
-    rng: np.random.Generator, keys: np.ndarray, ws: _Workspace | None = None
-) -> np.ndarray:
-    """Redraw from ``rng``, in place, every row with a zero or a tied key.
-
-    A row of distinct keys orders its coordinates by a uniformly random
-    permutation, and a nonzero key keeps its sign once signs are applied:
-    ``0 * -1`` is not negative.  Rejecting the other rows therefore makes
-    each kept row an exact uniform draw.  ``ws`` serves the tie checks; the
-    redrawn keys come from a throwaway workspace, since ``keys`` may lie in
-    the ``keys`` buffer of ``ws``.  Returns ``keys``.
-    """
-    bad = np.flatnonzero(_tied_or_zero(keys, ws))
-    while len(bad):
-        keys[bad] = _random_keys(rng, len(bad), keys.shape[1])
-        bad = bad[_tied_or_zero(keys[bad], ws)]
-    return keys
+def _raw_words(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The next ``n`` 64-bit words of ``rng``'s raw bit stream, little-endian."""
+    return rng.bit_generator.random_raw(n).astype("<u8", copy=False)
 
 
 def _draw_rows(
     rng: np.random.Generator, fam: str, rank: int, m: int, ws: _Workspace | None = None
 ) -> np.ndarray:
-    """(m, dim) uniform random orbit points of one component.
+    """(m, dim) uniform random orbit points of one component, as signed keys.
 
-    Row entries are signed distinct keys rather than a signed permutation of
-    ``1..dim``; every root test compares entries or their signs only, so the
-    statistic has the same law.
+    Row entries are i.i.d. signed keys rather than a signed permutation of
+    ``1..dim``; every root test compares entries or reads a sign, so the
+    statistic has the law of the signed permutation with the keys' order,
+    once :func:`_refined_keys` breaks the ties that a test compares.
 
-    Type A returns the key block itself, row-major.  Types B, C and D take
-    one sign bit per entry from the raw stream, right after the keys (bit
-    ``b`` of little-endian word ``w`` is entry ``64 * w + b`` of the
-    coordinate-major ``(rank, m)`` sign array), and return the ``.T`` view
-    of a C-contiguous ``(rank, m)`` array, so :func:`_count_rows` reads
-    contiguous coordinate slices.  The block lies in the ``keys`` (type A)
-    or ``rows`` buffer of ``ws``, or of a throwaway workspace.  G2 gathers
-    one uniform row of :data:`_G2_ROWS` per sample, also coordinate-major.
+    Entry ``(r, i)`` is the 32-bit word ``i * m + r`` of the raw stream (the
+    low half of each 64-bit word first), so the block is the ``.T`` view of
+    a C-contiguous ``(dim, m)`` array and :func:`_count_rows` reads contiguous
+    coordinate slices.  Type A keys are ``word >> 1``.  Types B, C and D read
+    ``word | 1`` as int32: odd, so never zero, and symmetric about 0, so the
+    top bit is a fair sign independent of the magnitude.  Type D then negates
+    the last entry of each row holding an odd number of negative entries.
+    The words are drawn in pieces of at most :data:`RAW_PIECE_WORDS` and
+    written into the ``keys`` buffer of ``ws`` (or of a throwaway
+    workspace), where the block lies.  G2 gathers one uniform row of
+    :data:`_G2_ROWS` per sample, also coordinate-major.
     """
     if fam == "G2":
         return _G2_ROWS.T.take(rng.integers(0, len(_G2_ROWS), size=m), axis=1).T
-    ws = _Workspace() if ws is None else ws
     dim = rank + 1 if fam == "A" else rank
-    keys = _redraw_rejected(rng, _random_keys(rng, m, dim, ws), ws)
-    if fam == "A":
-        return keys
-    n = rank * m
-    raw = rng.bit_generator.random_raw(-(-n // 64)).astype("<u8", copy=False)
-    flips = np.unpackbits(raw.view(np.uint8), count=n, bitorder="little").reshape(rank, m)
-    if fam == "D":  # an even number of sign changes: the last one fixes the parity
-        # a uint8 sum wraps at 256, which keeps its parity
-        flips[-1] = flips[:-1].sum(axis=0, dtype=np.uint8) & 1
-    rows = ws.take("rows", (rank, m), keys.dtype)
-    np.copyto(rows, keys.T)
-    flips *= 254  # 0 or 254; plus one, 1 or 255, which is int8 -1
-    flips += 1
-    rows *= flips.view(np.int8)
+    n_words = (dim * m + 1) // 2
+    keys = (_Workspace() if ws is None else ws).take("keys", (2 * n_words,), np.uint32)
+    fill = np.right_shift if fam == "A" else np.bitwise_or
+    for lo in range(0, n_words, RAW_PIECE_WORDS):
+        hi = min(lo + RAW_PIECE_WORDS, n_words)
+        fill(_raw_words(rng, hi - lo).view("<u4"), 1, out=keys[2 * lo : 2 * hi])
+    rows = keys[: dim * m].view(np.int32).reshape(dim, m)
+    if fam == "D":  # an even number of negative entries
+        odd = np.bitwise_xor.reduce(rows, axis=0) < 0  # the parity of the sign bits
+        np.negative(rows[-1], out=rows[-1], where=odd)
     return rows.T
+
+
+def _refined_keys(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
+    """Int64 keys ``sign * (|key| * dim + pi)``, one ``rng.permutation(dim)`` ``pi`` per row.
+
+    Every strict comparison of ``rows`` and every sign is kept, and no two
+    entries of a row share a magnitude.  Given the drawn words, the order of
+    continuous keys within each group of equal magnitude is uniform and
+    independent across groups; a uniform ``pi`` restricted to disjoint groups
+    gives exactly that, so a refined row is an exact draw.
+    """
+    k, dim = rows.shape
+    pi = rng.permuted(np.broadcast_to(np.arange(dim), (k, dim)), axis=1)
+    keys = rows.astype(np.int64)
+    magnitude = np.abs(keys) * dim + pi
+    return np.where(keys < 0, -magnitude, magnitude)
 
 
 def mc_run(
@@ -626,8 +602,17 @@ def mc_run(
 
     def run_block(rng: np.random.Generator, m: int, ws: _Workspace) -> np.ndarray:
         vals = np.zeros(m, dtype=np.int64)
+        tied = ws.take("tied", (m,), bool)
         for comp, runs in parts:
-            vals += _count_rows(_draw_rows(rng, comp.family, comp.rank, m, ws), runs, ws)
+            rows = _draw_rows(rng, comp.family, comp.rank, m, ws)
+            tied[:] = False
+            count = _count_rows(rows, runs, ws, tied=tied)
+            # Rare: a root compared two equal keys.  Recount those rows from
+            # keys refined with the next permutations of the chunk's stream.
+            bad = np.flatnonzero(tied)
+            if len(bad):
+                count[bad] = _count_rows(_refined_keys(rng, rows[bad]), runs, ws)
+            vals += count
         return vals
 
     def run_chunk(c: int) -> np.ndarray:

@@ -178,6 +178,26 @@ def test_threads_out_of_range_is_a_usage_error(monkeypatch, capsys, value):
     assert f"between 1 and {cli.MAX_THREADS}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("wpartition", "B7", "N[1,2]", "P[2,3]", "--format", "json"),
+    ("cov", "B7", "N[1,2]", "P[2,3]", "--method", "enumerate"),
+])
+def test_enumerating_commands_run_on_the_thread_pool(monkeypatch, argv):
+    from concurrent.futures import ThreadPoolExecutor
+
+    pools = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    one = run_cli(*argv, "--threads", "1")
+    monkeypatch.setattr("weylstat.stats.ThreadPoolExecutor", Recording)
+    assert run_cli(*argv, "--threads", "2") == one
+    assert pools == [2]
+
+
 def test_cap_counts_enumerated_components_not_the_product():
     # |B6| = 46080: the product order 46080^2 exceeds the default cap, but the
     # exact path enumerates each factor once and convolves
@@ -259,9 +279,9 @@ def test_catalog_size_guard_exits_1(capsys, spec, count):
 
 @pytest.mark.parametrize("argv, sha256", [
     (["sample", "A9", "-d", "2", "--samples", "2000", "--seed", "7", "--format", "json"],
-     "4a983f95b22b15e43af6a0e6af6b234326810e95a38b1afa2a76d37d12f5f67b"),
+     "199bc043691f12648b3d9c6725d7d246ac89d6acec6c988c25682a661c15af68"),
     (["sample", "A3xA40", "-d", "1", "--samples", "5000", "--seed", "3", "--format", "json"],
-     "c7e70df17ac4b2b32cabf720e2e93782f3bb13f69b23769f320ff8847c7a9faf"),
+     "0532bc43c419c2b3c4b8615f0b967a489613a2302b9582cc00794be5b6e3ded2"),
 ])
 def test_type_a_sample_stream_is_pinned(argv, sha256):
     # type A draws no sign bits: its seeded output is fixed byte for byte
@@ -272,14 +292,14 @@ def test_type_a_sample_stream_is_pinned(argv, sha256):
 @pytest.mark.parametrize("threads", ["1", "2", "8"])
 @pytest.mark.parametrize("argv, sha256", [
     (["sample", "B100xG2", "-d", "5", "--samples", "5000", "--seed", "7", "--format", "json"],
-     "76f539ba1f813a7ce59d196d5ce795e5a6d767d8c6db07a230a96652a9402b47"),
+     "15ff68189bec77c6a88484decae9f137c896d893df11232496fd6890e171df9d"),
     (["sample", "D6", "-d", "3", "--samples", "4097", "--seed", "3", "--format", "json"],
-     "f1ca575098c3b1bc0f382ebdeac247f7c3c17c34406573226b2636f3c701b689"),
+     "945e6bda9e5e44eccfad72bc9a17a3a5c046ba770c9e321c389585717c24961e"),
     (["clt", "C8", "-d", "2", "--samples", "4000", "--seed", "11", "--format", "json"],
-     "9929d310933c758a5f1db2e00d629b06498e80bf792ae95afa1fdda9d5dba128"),
+     "4f74e5d79c4c6b7a56aa3221fa493bc9915021c38c99166ab7ab237d3b1955bc"),
 ])
 def test_signed_type_sample_stream_is_pinned(argv, sha256, threads):
-    # keys, then sign bits, from each chunk's raw stream: fixed byte for byte
+    # signed keys read off each chunk's raw words: fixed byte for byte
     out = run_cli(*argv, "--threads", threads)
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 

@@ -108,10 +108,10 @@ def _cli_sha256(*argv):
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("argv, sha256", [
     (["sample", "A3xG2", "-d", "2", "--samples", "9001", "--seed", "5", "--format", "json"],
-     "9dbe08662d27d1f79b6fe2af8127ce5a12c44af7e53e7279bd50d609156b14c3"),
+     "58dda507c5b32289893745aa6dbad52d9c130c7856c4cf1f7590de5ac5b18e4f"),
     (["clt", "G2xA40", "-d", "2", "--stat", "descents", "--samples", "20000", "--seed", "3",
       "--format", "json"],
-     "87c1fe16ccdedd4be8f0c3b2304f42bc42fa376ff3f383f600cd9d8a0442697c"),
+     "9ec887f73ed2c3ca7ea098fe11f775c3d36e7ab41abbf349e7b8aeebbc473af2"),
 ])
 def test_g2_sample_stream_is_pinned(argv, sha256, threads):
     # one table index per sample from each chunk's stream: fixed byte for byte

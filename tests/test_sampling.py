@@ -1,5 +1,5 @@
-"""The diagonal-run kernel, the random-key draw and the atom-level KS, each
-checked against an exact oracle."""
+"""The diagonal-run kernel, the random-key draw, tie refinement and the
+atom-level KS, each checked against an exact oracle."""
 
 import math
 
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylstat import clt, stats, weyl
+from weylstat.rootsys import Root
 
 
 def _component_rows(rs, ci, elements):
@@ -149,65 +150,106 @@ def test_mc_histogram_matches_exact_law(systems, spec, d):
     assert _chi2_pvalue(observed, stats.exact_distribution(rs, psi), n) > 1e-6
 
 
-def test_redraw_rejects_ties_and_zeros():
-    keys = np.array([[5, 3, 9], [0, 4, 7], [2, 2, 8], [1, 6, 3]], dtype=np.int32)
-    kept = keys[[0, 3]].copy()
-    out = stats._redraw_rejected(np.random.default_rng(1), keys)
-    assert out is keys
-    assert (keys[[0, 3]] == kept).all()
-    expected = stats._random_keys(np.random.default_rng(1), 2, 3)
-    assert (keys[[1, 2]] == expected).all()
-    assert not stats._tied_or_zero(keys).any()
+def _coordinate_major(rows):
+    """``rows`` as the ``.T`` view of a C-contiguous (dim, m) array, as blocks are drawn."""
+    return np.ascontiguousarray(rows.T).T
 
 
-def _tied_or_zero_oracle(keys):
-    s = np.sort(keys, axis=1)
-    return (s[:, 0] == 0) | (s[:, 1:] == s[:, :-1]).any(axis=1)
+def _tie_flags_oracle(rows, roots):
+    """Rows where some root of ``roots`` compares two equal entries, root by root."""
+    flags = np.zeros(len(rows), dtype=bool)
+    for r in roots:
+        if r.form == "N":
+            flags |= rows[:, r.j - 1] == rows[:, r.i - 1]
+        elif r.form == "P":
+            flags |= rows[:, r.i - 1] == -rows[:, r.j - 1]
+    return flags
 
 
-def test_tie_scan_flags_ties_and_zeros_within_rows():
-    keys = np.array([
-        [4, 9, 4, 7],  # a tie at the start of the sorted row
-        [8, 3, 6, 8],  # a tie at its end
-        [5, 0, 2, 1],  # a zero key
-        [7, 5, 6, 3],
-    ], dtype=np.int32)
-    assert stats._tied_or_zero(keys).tolist() == [True, True, True, False]
+def test_tie_flags_mark_compared_ties_only():
+    roots = [Root(0, "N", 1, 2), Root(0, "P", 2, 3), Root(0, "O", 4)]
+    rows = _coordinate_major(np.array([
+        [5, 5, 7, 9],  # N[1,2] compares two equal keys
+        [3, 7, -7, 1],  # P[2,3] compares w_2 with -w_3
+        [4, -4, 6, 0],  # opposite keys under N, and a zero under O: decided
+        [9, 1, 1, 9],  # equal keys that no root compares
+    ], dtype=np.int32))
+    runs = stats._diagonal_runs(roots)
+    tied = np.zeros(4, dtype=bool)
+    values = stats._count_rows(rows, runs, tied=tied)
+    assert tied.tolist() == [True, True, False, False]
+    assert values.tolist() == stats._count_rows(rows, runs).tolist() == [0, 0, 1, 1]
 
 
 def test_tie_scan_ignores_equal_keys_across_a_row_boundary():
-    # sorted, each row ends with the key the next row starts with; in a
-    # (m, 1) block every pair of neighbouring keys straddles a row boundary
-    keys = np.array([[3, 1, 5], [9, 5, 7], [9, 11, 10]], dtype=np.int32)
-    assert not stats._tied_or_zero(keys).any()
-    assert not stats._tied_or_zero(np.array([[4], [4], [2], [2], [6]], dtype=np.int32)).any()
-    assert stats._tied_or_zero(np.array([[4], [0], [4]], dtype=np.int32)).tolist() == [False, True, False]
+    # coordinate-major, equal keys of neighbouring rows sit side by side in
+    # memory; they belong to different samples and are never compared
+    runs = stats._diagonal_runs([Root(0, "N", 1, 2), Root(0, "N", 2, 3), Root(0, "P", 1, 3)])
+    rows = _coordinate_major(np.array([[3, 1, 5], [3, 1, 5], [-3, -1, -5]], dtype=np.int32))
+    tied = np.zeros(3, dtype=bool)
+    stats._count_rows(rows, runs, tied=tied)
+    assert not tied.any()
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    dim=st.integers(1, 600), m=st.integers(1, 700),
-    top=st.sampled_from([1, 2, 50, 5000, 2**31]), seed=st.integers(0, 2**32 - 1),
-)
-def test_tie_scan_matches_the_per_row_sort(dim, m, top, seed):
-    # small key ranges force ties and zeros; a workspace reused from a larger
-    # block must not leak into a smaller one
-    rng = np.random.default_rng(seed)
+@pytest.mark.parametrize("spec", ["A6", "B5", "D5"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_tie_flags_match_every_compared_pair(systems, spec, data):
+    # small key ranges force ties; a workspace grown by a larger block must
+    # not leak into a smaller one
+    rs = systems(spec)
+    dim = rs.spec.components[0].dimension
+    roots = data.draw(st.lists(st.sampled_from(rs.roots), unique=True))
+    m = data.draw(st.integers(1, 300))
+    top = data.draw(st.sampled_from([1, 2, 3, 50, 2**30]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    runs = stats._diagonal_runs(roots)
     ws = stats._Workspace()
-    stats._tied_or_zero(rng.integers(0, 2**31, size=(m + 1, dim + 1), dtype=np.int32), ws)
-    keys = rng.integers(0, top, size=(m, dim), dtype=np.int32)
-    expected = _tied_or_zero_oracle(keys)
-    assert (stats._tied_or_zero(keys, ws) == expected).all()
-    assert (stats._tied_or_zero(keys) == expected).all()
+    larger = rng.integers(-2, 3, size=(m + 7, dim), dtype=np.int32)
+    stats._count_rows(_coordinate_major(larger), runs, ws, tied=np.zeros(m + 7, dtype=bool))
+    rows = _coordinate_major(rng.integers(-top, top + 1, size=(m, dim), dtype=np.int32))
+    tied = np.zeros(m, dtype=bool)
+    values = stats._count_rows(rows, runs, ws, tied=tied)
+    assert tied.tolist() == _tie_flags_oracle(rows, roots).tolist()
+    assert values.tolist() == stats._count_rows(rows, runs).tolist()
+
+
+@pytest.mark.parametrize("signed", [True, False])
+@pytest.mark.parametrize("dim", [1, 2, 7, 40])
+def test_refined_keys_keep_strict_comparisons_and_break_ties(dim, signed):
+    # few distinct keys, so most rows hold ties; unsigned (type A) keys may be 0
+    keys = np.random.default_rng(dim).integers(0, 4, size=(500, dim), dtype=np.int32)
+    rows = 2 * keys - 3 if signed else keys
+    refined = stats._refined_keys(np.random.default_rng(8), rows)
+    assert refined.dtype == np.int64 and refined.shape == rows.shape
+    a, b = rows[:, :, None], rows[:, None, :]
+    ra, rb = refined[:, :, None], refined[:, None, :]
+    assert (ra < rb)[a < b].all() and (ra + rb < 0)[a + b < 0].all() and (ra + rb > 0)[a + b > 0].all()
+    assert ((refined < 0) == (rows < 0)).all()
+    # no two entries of a row share a magnitude: no N or P comparison can tie
+    distinct = ~np.eye(dim, dtype=bool)
+    assert (np.abs(ra) != np.abs(rb))[:, distinct].all()
+    # the tie-breaks are one permutation of the stream per row
+    rng = np.random.default_rng(8)
+    pi = np.array([rng.permutation(dim) for _ in rows])
+    magnitude = np.abs(rows).astype(np.int64) * dim + pi
+    assert (refined == np.where(rows < 0, -magnitude, magnitude)).all()
+
+
+def _stream_words(seed, n):
+    """The first ``n`` 32-bit words of the raw stream of ``default_rng(seed)``."""
+    words = np.random.default_rng(seed).bit_generator.random_raw(-(-n // 2))
+    return words.astype("<u8").view("<u4")[:n].astype(np.uint32)
 
 
 def test_random_keys_drawn_in_pieces_continue_one_word_sequence():
-    m, dim = 700, 61  # 21,350 words: two full pieces and part of a third
+    m, dim = 701, 61  # 21,381 words: two full pieces and part of a third
     assert m * dim // 2 > 2 * stats.RAW_PIECE_WORDS
-    keys = stats._random_keys(np.random.default_rng(3), m, dim)
-    words = np.random.default_rng(3).bit_generator.random_raw(-(-m * dim // 2))
-    expected = (words.astype("<u8").view("<u4")[: m * dim] >> 1).view(np.int32)
-    assert (keys.reshape(-1) == expected).all()
+    words = _stream_words(3, m * dim)
+    a = stats._draw_rows(np.random.default_rng(3), "A", dim - 1, m)
+    b = stats._draw_rows(np.random.default_rng(3), "B", dim, m)
+    assert (a.T.reshape(-1) == (words >> 1).view(np.int32)).all()
+    assert (b.T.reshape(-1) == (words | 1).view(np.int32)).all()
 
 
 def test_mc_run_workspace_matches_throwaway_buffers(systems):
@@ -230,33 +272,96 @@ def test_mc_run_workspace_matches_throwaway_buffers(systems):
 
 
 def test_random_keys_are_31_bit_and_nonnegative():
-    keys = stats._random_keys(np.random.default_rng(5), 64, 7)
+    keys = stats._draw_rows(np.random.default_rng(5), "A", 6, 64)
     assert keys.shape == (64, 7) and keys.dtype == np.int32
     assert keys.min() >= 0 and keys.max() < 2**31
 
 
+@pytest.mark.parametrize("fam, rank", [("B", 5), ("C", 3), ("D", 4)])
+def test_signed_keys_are_odd(fam, rank):
+    # odd keys are never zero, and their top bit is a fair sign
+    rows = stats._draw_rows(np.random.default_rng(2), fam, rank, 4000)
+    assert (rows % 2 == 1).all()
+    assert 0.45 < (rows < 0).mean() < 0.55
+
+
 def test_type_d_rows_change_an_even_number_of_signs():
+    # the words of a type B draw, with the last entry negated where the
+    # number of negative entries is odd
     rows = stats._draw_rows(np.random.default_rng(9), "D", 5, 2000)
     assert ((rows < 0).sum(axis=1) % 2 == 0).all()
-    assert (rows < 0)[:, -1].any() and not stats._tied_or_zero(np.abs(rows)).any()
+    b = stats._draw_rows(np.random.default_rng(9), "B", 5, 2000)
+    odd = (b < 0).sum(axis=1) % 2 == 1
+    assert odd.any() and (rows[:, :-1] == b[:, :-1]).all()
+    assert (rows[:, -1] == np.where(odd, -b[:, -1], b[:, -1])).all()
 
 
 @pytest.mark.parametrize("fam, rank", [("B", 5), ("C", 3), ("D", 4), ("D", 2)])
 def test_signed_blocks_are_coordinate_major(fam, rank):
-    # the keys come first in the stream, exactly as for type A; the signs follow
+    # entry (r, i) is word i * m + r of the stream, read as int32 after | 1
     m = 700
     rows = stats._draw_rows(np.random.default_rng(12), fam, rank, m)
     assert rows.shape == (m, rank) and rows.T.flags.c_contiguous
-    rng = np.random.default_rng(12)
-    keys = stats._redraw_rejected(rng, stats._random_keys(rng, m, rank))
-    assert (np.abs(rows) == keys).all()
+    keys = (_stream_words(12, m * rank) | 1).view(np.int32).reshape(rank, m)
+    assert (np.abs(rows.T) == np.abs(keys)).all()
+    assert (rows.T[:-1] == keys[:-1]).all()
 
 
-def test_type_a_blocks_are_the_row_major_keys():
+def test_type_a_blocks_are_the_coordinate_major_keys():
     rows = stats._draw_rows(np.random.default_rng(12), "A", 6, 700)
-    rng = np.random.default_rng(12)
-    assert rows.flags.c_contiguous
-    assert (rows == stats._redraw_rejected(rng, stats._random_keys(rng, 700, 7))).all()
+    assert rows.T.flags.c_contiguous
+    assert (rows.T == (_stream_words(12, 7 * 700) >> 1).view(np.int32).reshape(7, 700)).all()
+
+
+@pytest.mark.parametrize("fam, rank, dim", [
+    ("A", 1, 2), ("A", 40, 41), ("B", 3, 3), ("C", 6, 6), ("D", 5, 5), ("G2", 2, 3),
+])
+def test_every_sampled_block_is_coordinate_major(fam, rank, dim):
+    ws = stats._Workspace()
+    for m in (stats.BLOCK_SAMPLES, 3):  # a smaller block reuses the larger one's buffer
+        rows = stats._draw_rows(np.random.default_rng(m), fam, rank, m, ws)
+        assert rows.shape == (m, dim) and rows.T.flags.c_contiguous
+
+
+def _coarse_words(monkeypatch):
+    """Make the raw words give keys of four magnitudes, so most rows hold ties.
+
+    Each word is read as the signed key ``word | 1`` gives; its magnitude
+    becomes 1, 3, 5 or 7 from its top two bits, and its sign is kept.  The
+    magnitudes keep one law on either sign, so an exact sampler still draws
+    uniform elements.  Clearing low bits of the word before ``| 1`` would
+    not: the two signs would get different magnitude grids.
+    """
+    raw_words = stats._raw_words
+
+    def coarse(rng, n):
+        keys = (raw_words(rng, n).view("<u4").astype(np.uint32) | 1).view(np.int32)
+        magnitude = (np.abs(keys) >> 29) * 2 + 1
+        return np.where(keys < 0, -magnitude, magnitude).astype("<i4").view("<u8")
+
+    monkeypatch.setattr(stats, "_raw_words", coarse)
+
+
+FORCED_TIE_SAMPLES = 32768
+
+
+@pytest.mark.parametrize("refine", [True, False])
+@pytest.mark.parametrize("spec", ["A4", "B3", "C4", "D4", "D5", "B2xG2", "A3xB3"])
+def test_mc_law_is_exact_under_forced_ties(systems, monkeypatch, spec, refine):
+    # with the ties left as drawn, the chi-square test must reject: it has power
+    _coarse_words(monkeypatch)
+    if not refine:
+        monkeypatch.setattr(stats, "_refined_keys", lambda rng, rows: rows)
+    rs = systems(spec)
+    n = FORCED_TIE_SAMPLES
+    for statistic, d in (("descents", 1), ("inversions", 2)):
+        psi = stats.statistic_roots(rs, statistic, d)
+        run = stats.mc_run(rs, psi, n, seed=1013)
+        observed: dict[int, int] = {}
+        for v in run.values:
+            observed[v] = observed.get(v, 0) + 1
+        p = _chi2_pvalue(observed, stats.exact_distribution(rs, psi), n)
+        assert (p > 1e-6) == refine, (statistic, p)
 
 
 @pytest.mark.parametrize("product, alone", [("A2xB300", "A2"), ("G2xA5xD4", "A5")])

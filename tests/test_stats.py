@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -370,3 +371,18 @@ def test_wpartition_of_a_root_with_itself_matches_brute_force(systems, spec):
     assert stats.wpartition_counts(rs, beta, beta) == stats.WPartitionCounts(
         joint.get((0, 0), 0), 0, 0, joint.get((1, 1), 0)
     )
+
+
+def test_joint_law_counts_blocks_sparsely():
+    # 2**20 possible values, of which 3,456 occur: a bincount of each block
+    # into every bin peaked at 17.8 MB traced
+    rs = ws.build("B7")
+    psi, psi2 = rs.roots[:10], rs.roots[6:16]
+    tracemalloc.start()
+    try:
+        joint = stats.exact_joint_distribution(rs, psi, psi2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(joint) == 3456 and sum(joint.values()) == weyl.group_order(rs)
+    assert peak < 8_000_000
