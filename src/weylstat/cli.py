@@ -296,10 +296,7 @@ def _cmd_clt(args):
     from . import clt as clt_mod
 
     rs = build(args.system)
-    report = clt_mod.clt_report(
-        rs, args.d, args.stat, args.samples, args.seed,
-        threads=args.threads, cap=_cap(args),
-    )
+    report = clt_mod.clt_report(rs, args.d, args.stat, args.samples, args.seed, threads=args.threads)
     if args.format == "csv":
         header = ("n", "d", "k", "delta", "variance", "ks", "bound")
         return _csv_text([header, report.csv_row(rs.spec.rank)])
@@ -428,11 +425,10 @@ def run(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        text = args.fn(args)
-    except WeylstatError as e:
+        _emit(args.fn(args), args.out)
+    except (WeylstatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    _emit(text, args.out)
     return 0
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import depgraph, formulas, stats
 from .errors import WeylstatError
-from .rootsys import DEFAULT_CAP, RootSystem
+from .rootsys import RootSystem
 from .stats import SampleRun
 
 
@@ -216,7 +216,6 @@ def clt_report(
     n_samples: int,
     seed: int,
     threads: int = 1,
-    cap: int = DEFAULT_CAP,
 ) -> CLTReport:
     """Run the sample-standardize-KS-criterion pipeline for one experiment."""
     psi = stats.statistic_roots(rs, statistic, d)

@@ -57,10 +57,8 @@ MAX_CATALOG_ROOTS = 2_000_000
 DEFAULT_CAP = 10**7
 
 # G2 root table over the simple pair (alpha short, gamma long), in catalog
-# order r1..r6: coefficient vectors, heights, squared norms and Gram matrix.
+# order r1..r6: coefficient vectors, whose sums are the heights.
 _G2_COEFFS = ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))
-_G2_HEIGHTS = (1, 1, 2, 3, 4, 5)
-_G2_GRAM = ((2, -3), (-3, 6))
 
 
 def _g2_ip(u, v):
@@ -359,45 +357,16 @@ class RootSystem:
 
     # -- poset -------------------------------------------------------------
 
-    @cached_property
-    def _ancestor_masks(self) -> tuple[int, ...] | None:
-        # Bitmask DP over the graded cover relation; skipped for huge catalogs.
-        if len(self) > 4096:
-            return None
-        masks = [0] * len(self)
-        for h in sorted(self.height_index):
-            if h == 1:
-                continue
-            for k in self.height_index[h]:
-                m = 0
-                for p, _ in self._parent_edges[k]:
-                    m |= masks[p] | (1 << p)
-                masks[k] = m
-        return tuple(masks)
-
     def poset_leq(self, beta: Root, gamma: Root) -> bool:
-        """True iff ``beta <= gamma`` in the root poset (closure of covers)."""
-        b, g = self.index(beta), self.index(gamma)
-        if b == g:
-            return True
-        if self.heights[b] >= self.heights[g]:
-            return False
-        masks = self._ancestor_masks
-        if masks is not None:
-            return bool(masks[g] >> b & 1)
-        seen = {g}
-        frontier = [g]
-        while frontier:
-            nxt = []
-            for k in frontier:
-                for p, _ in self._parent_edges[k]:
-                    if p == b:
-                        return True
-                    if p not in seen and self.heights[p] > self.heights[b]:
-                        seen.add(p)
-                        nxt.append(p)
-            frontier = nxt
-        return False
+        """True iff ``beta <= gamma`` in the root poset.
+
+        That is, ``gamma - beta`` is a nonnegative sum of simple roots: every
+        simple coefficient of ``beta`` is at most that of ``gamma``.
+        """
+        if self.height(beta) >= self.height(gamma):
+            return beta == gamma
+        low, high = self.simple_coefficients(beta), self.simple_coefficients(gamma)
+        return all(b <= g for b, g in zip(low, high))
 
     def is_antichain(self, roots) -> bool:
         """True iff all distinct pairs are incomparable both ways."""
@@ -490,13 +459,9 @@ class RootSystem:
         if ":" in text:
             prefix, body = text.split(":", 1)
             prefixes = self._component_prefixes()
-            if prefix in prefixes:
-                comp = prefixes.index(prefix)
-            else:
-                plain = [str(c) for c in self.spec.components]
-                if prefix not in plain:
-                    raise StaleRootError(f"unknown component prefix {prefix!r} in {text!r}")
-                comp = plain.index(prefix)
+            if prefix not in prefixes:
+                raise StaleRootError(f"unknown component prefix {prefix!r} in {text!r}")
+            comp = prefixes.index(prefix)
         else:
             body = text
             if not self.irreducible:
@@ -532,7 +497,7 @@ def _component_runs(comp: Component):
     """
     fam, n = comp.family, comp.rank
     if fam == "G2":
-        return [("G", k, k, 1, h) for k, h in enumerate(_G2_HEIGHTS, 1)]
+        return [("G", k, k, 1, sum(c)) for k, c in enumerate(_G2_COEFFS, 1)]
     dim = comp.dimension
     runs = [("N", d, 1, dim - d, d) for d in range(1, dim)]
     if fam == "B":

@@ -31,14 +31,15 @@ Monte Carlo runs draw in fixed chunks of :data:`CHUNK_SAMPLES` samples; chunk
 Results are therefore bit-identical for any worker count: workers process
 disjoint chunks and the merge is associative integer accumulation.
 
-Each worker thread owns one :class:`_Workspace`, never shared, and reuses it
-for every block: the key words, the tie flags and the kernel's comparisons
-live in its buffers.  These temporaries are 100 KiB to a few MiB per block,
-at or above glibc's mmap threshold, so allocating them afresh gave every
-block new pages and a page fault on each first touch: ``mc_run`` on B100xG2
-with ``d <= 5`` and 400,000 samples took about 79,000 minor faults, against
-about 3,100 with the workspace.  The raw words are drawn in pieces small
-enough for the allocator's heap.
+Each worker thread, sampling or enumerating, owns one :class:`_Workspace`
+(:func:`_map_ordered` creates it), never shared, and reuses it for every
+block: the key words, the tie flags and the kernel's comparisons live in its
+buffers.  These temporaries are 100 KiB to a few MiB per block, at or above
+glibc's mmap threshold, so allocating them afresh gave every block new pages
+and a page fault on each first touch: ``mc_run`` on B100xG2 with ``d <= 5``
+and 400,000 samples took about 79,000 minor faults, against about 3,100 with
+the workspace.  The raw words are drawn in pieces small enough for the
+allocator's heap.
 """
 
 from __future__ import annotations
@@ -147,9 +148,9 @@ def _split_by_component(rs: RootSystem, ids):
 class _Workspace:
     """Named scratch buffers, grown on demand and reused by every later request.
 
-    A Monte Carlo worker thread owns one workspace and passes it to the block
-    helpers, so each block writes its temporaries into memory that earlier
-    blocks already touched.  An array taken from a buffer stays valid until
+    A worker thread owns one workspace and passes it to the block helpers,
+    so each block writes its temporaries into memory that earlier blocks
+    already touched.  An array taken from a buffer stays valid until
     the next :meth:`take` of the same name.
     """
 
@@ -363,19 +364,31 @@ ThreadPoolExecutor = None
 
 
 def _map_ordered(fn, items, threads: int):
-    """Apply ``fn`` over ``items`` preserving order, optionally on a pool."""
+    """Yield ``fn(item, ws)`` over ``items`` in order, optionally on a pool.
+
+    ``ws`` is the :class:`_Workspace` of the thread that makes the call,
+    created by its first call and reused by every later one.
+    """
     global ThreadPoolExecutor
     if threads <= 1:
+        ws = _Workspace()
         for item in items:
-            yield fn(item)
+            yield fn(item, ws)
         return
     if ThreadPoolExecutor is None:
         from concurrent.futures import ThreadPoolExecutor
+    local = threading.local()
+
+    def call(item):
+        if not hasattr(local, "ws"):
+            local.ws = _Workspace()
+        return fn(item, local.ws)
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         window: list = []
         items = iter(items)
         for item in items:
-            window.append(pool.submit(fn, item))
+            window.append(pool.submit(call, item))
             if len(window) >= 2 * threads:
                 yield window.pop(0).result()
         for fut in window:
@@ -399,8 +412,8 @@ def _weighted_law(rs: RootSystem, terms: dict, threads: int = 1) -> dict[int, in
             runs, weights = terms[ci]
             size = 1 + sum((hi - lo + 1) * w for (_, _, lo, hi), w in zip(runs, weights))
 
-            def evaluate(rows):
-                values = _count_rows(rows, runs, weights=weights)
+            def evaluate(rows, ws):
+                values = _count_rows(rows, runs, ws, weights=weights)
                 if size > len(values):
                     return np.unique(values, return_counts=True)
                 counts = np.bincount(values, minlength=size)
@@ -597,9 +610,6 @@ def mc_run(
 
     n_chunks = (n_samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
 
-    # One workspace per worker thread, never shared, reused for all its blocks.
-    local = threading.local()
-
     def run_block(rng: np.random.Generator, m: int, ws: _Workspace) -> np.ndarray:
         vals = np.zeros(m, dtype=np.int64)
         tied = ws.take("tied", (m,), bool)
@@ -615,10 +625,7 @@ def mc_run(
             vals += count
         return vals
 
-    def run_chunk(c: int) -> np.ndarray:
-        ws = getattr(local, "ws", None)
-        if ws is None:
-            ws = local.ws = _Workspace()
+    def run_chunk(c: int, ws: _Workspace) -> np.ndarray:
         m = min(CHUNK_SAMPLES, n_samples - c * CHUNK_SAMPLES)
         rng = np.random.default_rng(derived_seed(seed, c))
         # Blocks small enough to stay in cache, drawn in a fixed order from the chunk's stream.

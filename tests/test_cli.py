@@ -362,3 +362,18 @@ def test_json_output_ends_in_one_newline(argv):
     out = run_cli(*argv, "--format", "json")
     assert out.endswith("}\n")
     assert json.loads(out)
+
+
+@pytest.mark.parametrize("where", ["missing/roots.csv", "."])
+def test_out_to_an_unwritable_path_is_an_error(tmp_path, capsys, where):
+    target = tmp_path / where
+    assert cli.run(["roots", "A3", "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_repeated_components_need_the_ordinal_prefix_on_the_command_line(capsys):
+    assert cli.run(["wpartition", "B3xB3", "B3:N[1,2]", "B3.2:N[1,2]"]) == 1
+    assert capsys.readouterr().err == "error: unknown component prefix 'B3' in 'B3:N[1,2]'\n"
+    assert run_cli("wpartition", "B3xB3", "B3.1:N[1,2]", "B3.2:N[1,2]").startswith("pp=576 ")

@@ -89,3 +89,31 @@ def test_weyl_reexports_the_shared_helpers():
     for name in ("DEFAULT_CAP", "component_order", "derived_seed", "group_order"):
         assert getattr(weyl, name) is getattr(rootsys, name)
     assert weyl._G2_ORDER == rootsys.component_order(rootsys.Component("G2", 2))
+
+
+def test_every_annotation_resolves():
+    import inspect
+    import typing
+    from functools import cached_property
+
+    from weylstat import cli
+
+    modules = (weylstat, cli, clt, depgraph, errors, formulas, rootsys, stats, weyl)
+    checked = 0
+    for module in modules:
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for member in members:
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                elif isinstance(member, cached_property):
+                    member = member.func
+                # skip methods generated elsewhere, such as a NamedTuple's __new__
+                if inspect.isfunction(member) and member.__module__ == module.__name__:
+                    typing.get_type_hints(member)
+                    checked += 1
+    assert checked > 200

@@ -218,3 +218,40 @@ def test_simple_coefficients_hold_no_table_of_all_expansions():
         tracemalloc.stop()
     assert coeffs == (1,) * 150
     assert peak < 8_000_000
+
+
+def _cover_closure(rs):
+    """Bit ``b`` of ``below[g]`` is set iff root ``b`` lies below root ``g`` in the closure of covers."""
+    below = [1 << k for k in range(len(rs))]
+    for lower, upper in sorted(rs.covers, key=lambda edge: rs.heights[edge[1]]):
+        below[upper] |= below[lower]
+    return below
+
+
+@pytest.mark.parametrize("spec", ["A5", "B5", "C5", "D5", "G2", "A2xD3"])
+def test_poset_order_is_the_closure_of_covers(systems, spec):
+    rs = systems(spec)
+    below = _cover_closure(rs)
+    for b, beta in enumerate(rs.roots):
+        for g, gamma in enumerate(rs.roots):
+            assert rs.poset_leq(beta, gamma) == bool(below[g] >> b & 1), (beta, gamma)
+
+
+def test_poset_order_on_a_large_type_a_catalog():
+    # A99 has 4,950 roots; N[i,j] = alpha_i + ... + alpha_(j-1), so N[i,j] <= N[k,l]
+    # iff the interval i..j-1 lies inside k..l-1.
+    import random
+
+    rs = ws.build("A99")
+    rng = random.Random(1401)
+    for _ in range(2000):
+        beta, gamma = rs.root(rng.randrange(len(rs))), rs.root(rng.randrange(len(rs)))
+        assert rs.poset_leq(beta, gamma) == (gamma.i <= beta.i and beta.j <= gamma.j)
+
+
+def test_repeated_components_need_the_ordinal_prefix(systems):
+    rs = systems("B3xB3")
+    assert rs.parse_root("B3.2:N[1,2]") == Root(1, "N", 1, 2)
+    with pytest.raises(ws.StaleRootError, match="unknown component prefix 'B3'"):
+        rs.parse_root("B3:N[1,2]")
+    assert systems("A3xB4").parse_root("B4:P[1,2]") == Root(1, "P", 1, 2)

@@ -386,3 +386,20 @@ def test_joint_law_counts_blocks_sparsely():
         tracemalloc.stop()
     assert len(joint) == 3456 and sum(joint.values()) == weyl.group_order(rs)
     assert peak < 8_000_000
+
+
+def test_enumeration_blocks_reuse_one_workspace(monkeypatch, systems):
+    rs = systems("A9")
+    seen = []
+    count_rows = stats._count_rows
+
+    def spy(rows, runs, ws=None, **kwargs):
+        seen.append(ws)
+        return count_rows(rows, runs, ws, **kwargs)
+
+    monkeypatch.setattr(stats, "_count_rows", spy)
+    hist = stats.exact_distribution(rs, rs.roots_up_to_height(3))
+    assert sum(hist.values()) == math.factorial(10)
+    assert len(seen) == 90  # 10! rows in blocks of 8!
+    assert isinstance(seen[0], stats._Workspace)
+    assert all(ws is seen[0] for ws in seen)
