@@ -2,8 +2,10 @@
 
 Output contract: identical argv (and seed) produce byte-identical output for
 any ``--threads`` value.  CSV is RFC-4180 style with a header row and LF line
-endings; JSON is UTF-8 with a stable key order.  The enumeration cap can be
-overridden with ``--cap`` or the ``WEYLSTAT_CAP`` environment variable.
+endings; JSON is UTF-8 with a stable key order.  The commands that enumerate
+group elements (``dist``, ``cov``, ``wpartition``, ``var``) take the
+enumeration cap from ``--cap`` or the ``WEYLSTAT_CAP`` environment variable;
+the others have no ``--cap`` option and refuse it as a usage error.
 
 System arguments use the rank grammar (``A4``, ``B10``, ``G2``, ``A3xB4``)
 except for ``var``, whose family parameter follows the formula convention:
@@ -114,10 +116,11 @@ def _height(text: str) -> int:
     return value
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=("human", "json", "csv"), default="human")
+def _add_common(p, formats=("human", "json", "csv"), cap=False):
+    p.add_argument("--format", choices=formats, default="human")
     p.add_argument("--out", help="write output to this file instead of stdout")
-    p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
+    if cap:
+        p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
     p.add_argument("--threads", type=_thread_count, default=1)
 
 
@@ -369,14 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("beta")
     p.add_argument("gamma")
     p.add_argument("--method", choices=("closed", "angle", "enumerate"), default="closed")
-    _add_common(p)
+    _add_common(p, cap=True)
     p.set_defaults(fn=_cmd_cov)
 
     p = sub.add_parser("wpartition", help="sign-class sizes of the group for a root pair")
     p.add_argument("system")
     p.add_argument("beta")
     p.add_argument("gamma")
-    _add_common(p)
+    _add_common(p, cap=True)
     p.set_defaults(fn=_cmd_wpartition)
 
     p = sub.add_parser("var", help="closed-form variance (formula convention: A is keyed by degree)")
@@ -384,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stat", choices=("descents", "inversions"), required=True)
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--method", choices=("formula", "enumerate"), default="formula")
-    _add_common(p)
+    _add_common(p, cap=True)
     p.set_defaults(fn=_cmd_var)
 
     for name, handler, needs_seed in (
@@ -401,12 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--samples", type=_sample_count, required=True)
             p.add_argument("--seed", type=int, required=True)
             p.add_argument("--no-values", action="store_true")
-        _add_common(p)
-        if name == "depgraph":
-            # dot output replaces the human format for this command
-            for action in p._actions:
-                if action.dest == "format":
-                    action.choices = ("human", "json", "csv", "dot")
+        # dot is depgraph's own format; of these three commands only dist enumerates
+        dot = ("dot",) if name == "depgraph" else ()
+        _add_common(p, formats=("human", "json", "csv", *dot), cap=name == "dist")
         p.set_defaults(fn=handler)
 
     p = sub.add_parser("clt", help="sample, standardize, KS distance and rate bound")

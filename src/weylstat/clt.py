@@ -189,9 +189,10 @@ def theoretical_variance(rs: RootSystem, d: int, statistic: str) -> Fraction:
 
     A classical component takes the closed formula at the largest height
     among its roots of Psi (``d`` for descents, ``d`` clamped at its maximal
-    height for inversions) and adds nothing without one; a G2 component takes
-    :func:`stats.exact_variance` of its roots of Psi.  Components act
-    independently, so variances add.
+    height for inversions) and adds nothing without one.  A G2 component
+    sums :func:`formulas.cov_closed` over the ordered pairs of its roots of
+    Psi (``Var = sum Cov``, with ``Cov(beta, beta) = 1/4``), so nothing is
+    enumerated.  Components act independently, so variances add.
     """
     psi = stats.statistic_roots(rs, statistic, d)  # also rejects an unknown statistic
     # Psi is in catalog order, by height within a component: the last root
@@ -201,7 +202,8 @@ def theoretical_variance(rs: RootSystem, d: int, statistic: str) -> Fraction:
     for ci, top in last.items():
         comp = rs.spec.components[ci]
         if comp.family == "G2":
-            total += stats.exact_variance(rs, [r for r in psi if r.component == ci])
+            own = [r for r in psi if r.component == ci]
+            total += sum(formulas.cov_closed(rs, b, g) for b in own for g in own)
         else:
             n_param = comp.rank + 1 if comp.family == "A" else comp.rank
             q = formulas.VarianceQuery(comp.family, n_param, rs.height(top), statistic)

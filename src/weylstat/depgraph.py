@@ -36,19 +36,20 @@ class DependencyGraph:
 def build_graph(rs: RootSystem, psi) -> DependencyGraph:
     """Graph on psi with edges between non-orthogonal distinct roots.
 
-    Only roots sharing a cell (see :func:`_cells`) can be non-orthogonal, so
-    only those pairs have their inner product tested.
+    Only roots whose vectors share a (component, coordinate) cell can be
+    non-orthogonal, so only those pairs have their inner product tested.
     """
     ids = sorted({rs.index(r) for r in psi})
     roots = {v: rs.root(v) for v in ids}
+    cells = {v: [(r.component, k) for k, _ in rs._vector(r)] for v, r in roots.items()}
     adj: dict[int, set[int]] = {v: set() for v in ids}
     buckets: dict[tuple[int, int], list[int]] = {}
     for v in ids:
-        for cell in _cells(roots[v]):
+        for cell in cells[v]:
             buckets.setdefault(cell, []).append(v)
     for v in ids:
         # ascending pairs, as the all-pairs loop visits them: edges() follows set order
-        for w in sorted({w for cell in _cells(roots[v]) for w in buckets[cell] if w > v}):
+        for w in sorted({w for cell in cells[v] for w in buckets[cell] if w > v}):
             if rs._ip(roots[v], roots[w]) != 0:
                 adj[v].add(w)
                 adj[w].add(v)
@@ -74,20 +75,6 @@ def build_graph(rs: RootSystem, psi) -> DependencyGraph:
         max_degree=max((len(s) for s in adj.values()), default=0),
         component_sizes=tuple(sorted(sizes)),
     )
-
-
-def _cells(root) -> tuple[tuple[int, int], ...]:
-    """The (component, coordinate) cells a root's vector touches.
-
-    A classical root touches the coordinates ``i`` and ``j`` of its
-    component (``O`` roots only ``i``); the six G2 roots share one cell
-    (coordinate 0, which no classical root uses).
-    """
-    if root.form == "G":
-        return ((root.component, 0),)
-    if root.form == "O":
-        return ((root.component, root.i),)
-    return ((root.component, root.i), (root.component, root.j))
 
 
 def check_antichain_degree(rs: RootSystem, psi):

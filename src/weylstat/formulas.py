@@ -43,6 +43,7 @@ def cov_closed(rs: RootSystem, beta: Root, gamma: Root) -> Fraction:
 
 _ANGLES = {
     # (cos^2, sign of inner product) -> angle as a multiple of pi
+    (F(1), 1): F(0),
     (F(3, 4), 1): F(1, 6),
     (F(1, 2), 1): F(1, 4),
     (F(1, 4), 1): F(1, 3),
@@ -54,9 +55,7 @@ _ANGLES = {
 
 
 def angle_of(rs: RootSystem, beta: Root, gamma: Root) -> Fraction:
-    """Angle between two distinct catalog roots, as a multiple of pi."""
-    if beta == gamma:
-        raise WeylstatError("angle classification needs two distinct roots")
+    """Angle between two catalog roots, as a multiple of pi (0 for a root and itself)."""
     ip = rs.inner_product_int(beta, gamma)
     c = F(ip * ip, rs.norm_sq(beta) * rs.norm_sq(gamma))
     sign = 0 if ip == 0 else (1 if ip > 0 else -1)
@@ -71,8 +70,8 @@ def angle_of(rs: RootSystem, beta: Root, gamma: Root) -> Fraction:
 def cov_closed_angle(rs: RootSystem, beta: Root, gamma: Root) -> Fraction:
     """Covariance via the angle form ``(3 pi - 6 phi) / (12 pi)``.
 
-    Cross-validation path: agrees with :func:`cov_closed` on all distinct
-    pairs.
+    Cross-validation path: agrees with :func:`cov_closed` on all pairs,
+    ``1/4`` on the diagonal.
     """
     q = angle_of(rs, beta, gamma)  # phi = q * pi
     return F(3 - 6 * q, 12)

@@ -10,9 +10,9 @@ coordinates:
 * type C_n: as B_n but ``O[i]`` is the long root ``2 e_i``,
 * type D_n: ``N`` and ``P`` roots only.
 
-G2 is realized by a fixed six-root table over its two simple roots with an
-exact 2x2 Gram matrix (short norm 2, long norm 6), avoiding irrational
-ambient coordinates.
+G2 is realized by a fixed six-root table over its two simple roots, placed
+in the plane ``x_1 + x_2 + x_3 = 0`` of ``Z^3`` (short norm 2, long norm 6),
+so that every root is an integer vector with a few nonzero coordinates.
 
 Normalization note: the standard literature leaves the type C ambient scaling
 open; here ``O[i]`` is stored as the long root ``2 e_i`` so that the sign of
@@ -60,10 +60,13 @@ DEFAULT_CAP = 10**7
 # order r1..r6: coefficient vectors, whose sums are the heights.
 _G2_COEFFS = ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))
 
-
-def _g2_ip(u, v):
-    (a, b), (c, d) = u, v
-    return 2 * a * c + 6 * b * d - 3 * (a * d + b * c)
+# The same roots as sparse vectors a * alpha + b * gamma of the plane
+# x_1 + x_2 + x_3 = 0, with alpha = e_3 - e_2 and gamma = 2 e_2 - e_1 - e_3:
+# r1..r6 are e_3 - e_2, 2 e_2 - e_1 - e_3, e_2 - e_1, e_3 - e_1,
+# 2 e_3 - e_1 - e_2 and e_2 + e_3 - 2 e_1.
+_G2_VECTORS = tuple(
+    tuple((k, c) for k, c in enumerate((-b, 2 * b - a, a - b), 1) if c) for a, b in _G2_COEFFS
+)
 
 
 @dataclass(frozen=True)
@@ -228,9 +231,6 @@ class RootSystem:
     def height(self, root: Root) -> int:
         return self._locate(root)[0].height
 
-    def component_family(self, root: Root) -> str:
-        return self.spec.components[root.component].family
-
     @property
     def irreducible(self) -> bool:
         return len(self.spec.components) == 1
@@ -325,24 +325,32 @@ class RootSystem:
         self.index(gamma)
         return self._ip(beta, gamma)
 
+    def _vector(self, root: Root) -> tuple[tuple[int, int], ...]:
+        """Nonzero (coordinate, coefficient) pairs of a catalog root in its component."""
+        if root.form == "G":
+            return _G2_VECTORS[root.i - 1]
+        if root.form == "N":
+            return ((root.i, -1), (root.j, 1))
+        if root.form == "P":
+            return ((root.i, 1), (root.j, 1))
+        return ((root.i, 1 if self.spec.components[root.component].family == "B" else 2),)
+
     def _ip(self, rb: Root, rg: Root) -> int:
         """Inner product of two catalog roots (membership unchecked)."""
         if rb.component != rg.component:
             return 0
-        if rb.form == "G":
-            return _g2_ip(_G2_COEFFS[rb.i - 1], _G2_COEFFS[rg.i - 1])
         # Both roots share the component's coordinate block, so its offset cancels.
-        fam = self.spec.components[rb.component].family
         total = 0
-        for ib, cb in _sparse_vector(fam, rb):
-            for ig, cg in _sparse_vector(fam, rg):
-                if ib == ig:
+        vg = self._vector(rg)
+        for kb, cb in self._vector(rb):
+            for kg, cg in vg:
+                if kb == kg:
                     total += cb * cg
         return total
 
     def norm_sq(self, beta: Root) -> int:
         self.index(beta)
-        return _norm_sq(self.component_family(beta), beta)
+        return self._ip(beta, beta)
 
     def reflection_order(self, beta: Root, gamma: Root) -> int:
         """Order of the rotation composed of the two reflections: 1, 2, 3, 4 or 6."""
@@ -538,24 +546,6 @@ def _positive_root_count(comp: Component) -> int:
     if fam == "D":
         return n * (n - 1)
     return 6
-
-
-def _norm_sq(fam: str, root: Root) -> int:
-    if fam == "G2":
-        v = _G2_COEFFS[root.i - 1]
-        return _g2_ip(v, v)
-    if root.form == "O":
-        return 1 if fam == "B" else 4
-    return 2
-
-
-def _sparse_vector(fam: str, root: Root) -> tuple[tuple[int, int], ...]:
-    """Nonzero (coordinate, coefficient) pairs of a classical root in its component."""
-    if root.form == "N":
-        return ((root.i, -1), (root.j, 1))
-    if root.form == "P":
-        return ((root.i, 1), (root.j, 1))
-    return ((root.i, 1 if fam == "B" else 2),)
 
 
 def _diagonal(form: str, i, j):

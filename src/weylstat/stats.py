@@ -655,6 +655,8 @@ def bootstrap_variance_se(run: SampleRun, resamples: int = BOOTSTRAP_RESAMPLES) 
     rng = np.random.default_rng(derived_seed(run.seed, "bootstrap"))
     values = np.array(run.values, dtype=np.float64)
     n = len(values)
+    if n == 1:  # mc_run defines the sample variance of one sample as 0, so it does not vary
+        return 0.0
     stats = np.empty(resamples)
     for b in range(resamples):
         idx = rng.integers(0, n, size=n)

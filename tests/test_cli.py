@@ -377,3 +377,98 @@ def test_repeated_components_need_the_ordinal_prefix_on_the_command_line(capsys)
     assert cli.run(["wpartition", "B3xB3", "B3:N[1,2]", "B3.2:N[1,2]"]) == 1
     assert capsys.readouterr().err == "error: unknown component prefix 'B3' in 'B3:N[1,2]'\n"
     assert run_cli("wpartition", "B3xB3", "B3.1:N[1,2]", "B3.2:N[1,2]").startswith("pp=576 ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "A3"],
+    ["poset", "A3"],
+    ["depgraph", "A3", "-d", "1"],
+    ["sample", "A3", "-d", "1", "--samples", "10", "--seed", "1"],
+    ["clt", "A3", "-d", "1", "--samples", "10", "--seed", "1"],
+])
+def test_cap_is_a_usage_error_where_nothing_is_enumerated(monkeypatch, capsys, argv):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a catalog was built")
+
+    monkeypatch.setattr(cli, "build", no_build)
+    with pytest.raises(SystemExit) as err:
+        cli.run([*argv, "--cap", "1"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --cap 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "A3", "-d", "1"],
+    ["cov", "A3", "N[1,2]", "N[2,3]"],
+    ["wpartition", "A3", "N[1,2]", "N[2,3]"],
+    ["var", "A4", "--stat", "descents", "-d", "1"],
+])
+def test_enumerating_commands_take_a_cap(argv):
+    assert cli.build_parser().parse_args([*argv, "--cap", "7"]).cap == 7
+
+
+def test_cov_angle_on_equal_roots_is_one_quarter():
+    for method in ("closed", "angle", "enumerate"):
+        assert run_cli("cov", "G2", "r5", "r5", "--method", method) == f"1/4 = 0.25 [method {method}]\n"
+
+
+# One small case per command, in every format; the bytes are pinned by sha256.
+_GOLDEN = [
+    (["roots", "A2xG2", "-d", "3"], {
+        "human": "673bbafb3c46103ef338a2f6d7d08d9ef6a6b466f0142fa65a7ef1939e0691b6",
+        "json": "31c7e05d6e15fbb0c24801e7ffeb45695fc7d76b4b66171bcb7f21840b57411c",
+        "csv": "0e26652bb5e3a61b64ae7423e9bf8efeb58a07355b0fe94ad16e31ac686a6acb",
+    }),
+    (["poset", "A2xG2"], {
+        "human": "f891d2bbf9137af7ac7f5eff6cabc87a28c0544e1b363809761f5eeb868bb303",
+        "json": "3aa177d85721da2d70d633e8a9d564dc422d4e37a384387c6f7c2f6eb27268c3",
+        "csv": "1dfbe3f7fa8b21737d3eab2a6e0aa00ecf53544a271f147ccbc186ce277a0b6f",
+    }),
+    (["cov", "G2xB3", "G2:r2", "G2:r6"], {
+        "human": "436b87791b668ec037843b5780d47abfc30d8252be106fff890b061e5274f658",
+        "json": "6bd31707da15d0ba28474cda73027b9f633f65c434dc7b114e78ea79de9e1ea1",
+        "csv": "bce47b870dcaae6038f6561dc7c7f13dfb62e4f63a5e16433b0a2975f32d7c9b",
+    }),
+    (["wpartition", "G2xB3", "B3:N[1,2]", "B3:O[2]"], {
+        "human": "453edbf98933c23d32cf3e06b7237190c1a5543d1d9c2d7e8d772786549d13f9",
+        "json": "fb761a8a765f7ad8f5e7edc0668a3e3bf650470ff50b1b903b469f9ab8cd22be",
+        "csv": "5fdeb0cb80677d4bf2e44e7e3f80e89d8ce8851595c467281725156d26e179b5",
+    }),
+    (["var", "B4", "--stat", "inversions", "-d", "3"], {
+        "human": "405b95ffbd13d8af453e9e35699ad022ee7b72312a8f3fdfec29bcf54a519adc",
+        "json": "7d0a7bd487678810e73a4cb0559483e60c766db1161b47ab7cde398ccc593fe0",
+        "csv": "9fe891b51fe7bcaa93ab04ba5b72d62ae8f7a1e5f6fd9eca9de191de35a26057",
+    }),
+    (["dist", "A2xG2", "-d", "2"], {
+        "human": "b471f7f3fc905f55e3818305e1f45b78bbfbc783d7240203501021fe8479fec7",
+        "json": "259da524290e295ee9f38d82a17993a509929dbdf9856a259ede932b2ce395fd",
+        "csv": "84e5591ed8d8ab8f79fb8a40b7a77cc54f1ce42247a5e680cc6855ec71ee8043",
+    }),
+    (["sample", "B3", "-d", "2", "--samples", "500", "--seed", "3"], {
+        "human": "c646dfea85a14790332bb00ad4145e3c99c875d8099bee5c1a0bc2aeb4eeb0b1",
+        "json": "30ebd4a82d18babed69118a32766168344e69c3c220f0f4e090cd8e809392a22",
+        "csv": "95159f1049eae97ab8b5faf5d1b1bd1adaf124aea8fccc436a93a0ced3635bfb",
+    }),
+    (["clt", "A2xG2", "-d", "2", "--stat", "descents", "--samples", "500", "--seed", "3"], {
+        "human": "f0632f5ebbd723661ab3881fb11fdd63e7b4979878b67c06637491f468a6fcdb",
+        "json": "3b5ba27d28367b14cb0ba8813c722554c5bdf453aac0523b6491f00817578b2b",
+        "csv": "e8ece15721ee592d2fdcd7a9edf0e4664693505322aea8cac33cd235ab6c90f4",
+    }),
+    (["depgraph", "G2xB3", "-d", "2"], {
+        "human": "a7efccd6417c9fd17080d0129d7b182889427266d818e58ccdcc77b9e55a3cd5",
+        "json": "8c573d3242dbde07355f47caf43152568f8eb728e3c021b6bb3730fc96e52ecc",
+        "csv": "ac63dfb3e4681e8eb8a60eb1fd93a156a1efffe841caeff5ffcfec47637a88bf",
+        "dot": "900e832a1d64a34f482dd1c320975f8962f35e91912d00c8f9402d27cf61a266",
+    }),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("argv, fmt, sha256", [
+    pytest.param(argv, fmt, sha256, id=f"{argv[0]}-{fmt}")
+    for argv, hashes in _GOLDEN for fmt, sha256 in hashes.items()
+])
+def test_every_command_and_format_is_pinned(argv, fmt, sha256, threads):
+    out = run_cli(*argv, "--format", fmt, "--threads", threads)
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+

@@ -174,3 +174,22 @@ def test_ks_regression_descents_decreasing(systems):
         rep = clt.clt_report(rs, 1, "descents", 50_000, seed=1618)
         ks.append(rep.ks)
     assert ks[1] < ks[0]
+
+
+@pytest.mark.parametrize("spec", ["G2", "A2xG2", "G2xB3", "G2xG2"])
+def test_g2_variance_is_the_sum_of_pair_covariances(monkeypatch, systems, spec):
+    rs = systems(spec)
+    expected = {}
+    for d in range(1, rs.max_height + 1):
+        for stat in ("descents", "inversions"):
+            psi = stats.statistic_roots(rs, stat, d)
+            if psi:
+                expected[d, stat] = stats.exact_variance(rs, psi)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("theoretical_variance enumerated the group")
+
+    monkeypatch.setattr(stats, "exact_variance", refuse)
+    monkeypatch.setattr(stats, "exact_distribution", refuse)
+    for (d, stat), variance in expected.items():
+        assert clt.theoretical_variance(rs, d, stat) == variance, (d, stat)

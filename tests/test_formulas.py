@@ -227,3 +227,13 @@ def test_var_lower_bound_holds_on_grid():
             for d in range(1, top + 1):
                 _, bound = formulas.var_lower_bound(rank, d)
                 assert formulas.var_inversions(Q(fam, n, d, "inversions")) > bound, (fam, n, d)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "D4", "G2"])
+def test_all_three_covariance_methods_agree_on_equal_roots(systems, spec):
+    rs = systems(spec)
+    for beta in rs.roots:
+        assert formulas.angle_of(rs, beta, beta) == 0
+        assert formulas.cov_closed(rs, beta, beta) == F(1, 4)
+        assert formulas.cov_closed_angle(rs, beta, beta) == F(1, 4)
+        assert stats.exact_cov(rs, beta, beta) == F(1, 4)

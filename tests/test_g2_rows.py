@@ -127,3 +127,23 @@ def test_statistic_roots_selects_psi(systems):
         stats.statistic_roots(rs, "length", 2)
     with pytest.raises(ws.WeylstatError, match="unknown statistic 'length'"):
         clt.clt_report(rs, 2, "length", 10, seed=1)
+
+
+def test_g2_tests_read_the_sign_of_each_root_vector():
+    # Each coordinate test of _G2_TESTS, read on a row x, is <r_k, x> < 0 for
+    # the root's vector in the sum-zero plane of Z^3.
+    reads = {
+        "N": lambda x, i, j: x[j - 1] < x[i - 1],
+        "O": lambda x, i, j: x[i - 1] < 0,
+        "P": lambda x, i, j: x[i - 1] + x[j - 1] < 0,
+    }
+    rs = ws.build("G2")
+    rows = stats._G2_ROWS
+    assert rows.shape == (12, 3)
+    for root in G2_ROOTS:
+        form, i, j = stats._G2_TESTS[root.i]
+        vector = rs._vector(root)
+        kernel = stats._count_rows(rows, stats._diagonal_runs([root])).tolist()
+        for x, counted in zip(rows.tolist(), kernel):
+            below = sum(c * x[k - 1] for k, c in vector) < 0
+            assert reads[form](x, i, j) == below == bool(counted), (root, x)

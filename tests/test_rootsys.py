@@ -255,3 +255,19 @@ def test_repeated_components_need_the_ordinal_prefix(systems):
     with pytest.raises(ws.StaleRootError, match="unknown component prefix 'B3'"):
         rs.parse_root("B3:N[1,2]")
     assert systems("A3xB4").parse_root("B4:P[1,2]") == Root(1, "P", 1, 2)
+
+
+@pytest.mark.parametrize("spec", ["G2", "A2xG2", "G2xB3"])
+def test_g2_inner_products_match_the_gram_form(systems, spec):
+    # <a alpha + b gamma, c alpha + d gamma> with |alpha|^2 = 2, |gamma|^2 = 6, <alpha, gamma> = -3
+    from weylstat.rootsys import _G2_COEFFS
+
+    rs = systems(spec)
+    g2 = [r for r in rs.roots if r.form == "G"]
+    assert len(g2) == 6
+    for beta in g2:
+        (a, b) = _G2_COEFFS[beta.i - 1]
+        assert rs.norm_sq(beta) == 2 * a * a + 6 * b * b - 6 * a * b
+        for gamma in g2:
+            (c, d) = _G2_COEFFS[gamma.i - 1]
+            assert rs.inner_product_int(beta, gamma) == 2 * a * c + 6 * b * d - 3 * (a * d + b * c)

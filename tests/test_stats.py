@@ -403,3 +403,14 @@ def test_enumeration_blocks_reuse_one_workspace(monkeypatch, systems):
     assert len(seen) == 90  # 10! rows in blocks of 8!
     assert isinstance(seen[0], stats._Workspace)
     assert all(ws is seen[0] for ws in seen)
+
+
+def test_bootstrap_se_of_one_sample_is_zero(systems):
+    import warnings
+
+    rs = systems("A3")
+    run = stats.mc_run(rs, rs.roots_of_height(1), 1, seed=4)
+    assert run.sample_variance == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert stats.bootstrap_variance_se(run) == 0.0
