@@ -121,7 +121,7 @@ def _add_common(p, formats=("human", "json", "csv"), cap=False):
     p.add_argument("--out", help="write output to this file instead of stdout")
     if cap:
         p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
-    p.add_argument("--threads", type=_thread_count, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1, help="worker threads (sample, clt)")
 
 
 def _cap(args) -> int:
@@ -139,6 +139,8 @@ def _cap(args) -> int:
 # -- subcommand handlers ---------------------------------------------------------
 
 def _cmd_roots(args):
+    if args.exact_height and args.d is None:
+        raise WeylstatError("--exact-height needs -d")
     rs = build(args.system)
     if args.d is None:
         roots = rs.roots
@@ -192,7 +194,7 @@ def _cmd_cov(args):
     elif args.method == "angle":
         value = formulas.cov_closed_angle(rs, beta, gamma)
     else:
-        value = stats.exact_cov(rs, beta, gamma, cap=_cap(args), threads=args.threads)
+        value = stats.exact_cov(rs, beta, gamma, cap=_cap(args))
     if args.format == "json":
         return _json_text({
             "spec": str(rs.spec), "beta": args.beta, "gamma": args.gamma,
@@ -211,8 +213,7 @@ def _cmd_cov(args):
 def _cmd_wpartition(args):
     rs = build(args.system)
     c = stats.wpartition_counts(
-        rs, rs.parse_root(args.beta), rs.parse_root(args.gamma), cap=_cap(args),
-        threads=args.threads,
+        rs, rs.parse_root(args.beta), rs.parse_root(args.gamma), cap=_cap(args)
     )
     if args.format == "json":
         return _json_text({
@@ -242,7 +243,7 @@ def _cmd_var(args):
         rank = n - 1 if family == "A" else n
         rs = build(f"{family}{rank}")
         psi = stats.statistic_roots(rs, args.stat, args.d)
-        enum_value = stats.exact_variance(rs, psi, cap=_cap(args), threads=args.threads)
+        enum_value = stats.exact_variance(rs, psi, cap=_cap(args))
         if enum_value != value:
             raise WeylstatError(
                 f"formula {value} disagrees with enumeration {enum_value}"
@@ -264,7 +265,7 @@ def _cmd_var(args):
 def _cmd_dist(args):
     rs = build(args.system)
     psi = _psi_from_args(rs, args)
-    hist = stats.exact_distribution(rs, psi, cap=_cap(args), threads=args.threads)
+    hist = stats.exact_distribution(rs, psi, cap=_cap(args))
     if args.format == "csv":
         return _csv_text(stats.histogram_csv_rows(hist))
     if args.format == "json":

@@ -31,15 +31,16 @@ Monte Carlo runs draw in fixed chunks of :data:`CHUNK_SAMPLES` samples; chunk
 Results are therefore bit-identical for any worker count: workers process
 disjoint chunks and the merge is associative integer accumulation.
 
-Each worker thread, sampling or enumerating, owns one :class:`_Workspace`
-(:func:`_map_ordered` creates it), never shared, and reuses it for every
-block: the key words, the tie flags and the kernel's comparisons live in its
-buffers.  These temporaries are 100 KiB to a few MiB per block, at or above
-glibc's mmap threshold, so allocating them afresh gave every block new pages
-and a page fault on each first touch: ``mc_run`` on B100xG2 with ``d <= 5``
-and 400,000 samples took about 79,000 minor faults, against about 3,100 with
-the workspace.  The raw words are drawn in pieces small enough for the
-allocator's heap.
+Exact enumeration runs on the calling thread; only ``mc_run`` spreads its
+chunks over worker threads.  An exact law, and each sampling worker thread,
+owns one :class:`_Workspace` (:func:`_map_ordered` creates a worker's), never
+shared, and reuses it for every block: the key words, the tie flags and the
+kernel's comparisons live in its buffers.  These temporaries are 100 KiB to a
+few MiB per block, at or above glibc's mmap threshold, so allocating them
+afresh gave every block new pages and a page fault on each first touch:
+``mc_run`` on B100xG2 with ``d <= 5`` and 400,000 samples took about 79,000
+minor faults, against about 3,100 with the workspace.  The raw words are
+drawn in pieces small enough for the allocator's heap.
 """
 
 from __future__ import annotations
@@ -148,10 +149,10 @@ def _split_by_component(rs: RootSystem, ids):
 class _Workspace:
     """Named scratch buffers, grown on demand and reused by every later request.
 
-    A worker thread owns one workspace and passes it to the block helpers,
-    so each block writes its temporaries into memory that earlier blocks
-    already touched.  An array taken from a buffer stays valid until
-    the next :meth:`take` of the same name.
+    An exact law or a sampling worker thread owns one workspace and passes
+    it to the block helpers, so each block writes its temporaries into
+    memory that earlier blocks already touched.  An array taken from a
+    buffer stays valid until the next :meth:`take` of the same name.
     """
 
     def __init__(self):
@@ -240,13 +241,16 @@ def _permutation_blocks(dim: int, dtype):
     """
     k = min(dim, SUFFIX_POSITIONS)
     table = _suffix_table(k)
+    # One mask for every pass, added as int8: no temporary and no cast per pass.
+    raise_mask = np.empty(table.shape, dtype=bool)
     for prefix in itertools.permutations(range(1, dim + 1), dim - k):
         block = np.empty((dim, table.shape[1]), dtype=dtype)
         block[: dim - k] = np.array(prefix, dtype=dtype)[:, None]
         suffix = block[dim - k :]
         np.add(table, 1, out=suffix)
         for p in sorted(prefix):
-            suffix += suffix >= p
+            np.greater_equal(suffix, p, out=raise_mask)
+            suffix += raise_mask.view(np.int8)
         yield block.T
 
 
@@ -363,18 +367,17 @@ def _count_rows(
 ThreadPoolExecutor = None
 
 
-def _map_ordered(fn, items, threads: int):
-    """Yield ``fn(item, ws)`` over ``items`` in order, optionally on a pool.
+def _map_ordered(fn, items, threads: int) -> list:
+    """``[fn(item, ws) for item in items]``, on a pool when ``threads > 1``.
 
     ``ws`` is the :class:`_Workspace` of the thread that makes the call,
-    created by its first call and reused by every later one.
+    created by its first call and reused by every later one.  ``mc_run`` is
+    the one caller: it keeps every chunk's result, so the pool holds them all.
     """
     global ThreadPoolExecutor
     if threads <= 1:
         ws = _Workspace()
-        for item in items:
-            yield fn(item, ws)
-        return
+        return [fn(item, ws) for item in items]
     if ThreadPoolExecutor is None:
         from concurrent.futures import ThreadPoolExecutor
     local = threading.local()
@@ -385,17 +388,10 @@ def _map_ordered(fn, items, threads: int):
         return fn(item, local.ws)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        window: list = []
-        items = iter(items)
-        for item in items:
-            window.append(pool.submit(call, item))
-            if len(window) >= 2 * threads:
-                yield window.pop(0).result()
-        for fut in window:
-            yield fut.result()
+        return list(pool.map(call, items))
 
 
-def _weighted_law(rs: RootSystem, terms: dict, threads: int = 1) -> dict[int, int]:
+def _weighted_law(rs: RootSystem, terms: dict) -> dict[int, int]:
     """Exact law over the group of a weighted sum of root indicators.
 
     ``terms`` maps a component to its ``(runs, weights)`` for
@@ -403,25 +399,25 @@ def _weighted_law(rs: RootSystem, terms: dict, threads: int = 1) -> dict[int, in
     component's group is enumerated once and each block's values counted:
     bincounted, or sorted with ``np.unique`` when the possible values
     outnumber the block's rows, as for a joint law's ``2^k`` bitmasks.  The
-    per-component histograms convolve.  Keys are sorted.
+    per-component histograms convolve.  Keys are sorted.  Every block of
+    every component is counted on the calling thread, in one workspace.
     """
+    ws = _Workspace()
     law = {0: 1}
     for ci, comp in enumerate(rs.spec.components):
         part = {0: component_order(comp)}
         if ci in terms:
             runs, weights = terms[ci]
             size = 1 + sum((hi - lo + 1) * w for (_, _, lo, hi), w in zip(runs, weights))
-
-            def evaluate(rows, ws):
+            part = {}
+            for rows in _row_blocks(comp.family, comp.rank):
                 values = _count_rows(rows, runs, ws, weights=weights)
                 if size > len(values):
-                    return np.unique(values, return_counts=True)
-                counts = np.bincount(values, minlength=size)
-                values = np.flatnonzero(counts)
-                return values, counts[values]
-
-            part = {}
-            for values, counts in _map_ordered(evaluate, _row_blocks(comp.family, comp.rank), threads):
+                    values, counts = np.unique(values, return_counts=True)
+                else:
+                    counts = np.bincount(values, minlength=size)
+                    values = np.flatnonzero(counts)
+                    counts = counts[values]
                 for v, c in zip(values.tolist(), counts.tolist()):
                     part[v] = part.get(v, 0) + c
         law = _convolve(law, part)
@@ -439,9 +435,7 @@ def _convolve(h1: dict[int, int], h2: dict[int, int]) -> dict[int, int]:
 
 # -- exact operations -------------------------------------------------------------
 
-def exact_distribution(
-    rs: RootSystem, psi, cap: int = DEFAULT_CAP, threads: int = 1
-) -> dict[int, int]:
+def exact_distribution(rs: RootSystem, psi, cap: int = DEFAULT_CAP) -> dict[int, int]:
     """Exact histogram of the Psi-statistic over the whole group.
 
     Counts sum to the group order.  Components are enumerated independently
@@ -451,7 +445,7 @@ def exact_distribution(
     by_comp = _split_by_component(rs, ids)
     _check_enumerated(rs, by_comp, cap)
     runs = {ci: _diagonal_runs(roots) for ci, roots in by_comp.items()}
-    return _weighted_law(rs, {ci: (r, [1] * len(r)) for ci, r in runs.items()}, threads)
+    return _weighted_law(rs, {ci: (r, [1] * len(r)) for ci, r in runs.items()})
 
 
 def exact_mean(rs: RootSystem, psi) -> Fraction:
@@ -459,11 +453,9 @@ def exact_mean(rs: RootSystem, psi) -> Fraction:
     return Fraction(len(_canonical_ids(rs, psi)), 2)
 
 
-def exact_variance(
-    rs: RootSystem, psi, cap: int = DEFAULT_CAP, threads: int = 1
-) -> Fraction:
+def exact_variance(rs: RootSystem, psi, cap: int = DEFAULT_CAP) -> Fraction:
     """Exact variance of the Psi-statistic, as a rational number."""
-    return _moments(exact_distribution(rs, psi, cap=cap, threads=threads))[2]
+    return _moments(exact_distribution(rs, psi, cap=cap))[2]
 
 
 def _moments(hist: dict[int, int]) -> tuple[int, Fraction, Fraction]:
@@ -474,7 +466,7 @@ def _moments(hist: dict[int, int]) -> tuple[int, Fraction, Fraction]:
 
 
 def wpartition_counts(
-    rs: RootSystem, beta: Root, gamma: Root, cap: int = DEFAULT_CAP, threads: int = 1
+    rs: RootSystem, beta: Root, gamma: Root, cap: int = DEFAULT_CAP
 ) -> WPartitionCounts:
     """Sizes of the four sign classes for (beta, gamma), by direct enumeration.
 
@@ -484,23 +476,21 @@ def wpartition_counts(
     rs.index(beta)
     rs.index(gamma)
     if beta.component == gamma.component:
-        joint = exact_joint_distribution(rs, [beta], [gamma], cap, threads)
+        joint = exact_joint_distribution(rs, [beta], [gamma], cap)
         return WPartitionCounts(*(joint.get(key, 0) for key in ((0, 0), (0, 1), (1, 0), (1, 1))))
     # Orthogonal components: each root is negative for exactly half its group.
     quarter = group_order(rs) // 4
     return WPartitionCounts(quarter, quarter, quarter, quarter)
 
 
-def exact_cov(
-    rs: RootSystem, beta: Root, gamma: Root, cap: int = DEFAULT_CAP, threads: int = 1
-) -> Fraction:
+def exact_cov(rs: RootSystem, beta: Root, gamma: Root, cap: int = DEFAULT_CAP) -> Fraction:
     """Exact covariance of two root indicators, from the sign-class sizes."""
-    c = wpartition_counts(rs, beta, gamma, cap=cap, threads=threads)
+    c = wpartition_counts(rs, beta, gamma, cap=cap)
     return Fraction(c.mm, c.total) - Fraction(1, 4)
 
 
 def exact_joint_distribution(
-    rs: RootSystem, psi, psi2, cap: int = DEFAULT_CAP, threads: int = 1
+    rs: RootSystem, psi, psi2, cap: int = DEFAULT_CAP
 ) -> dict[tuple[int, int], int]:
     """Joint counts of the two indicator vectors over the group.
 
@@ -524,7 +514,7 @@ def exact_joint_distribution(
         terms[ci] = ([_diagonal_runs([r])[0] for r in roots], [weight[rs.index(r)] for r in roots])
     _check_enumerated(rs, terms, cap)
     low = (1 << shift) - 1
-    return {(v >> shift, v & low): c for v, c in _weighted_law(rs, terms, threads).items()}
+    return {(v >> shift, v & low): c for v, c in _weighted_law(rs, terms).items()}
 
 
 # -- Monte Carlo --------------------------------------------------------------------
@@ -633,7 +623,7 @@ def mc_run(
             run_block(rng, min(BLOCK_SAMPLES, m - lo), ws) for lo in range(0, m, BLOCK_SAMPLES)
         ])
 
-    values = np.concatenate(list(_map_ordered(run_chunk, range(n_chunks), threads)))
+    values = np.concatenate(_map_ordered(run_chunk, range(n_chunks), threads))
     # Moments from the histogram in Python ints: exact, with no int64 overflow.
     n, mean, variance = _moments(dict(enumerate(np.bincount(values).tolist())))
     variance = Fraction(0) if n == 1 else variance * n / (n - 1)  # the sample variance
@@ -651,7 +641,13 @@ def mc_run(
 
 
 def bootstrap_variance_se(run: SampleRun, resamples: int = BOOTSTRAP_RESAMPLES) -> float:
-    """Bootstrap standard error of the sample variance (seed-derived stream)."""
+    """Bootstrap standard error of the sample variance (seed-derived stream).
+
+    ``resamples`` must be at least 2: the error is the spread (``ddof=1``) of
+    the resampled variances.
+    """
+    if resamples < 2:
+        raise WeylstatError(f"resamples must be at least 2, got {resamples}")
     rng = np.random.default_rng(derived_seed(run.seed, "bootstrap"))
     values = np.array(run.values, dtype=np.float64)
     n = len(values)

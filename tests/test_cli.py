@@ -55,6 +55,11 @@ def test_roots_exact_height():
     assert len(rows) - 1 == 3
 
 
+def test_roots_exact_height_needs_d(capsys):
+    assert run_cli("roots", "A2", "--exact-height", expect=1) == ""
+    assert capsys.readouterr().err == "error: --exact-height needs -d\n"
+
+
 def test_poset_and_depgraph_formats():
     out = run_cli("poset", "G2", "--format", "csv")
     rows = list(csv.reader(io.StringIO(out)))
@@ -178,24 +183,27 @@ def test_threads_out_of_range_is_a_usage_error(monkeypatch, capsys, value):
     assert f"between 1 and {cli.MAX_THREADS}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ("wpartition", "B7", "N[1,2]", "P[2,3]", "--format", "json"),
-    ("cov", "B7", "N[1,2]", "P[2,3]", "--method", "enumerate"),
-])
-def test_enumerating_commands_run_on_the_thread_pool(monkeypatch, argv):
+@pytest.mark.parametrize("argv, pools", [
+    (("dist", "B7", "-d", "3"), []),
+    (("var", "B6", "--stat", "inversions", "-d", "3", "--method", "enumerate"), []),
+    (("wpartition", "B7", "N[1,2]", "P[2,3]", "--format", "json"), []),
+    (("cov", "B7", "N[1,2]", "P[2,3]", "--method", "enumerate"), []),
+    (("sample", "B7", "-d", "3", "--samples", "10000", "--seed", "3"), [2]),
+], ids=["dist", "var", "wpartition", "cov", "sample"])
+def test_only_sampling_starts_a_thread_pool(monkeypatch, argv, pools):
     from concurrent.futures import ThreadPoolExecutor
 
-    pools = []
+    started = []
 
     class Recording(ThreadPoolExecutor):
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            started.append(max_workers)
             super().__init__(max_workers)
 
     one = run_cli(*argv, "--threads", "1")
     monkeypatch.setattr("weylstat.stats.ThreadPoolExecutor", Recording)
     assert run_cli(*argv, "--threads", "2") == one
-    assert pools == [2]
+    assert started == pools
 
 
 def test_cap_counts_enumerated_components_not_the_product():

@@ -98,14 +98,6 @@ def test_variance_against_object_level_brute_force(systems):
     assert stats.exact_variance(rs, psi) == F(s2, n) - F(s1, n) ** 2
 
 
-def test_variance_thread_count_invariant(systems):
-    rs = systems("B4")
-    psi = rs.roots_up_to_height(4)
-    assert stats.exact_variance(rs, psi, threads=1) == stats.exact_variance(
-        rs, psi, threads=4
-    )
-
-
 def test_joint_distribution_examples(systems):
     b4 = systems("B4")
     j = stats.exact_joint_distribution(b4, [Root(0, "N", 1, 2)], [Root(0, "P", 3, 4)])
@@ -403,6 +395,35 @@ def test_enumeration_blocks_reuse_one_workspace(monkeypatch, systems):
     assert len(seen) == 90  # 10! rows in blocks of 8!
     assert isinstance(seen[0], stats._Workspace)
     assert all(ws is seen[0] for ws in seen)
+
+
+def test_law_over_several_components_uses_one_workspace(monkeypatch, systems):
+    rs = systems("B3xD4")
+    seen = []
+    count_rows = stats._count_rows
+
+    def spy(rows, runs, ws=None, **kwargs):
+        seen.append(ws)
+        return count_rows(rows, runs, ws, **kwargs)
+
+    monkeypatch.setattr(stats, "_count_rows", spy)
+    hist = stats.exact_distribution(rs, rs.roots_up_to_height(2))
+    assert sum(hist.values()) == 48 * 192
+    assert len(seen) == 2  # one block per component
+    assert isinstance(seen[0], stats._Workspace) and seen[1] is seen[0]
+
+
+@pytest.mark.parametrize("resamples", [1, 0, -1])
+def test_bootstrap_se_needs_two_resamples(systems, resamples):
+    import warnings
+
+    rs = systems("A3")
+    run = stats.mc_run(rs, rs.roots_of_height(1), 50, seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ws.WeylstatError, match="resamples must be at least 2"):
+            stats.bootstrap_variance_se(run, resamples=resamples)
+        assert stats.bootstrap_variance_se(run, resamples=2) >= 0
 
 
 def test_bootstrap_se_of_one_sample_is_zero(systems):
