@@ -21,15 +21,21 @@ point), and each G2 root is a classical coordinate test (:data:`_G2_TESTS`).
 A sampled G2 component is still drawn as one uniform table index per sample.
 
 A sampled row holds i.i.d. signed keys read off the raw bit stream
-(:func:`_draw_rows`).  Discrete keys can tie, and a tie matters only where a
-root compares the two keys: the kernel flags those rows, which are rare, and
-each is counted again from keys refined with one random permutation
-(:func:`_refined_keys`), which keeps every sampled value's law exact.
+(:func:`_draw_rows`), 16 or 32 bits wide: each component's width weighs the
+raw words a narrow key saves against the ties it adds (:func:`_key_bits`).
+Discrete keys can tie, and a tie matters only where a root compares the two
+keys: the kernel flags those rows, which are few, and each chunk counts its
+flagged rows again, once per component, from keys refined with one random
+permutation per row (:func:`_refined_keys`), which keeps every sampled
+value's law exact.
 
 Monte Carlo runs draw in fixed chunks of :data:`CHUNK_SAMPLES` samples; chunk
-``c`` uses an independent rng stream seeded with ``derived_seed(seed, c)``.
-Results are therefore bit-identical for any worker count: workers process
-disjoint chunks and the merge is associative integer accumulation.
+``c`` uses an independent rng stream seeded with ``derived_seed(seed, c)``,
+and draws its blocks, then its refinements, in a fixed order.  A block has
+about :data:`BLOCK_SAMPLES` squared entries of the widest drawn component
+(:func:`_block_samples`).  Block sizes and key widths depend only on the
+system and Psi, so results are bit-identical for any worker count: workers
+process disjoint chunks and the merge is associative integer accumulation.
 
 Exact enumeration runs on the calling thread; only ``mc_run`` spreads its
 chunks over worker threads.  An exact law, and each sampling worker thread,
@@ -61,6 +67,10 @@ CHUNK_ELEMENTS = 65536
 CHUNK_SAMPLES = 4096
 BLOCK_SAMPLES = 512
 RAW_PIECE_WORDS = 8192
+# Costs of tie refinement in drawn key entries, for the key-width rule
+# (:func:`_key_bits`); README "Sampling" gives the measurements.
+_RECOUNT_RUN_COST = 16384
+_REFINED_ENTRY_COST = 36
 BOOTSTRAP_RESAMPLES = 200
 SUFFIX_POSITIONS = 8
 JOINT_OUTCOME_GUARD = 20
@@ -524,8 +534,37 @@ def _raw_words(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.bit_generator.random_raw(n).astype("<u8", copy=False)
 
 
+def _block_samples(width: int) -> int:
+    """Rows per sampled block when the widest drawn component has ``width`` coordinates.
+
+    A block holds about ``BLOCK_SAMPLES ** 2`` entries of that component and
+    at least :data:`BLOCK_SAMPLES` rows, at most a chunk: a narrow component
+    gets more rows, so each numpy call of the draw and the kernel does
+    enough work to outweigh its fixed cost.
+    """
+    return min(CHUNK_SAMPLES, BLOCK_SAMPLES * max(1, BLOCK_SAMPLES // width))
+
+
+def _key_bits(fam: str, dim: int, runs) -> int:
+    """Bits per drawn key of one component, 16 or 32, from its family, dimension and runs.
+
+    A 16-bit key draws half the raw words of a 32-bit one and halves the
+    kernel's comparisons; that saves about one drawn entry's cost per key, so
+    ``CHUNK_SAMPLES * dim`` per chunk.  Its price is ties: a compared pair
+    ties with probability 2^-16 for type A and 2^-15 for B, C and D (one bit
+    is the sign), so a chunk flags about ``ties`` rows.  Each flagged entry is
+    refined at :data:`_REFINED_ENTRY_COST`, and a chunk with a flagged row
+    recounts every run at :data:`_RECOUNT_RUN_COST` each.  16 bits are taken
+    when that price is below the saving.  G2 draws no keys.
+    """
+    pairs = sum(hi - lo + 1 for form, _, lo, hi in runs if form != "O")
+    ties = CHUNK_SAMPLES * pairs / (1 << (16 if fam == "A" else 15))
+    price = min(1.0, ties) * len(runs) * _RECOUNT_RUN_COST + ties * dim * _REFINED_ENTRY_COST
+    return 16 if price < CHUNK_SAMPLES * dim else 32
+
+
 def _draw_rows(
-    rng: np.random.Generator, fam: str, rank: int, m: int, ws: _Workspace | None = None
+    rng: np.random.Generator, fam: str, rank: int, m: int, ws: _Workspace | None = None, bits: int = 32
 ) -> np.ndarray:
     """(m, dim) uniform random orbit points of one component, as signed keys.
 
@@ -534,28 +573,40 @@ def _draw_rows(
     statistic has the law of the signed permutation with the keys' order,
     once :func:`_refined_keys` breaks the ties that a test compares.
 
-    Entry ``(r, i)`` is the 32-bit word ``i * m + r`` of the raw stream (the
-    low half of each 64-bit word first), so the block is the ``.T`` view of
-    a C-contiguous ``(dim, m)`` array and :func:`_count_rows` reads contiguous
-    coordinate slices.  Type A keys are ``word >> 1``.  Types B, C and D read
-    ``word | 1`` as int32: odd, so never zero, and symmetric about 0, so the
-    top bit is a fair sign independent of the magnitude.  Type D then negates
-    the last entry of each row holding an odd number of negative entries.
-    The words are drawn in pieces of at most :data:`RAW_PIECE_WORDS` and
-    written into the ``keys`` buffer of ``ws`` (or of a throwaway
-    workspace), where the block lies.  G2 gathers one uniform row of
-    :data:`_G2_ROWS` per sample, also coordinate-major.
+    Each key is one ``bits``-wide word of the raw stream (16 or 32, from
+    :func:`_key_bits`); the 64-bit raw words split into ``64 // bits``
+    little-endian words, lowest first.  Entry ``(r, i)`` is word ``i * m + r``,
+    so the block is the ``.T`` view of a C-contiguous ``(dim, m)`` array and
+    :func:`_count_rows` reads contiguous coordinate slices.  Type A keys are
+    the 16-bit words as uint16, or the 32-bit words ``>> 1`` as int32.  Types
+    B, C and D read ``word | 1`` as a signed integer of the width: odd, so
+    never zero, and symmetric about 0, so the top bit is a fair sign
+    independent of the magnitude.  Type D then negates the last entry of each
+    row holding an odd number of negative entries.  The raw words are drawn in
+    pieces of at most :data:`RAW_PIECE_WORDS` and written into the ``keys``
+    buffer of ``ws`` (or of a throwaway workspace), where the block lies.  G2
+    gathers one uniform row of :data:`_G2_ROWS` per sample, also
+    coordinate-major, whatever ``bits`` says.
     """
     if fam == "G2":
         return _G2_ROWS.T.take(rng.integers(0, len(_G2_ROWS), size=m), axis=1).T
     dim = rank + 1 if fam == "A" else rank
-    n_words = (dim * m + 1) // 2
-    keys = (_Workspace() if ws is None else ws).take("keys", (2 * n_words,), np.uint32)
-    fill = np.right_shift if fam == "A" else np.bitwise_or
-    for lo in range(0, n_words, RAW_PIECE_WORDS):
-        hi = min(lo + RAW_PIECE_WORDS, n_words)
-        fill(_raw_words(rng, hi - lo).view("<u4"), 1, out=keys[2 * lo : 2 * hi])
-    rows = keys[: dim * m].view(np.int32).reshape(dim, m)
+    word = np.dtype(f"<u{bits // 8}")
+    per_raw = 64 // bits
+    n_raw = -(-dim * m // per_raw)
+    keys = (_Workspace() if ws is None else ws).take("keys", (per_raw * n_raw,), word)
+    for lo in range(0, n_raw, RAW_PIECE_WORDS):
+        hi = min(lo + RAW_PIECE_WORDS, n_raw)
+        words, out = _raw_words(rng, hi - lo).view(word), keys[per_raw * lo : per_raw * hi]
+        if fam != "A":
+            np.bitwise_or(words, 1, out=out)
+        elif bits == 32:
+            np.right_shift(words, 1, out=out)
+        else:
+            out[:] = words
+    rows = keys[: dim * m].reshape(dim, m)
+    if fam != "A" or bits == 32:
+        rows = rows.view(f"<i{bits // 8}")
     if fam == "D":  # an even number of negative entries
         odd = np.bitwise_xor.reduce(rows, axis=0) < 0  # the parity of the sign bits
         np.negative(rows[-1], out=rows[-1], where=odd)
@@ -596,32 +647,37 @@ def mc_run(
     ids = _canonical_ids(rs, psi)
     by_comp = _split_by_component(rs, ids)
     # Only components holding a root of Psi are drawn: the others add nothing.
-    parts = [(rs.spec.components[ci], _diagonal_runs(by_comp[ci])) for ci in sorted(by_comp)]
-
+    parts = []
+    for ci in sorted(by_comp):
+        comp, runs = rs.spec.components[ci], _diagonal_runs(by_comp[ci])
+        parts.append((comp, runs, _key_bits(comp.family, comp.dimension, runs)))
+    block = _block_samples(max((comp.dimension for comp, _, _ in parts), default=1))
     n_chunks = (n_samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
-
-    def run_block(rng: np.random.Generator, m: int, ws: _Workspace) -> np.ndarray:
-        vals = np.zeros(m, dtype=np.int64)
-        tied = ws.take("tied", (m,), bool)
-        for comp, runs in parts:
-            rows = _draw_rows(rng, comp.family, comp.rank, m, ws)
-            tied[:] = False
-            count = _count_rows(rows, runs, ws, tied=tied)
-            # Rare: a root compared two equal keys.  Recount those rows from
-            # keys refined with the next permutations of the chunk's stream.
-            bad = np.flatnonzero(tied)
-            if len(bad):
-                count[bad] = _count_rows(_refined_keys(rng, rows[bad]), runs, ws)
-            vals += count
-        return vals
 
     def run_chunk(c: int, ws: _Workspace) -> np.ndarray:
         m = min(CHUNK_SAMPLES, n_samples - c * CHUNK_SAMPLES)
         rng = np.random.default_rng(derived_seed(seed, c))
-        # Blocks small enough to stay in cache, drawn in a fixed order from the chunk's stream.
-        return np.concatenate([
-            run_block(rng, min(BLOCK_SAMPLES, m - lo), ws) for lo in range(0, m, BLOCK_SAMPLES)
-        ])
+        vals = np.zeros(m, dtype=np.int64)
+        flagged: list[list] = [[] for _ in parts]
+        # Blocks drawn in a fixed order from the chunk's stream.
+        for lo in range(0, m, block):
+            hi = min(lo + block, m)
+            for (comp, runs, bits), found in zip(parts, flagged):
+                rows = _draw_rows(rng, comp.family, comp.rank, hi - lo, ws, bits)
+                tied = ws.take("tied", (hi - lo,), bool)
+                tied[:] = False
+                count = _count_rows(rows, runs, ws, tied=tied)
+                vals[lo:hi] += count
+                bad = np.flatnonzero(tied)
+                if len(bad):  # a root compared two equal keys
+                    found.append((lo + bad, rows[bad], count[bad]))
+        # Recount the flagged rows of each component once per chunk, from keys
+        # refined with the next permutations of the chunk's stream.
+        for (_, runs, _), found in zip(parts, flagged):
+            if found:
+                idx, rows, old = (np.concatenate(x) for x in zip(*found))
+                vals[idx] += _count_rows(_refined_keys(rng, rows), runs, ws) - old
+        return vals
 
     values = np.concatenate(_map_ordered(run_chunk, range(n_chunks), threads))
     # Moments from the histogram in Python ints: exact, with no int64 overflow.

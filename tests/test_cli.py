@@ -287,9 +287,9 @@ def test_catalog_size_guard_exits_1(capsys, spec, count):
 
 @pytest.mark.parametrize("argv, sha256", [
     (["sample", "A9", "-d", "2", "--samples", "2000", "--seed", "7", "--format", "json"],
-     "199bc043691f12648b3d9c6725d7d246ac89d6acec6c988c25682a661c15af68"),
+     "89a2914d400ad41ea34d8ce54b93ca65d9970ce7d982c856b8c82bdbba4c3dbf"),
     (["sample", "A3xA40", "-d", "1", "--samples", "5000", "--seed", "3", "--format", "json"],
-     "0532bc43c419c2b3c4b8615f0b967a489613a2302b9582cc00794be5b6e3ded2"),
+     "a894f95ebd1149993c90dd7c443cca4a169e1df715d8a9e8f08babe112bb992b"),
 ])
 def test_type_a_sample_stream_is_pinned(argv, sha256):
     # type A draws no sign bits: its seeded output is fixed byte for byte
@@ -300,11 +300,11 @@ def test_type_a_sample_stream_is_pinned(argv, sha256):
 @pytest.mark.parametrize("threads", ["1", "2", "8"])
 @pytest.mark.parametrize("argv, sha256", [
     (["sample", "B100xG2", "-d", "5", "--samples", "5000", "--seed", "7", "--format", "json"],
-     "15ff68189bec77c6a88484decae9f137c896d893df11232496fd6890e171df9d"),
+     "ffe7a3e4202e6f8bb64b2708a512a326e96685c7da3266c1e740b6fa1fd48c4b"),
     (["sample", "D6", "-d", "3", "--samples", "4097", "--seed", "3", "--format", "json"],
-     "945e6bda9e5e44eccfad72bc9a17a3a5c046ba770c9e321c389585717c24961e"),
+     "3595eeaccae09b494095592eaee56ae13ae8c1ea6421fe045dd866ddb0b94fd5"),
     (["clt", "C8", "-d", "2", "--samples", "4000", "--seed", "11", "--format", "json"],
-     "4f74e5d79c4c6b7a56aa3221fa493bc9915021c38c99166ab7ab237d3b1955bc"),
+     "c21462ae6c2aee1f8bf318ffbed270d2bb5fd099e95bb5812fc70c408b14f7c7"),
 ])
 def test_signed_type_sample_stream_is_pinned(argv, sha256, threads):
     # signed keys read off each chunk's raw words: fixed byte for byte
@@ -458,9 +458,9 @@ _GOLDEN = [
         "csv": "95159f1049eae97ab8b5faf5d1b1bd1adaf124aea8fccc436a93a0ced3635bfb",
     }),
     (["clt", "A2xG2", "-d", "2", "--stat", "descents", "--samples", "500", "--seed", "3"], {
-        "human": "f0632f5ebbd723661ab3881fb11fdd63e7b4979878b67c06637491f468a6fcdb",
-        "json": "3b5ba27d28367b14cb0ba8813c722554c5bdf453aac0523b6491f00817578b2b",
-        "csv": "e8ece15721ee592d2fdcd7a9edf0e4664693505322aea8cac33cd235ab6c90f4",
+        "human": "8caa03c0f34d05dc653d1334b5d1e4a843b60e991abdfd0d07b019f19d8d3753",
+        "json": "96dbf078cf7ba3c6ed56a843c0063dea7569bfc3431bb725804b6f0269218951",
+        "csv": "e740ff02f6a7827d4dde4d317647c331430af01cfb61e2cc60ede1a21c678db6",
     }),
     (["depgraph", "G2xB3", "-d", "2"], {
         "human": "a7efccd6417c9fd17080d0129d7b182889427266d818e58ccdcc77b9e55a3cd5",

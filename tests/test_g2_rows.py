@@ -108,10 +108,10 @@ def _cli_sha256(*argv):
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("argv, sha256", [
     (["sample", "A3xG2", "-d", "2", "--samples", "9001", "--seed", "5", "--format", "json"],
-     "58dda507c5b32289893745aa6dbad52d9c130c7856c4cf1f7590de5ac5b18e4f"),
+     "435b4b88120b2465675508574bf78cd95a6c5d42f7a4b85857b5fb9199813fc8"),
     (["clt", "G2xA40", "-d", "2", "--stat", "descents", "--samples", "20000", "--seed", "3",
       "--format", "json"],
-     "9ec887f73ed2c3ca7ea098fe11f775c3d36e7ab41abbf349e7b8aeebbc473af2"),
+     "95b28557a291ec32a7be1f226ead78733b6e85eb1e794db278512e2ec3ef327c"),
 ])
 def test_g2_sample_stream_is_pinned(argv, sha256, threads):
     # one table index per sample from each chunk's stream: fixed byte for byte

@@ -236,43 +236,63 @@ def test_refined_keys_keep_strict_comparisons_and_break_ties(dim, signed):
     assert (refined == np.where(rows < 0, -magnitude, magnitude)).all()
 
 
-def _stream_words(seed, n):
-    """The first ``n`` 32-bit words of the raw stream of ``default_rng(seed)``."""
-    words = np.random.default_rng(seed).bit_generator.random_raw(-(-n // 2))
-    return words.astype("<u8").view("<u4")[:n].astype(np.uint32)
+def _stream_words(seed, n, bits=32):
+    """The first ``n`` ``bits``-wide words of the raw stream of ``default_rng(seed)``."""
+    per_raw = 64 // bits
+    words = np.random.default_rng(seed).bit_generator.random_raw(-(-n // per_raw))
+    return words.astype("<u8").view(f"<u{bits // 8}")[:n].astype(f"u{bits // 8}")
 
 
 def test_random_keys_drawn_in_pieces_continue_one_word_sequence():
-    m, dim = 701, 61  # 21,381 words: two full pieces and part of a third
-    assert m * dim // 2 > 2 * stats.RAW_PIECE_WORDS
-    words = _stream_words(3, m * dim)
-    a = stats._draw_rows(np.random.default_rng(3), "A", dim - 1, m)
-    b = stats._draw_rows(np.random.default_rng(3), "B", dim, m)
-    assert (a.T.reshape(-1) == (words >> 1).view(np.int32)).all()
-    assert (b.T.reshape(-1) == (words | 1).view(np.int32)).all()
+    m, dim = 1401, 61  # 85,461 keys: more than two pieces of raw words at either width
+    assert m * dim // 4 > 2 * stats.RAW_PIECE_WORDS
+    for bits, signed in ((16, np.int16), (32, np.int32)):
+        words = _stream_words(3, m * dim, bits)
+        a = stats._draw_rows(np.random.default_rng(3), "A", dim - 1, m, bits=bits)
+        b = stats._draw_rows(np.random.default_rng(3), "B", dim, m, bits=bits)
+        assert (a.T.reshape(-1) == (words if bits == 16 else (words >> 1).view(np.int32))).all()
+        assert (b.T.reshape(-1) == (words | 1).view(signed)).all()
 
 
 def test_mc_run_workspace_matches_throwaway_buffers(systems):
-    # one workspace serves components of different dimensions in turn; the
-    # values equal those of the helpers run with fresh buffers every call
-    rs = systems("B40xA3xD5")
+    # one workspace serves components of different dimensions and key widths
+    # in turn; the values equal those of the helpers run with fresh buffers
+    # every call, flagged rows recounted once per chunk and component
+    rs = systems("B200xA3xD5")
     psi = rs.roots_up_to_height(3)
+    parts = []
+    for ci, comp in enumerate(rs.spec.components):
+        runs = stats._diagonal_runs([r for r in psi if r.component == ci])
+        parts.append((comp, runs, stats._key_bits(comp.family, comp.dimension, runs)))
+    assert {bits for _, _, bits in parts} == {16, 32}
+    block = stats._block_samples(max(comp.dimension for comp, _, _ in parts))
+    assert stats.CHUNK_SAMPLES % block == 0 and block < stats.CHUNK_SAMPLES
     n = stats.CHUNK_SAMPLES + 700
-    values = []
+    values, refined = [], 0
     for c in range(2):
         rng = np.random.default_rng(weyl.derived_seed(29, c))
         m = min(stats.CHUNK_SAMPLES, n - c * stats.CHUNK_SAMPLES)
-        for lo in range(0, m, stats.BLOCK_SAMPLES):
-            block = np.zeros(min(stats.BLOCK_SAMPLES, m - lo), dtype=np.int64)
-            for ci, comp in enumerate(rs.spec.components):
-                runs = stats._diagonal_runs([r for r in psi if r.component == ci])
-                block += stats._count_rows(stats._draw_rows(rng, comp.family, comp.rank, len(block)), runs)
-            values += block.tolist()
+        chunk = np.zeros(m, dtype=np.int64)
+        flagged = [[] for _ in parts]
+        for lo in range(0, m, block):
+            for (comp, runs, bits), found in zip(parts, flagged):
+                rows = stats._draw_rows(rng, comp.family, comp.rank, min(block, m - lo), bits=bits)
+                tied = np.zeros(len(rows), dtype=bool)
+                chunk[lo : lo + len(rows)] += stats._count_rows(rows, runs, tied=tied)
+                found += [(lo + i, rows[i].copy()) for i in np.flatnonzero(tied)]
+        for (_, runs, _), found in zip(parts, flagged):
+            if found:
+                idx = np.array([i for i, _ in found])
+                rows = np.array([row for _, row in found])
+                chunk[idx] += stats._count_rows(stats._refined_keys(rng, rows), runs) - stats._count_rows(rows, runs)
+                refined += len(found)
+        values += chunk.tolist()
+    assert refined > 0
     assert stats.mc_run(rs, psi, n, seed=29).values == values
 
 
 def test_random_keys_are_31_bit_and_nonnegative():
-    keys = stats._draw_rows(np.random.default_rng(5), "A", 6, 64)
+    keys = stats._draw_rows(np.random.default_rng(5), "A", 6, 64, bits=32)
     assert keys.shape == (64, 7) and keys.dtype == np.int32
     assert keys.min() >= 0 and keys.max() < 2**31
 
@@ -308,9 +328,13 @@ def test_signed_blocks_are_coordinate_major(fam, rank):
 
 
 def test_type_a_blocks_are_the_coordinate_major_keys():
-    rows = stats._draw_rows(np.random.default_rng(12), "A", 6, 700)
-    assert rows.T.flags.c_contiguous
-    assert (rows.T == (_stream_words(12, 7 * 700) >> 1).view(np.int32).reshape(7, 700)).all()
+    # 16-bit keys are whole uint16 words, 32-bit keys are 31-bit int32 words
+    for bits, dtype in ((16, np.uint16), (32, np.int32)):
+        rows = stats._draw_rows(np.random.default_rng(12), "A", 6, 700, bits=bits)
+        assert rows.T.flags.c_contiguous and rows.dtype == dtype
+        words = _stream_words(12, 7 * 700, bits)
+        keys = words if bits == 16 else (words >> 1).view(np.int32)
+        assert (rows.T == keys.reshape(7, 700)).all()
 
 
 @pytest.mark.parametrize("fam, rank, dim", [
@@ -323,36 +347,34 @@ def test_every_sampled_block_is_coordinate_major(fam, rank, dim):
         assert rows.shape == (m, dim) and rows.T.flags.c_contiguous
 
 
-def _coarse_words(monkeypatch):
-    """Make the raw words give keys of four magnitudes, so most rows hold ties.
+def _coarse_words(monkeypatch, bits=32):
+    """Make every component draw ``bits``-wide keys of four magnitudes, so most rows hold ties.
 
-    Each word is read as the signed key ``word | 1`` gives; its magnitude
-    becomes 1, 3, 5 or 7 from its top two bits, and its sign is kept.  The
-    magnitudes keep one law on either sign, so an exact sampler still draws
-    uniform elements.  Clearing low bits of the word before ``| 1`` would
-    not: the two signs would get different magnitude grids.
+    Each ``bits``-wide word of the raw stream is read as the signed key
+    ``word | 1`` gives; its magnitude becomes 1, 3, 5 or 7 from its top two
+    bits, and its sign is kept.  The magnitudes keep one law on either sign,
+    so an exact sampler still draws uniform elements.  Clearing low bits of
+    the word before ``| 1`` would not: the two signs would get different
+    magnitude grids.  The key width is pinned, because the words are coarse
+    only when read at that width.
     """
     raw_words = stats._raw_words
+    signed, unsigned = f"<i{bits // 8}", f"<u{bits // 8}"
 
     def coarse(rng, n):
-        keys = (raw_words(rng, n).view("<u4").astype(np.uint32) | 1).view(np.int32)
-        magnitude = (np.abs(keys) >> 29) * 2 + 1
-        return np.where(keys < 0, -magnitude, magnitude).astype("<i4").view("<u8")
+        keys = (raw_words(rng, n).view(unsigned) | 1).view(signed)
+        magnitude = (np.abs(keys.astype(np.int64)) >> (bits - 3)) * 2 + 1
+        return np.where(keys < 0, -magnitude, magnitude).astype(signed).view("<u8")
 
     monkeypatch.setattr(stats, "_raw_words", coarse)
+    monkeypatch.setattr(stats, "_key_bits", lambda fam, dim, runs: bits)
 
 
 FORCED_TIE_SAMPLES = 32768
+FORCED_TIE_SPECS = ["A4", "B3", "C4", "D4", "D5", "B2xG2", "A3xB3"]
 
 
-@pytest.mark.parametrize("refine", [True, False])
-@pytest.mark.parametrize("spec", ["A4", "B3", "C4", "D4", "D5", "B2xG2", "A3xB3"])
-def test_mc_law_is_exact_under_forced_ties(systems, monkeypatch, spec, refine):
-    # with the ties left as drawn, the chi-square test must reject: it has power
-    _coarse_words(monkeypatch)
-    if not refine:
-        monkeypatch.setattr(stats, "_refined_keys", lambda rng, rows: rows)
-    rs = systems(spec)
+def _check_law_under_forced_ties(rs, refine):
     n = FORCED_TIE_SAMPLES
     for statistic, d in (("descents", 1), ("inversions", 2)):
         psi = stats.statistic_roots(rs, statistic, d)
@@ -362,6 +384,27 @@ def test_mc_law_is_exact_under_forced_ties(systems, monkeypatch, spec, refine):
             observed[v] = observed.get(v, 0) + 1
         p = _chi2_pvalue(observed, stats.exact_distribution(rs, psi), n)
         assert (p > 1e-6) == refine, (statistic, p)
+
+
+@pytest.mark.parametrize("refine", [True, False])
+@pytest.mark.parametrize("spec", FORCED_TIE_SPECS)
+def test_mc_law_is_exact_under_forced_ties(systems, monkeypatch, spec, refine):
+    # with the ties left as drawn, the chi-square test must reject: it has power
+    _coarse_words(monkeypatch)
+    if not refine:
+        monkeypatch.setattr(stats, "_refined_keys", lambda rng, rows: rows)
+    _check_law_under_forced_ties(systems(spec), refine)
+
+
+@pytest.mark.parametrize("refine", [True, False])
+@pytest.mark.parametrize("spec", FORCED_TIE_SPECS)
+def test_mc_law_is_exact_under_forced_ties_at_16_bits(systems, monkeypatch, spec, refine):
+    # every component draws 16-bit keys (type A unsigned, B/C/D signed) of
+    # four magnitudes; refined, the law is exact, and unrefined it is not
+    _coarse_words(monkeypatch, 16)
+    if not refine:
+        monkeypatch.setattr(stats, "_refined_keys", lambda rng, rows: rows)
+    _check_law_under_forced_ties(systems(spec), refine)
 
 
 @pytest.mark.parametrize("product, alone", [("A2xB300", "A2"), ("G2xA5xD4", "A5")])
@@ -390,6 +433,28 @@ def test_sample_stream_across_chunk_boundaries_and_threads(systems, k):
     full = n0 - stats.CHUNK_SAMPLES  # samples in complete chunks shared by all three
     assert runs[n0 + 1][:n0] == runs[n0]
     assert runs[n0 - 1][:full] == runs[n0][:full]
+
+
+def test_blocks_above_512_rows_are_thread_invariant(systems, monkeypatch):
+    # a narrow product: blocks of 3584 rows, so every chunk ends in a partial
+    # block, and the last chunk is partial too
+    rs = systems("B70xG2")
+    psi = rs.roots_up_to_height(4)
+    assert stats._block_samples(70) == 3584
+    calls = []
+    for name in ("_block_samples", "_key_bits"):
+        fn = getattr(stats, name)
+        monkeypatch.setattr(stats, name, lambda *a, fn=fn, name=name: calls.append((name, a, fn(*a))) or fn(*a))
+    n = 3 * stats.CHUNK_SAMPLES + 700
+    runs = [stats.mc_run(rs, psi, n, seed=17, threads=t).values for t in (1, 2, 3)]
+    assert len(runs[0]) == n and runs[0] == runs[1] == runs[2]
+    # the block size and the key widths read only the spec and Psi: other
+    # sample counts, seeds and thread counts get the same calls and results
+    stats.mc_run(rs, psi, 5, seed=3, threads=2)
+    per_run = [calls[k : k + 3] for k in range(0, len(calls), 3)]
+    assert len(per_run) == 4 and all(c == per_run[0] for c in per_run)
+    assert [name for name, _, _ in per_run[0]] == ["_key_bits", "_key_bits", "_block_samples"]
+    assert per_run[0][-1] == ("_block_samples", (70,), 3584)
 
 
 @pytest.mark.parametrize("spec, d, stat, seed", [
