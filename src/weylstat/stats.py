@@ -555,7 +555,7 @@ def _key_bits(fam: str, dim: int, runs) -> int:
     is the sign), so a chunk flags about ``ties`` rows.  Each flagged entry is
     refined at :data:`_REFINED_ENTRY_COST`, and a chunk with a flagged row
     recounts every run at :data:`_RECOUNT_RUN_COST` each.  16 bits are taken
-    when that price is below the saving.  G2 draws no keys.
+    when that price is below the saving.  G2 draws no keys, so its width is unused.
     """
     pairs = sum(hi - lo + 1 for form, _, lo, hi in runs if form != "O")
     ties = CHUNK_SAMPLES * pairs / (1 << (16 if fam == "A" else 15))
