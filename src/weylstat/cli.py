@@ -24,6 +24,8 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
+
 # clt, depgraph and formulas are imported by the handlers that use them, so a
 # command compiles and runs only the modules it needs.
 from . import stats
@@ -31,7 +33,10 @@ from .errors import WeylstatError
 from .rootsys import DEFAULT_CAP, build, parse_spec
 
 MAX_THREADS = 64
-# A sample run holds one Python int per sample: 10**7 values take ~80 MB of list.
+# A sample run holds its values in one array of 1, 2 or 8 bytes per sample,
+# and counting them casts it to 8-byte ints for a moment.  At 10**7 samples
+# `sample B100xG2 -d 5` peaks at about 130 MB (human) and 260 MB (json); csv
+# also builds a row of Python ints per sample, about 120 MB per 10**6 samples.
 MAX_SAMPLES = 10**7
 
 
@@ -56,13 +61,24 @@ def _json_text(obj) -> str:
     the same text: a non-empty list of plain ints is re-indented from its
     ``repr``, dicts with ``str`` keys and other non-empty lists and tuples
     recurse, and every other value goes through ``json.dumps`` and is
-    re-indented.
+    re-indented.  A 1-D integer array is written as ``json.dumps`` writes
+    its ``tolist()``, from a table of each distinct value's text.
     """
     return _json_value(obj, "") + "\n"
 
 
 def _json_value(obj, pad: str) -> str:
     inner = pad + " "
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu":
+        lo, hi = (int(obj.min()), int(obj.max())) if len(obj) else (0, 0)
+        if hi - lo < len(obj) and np.can_cast(obj.dtype, np.intp):
+            # One NUL-padded record "<value>,<newline><indent>" per value in
+            # lo..hi, gathered in sample order; the padding is then dropped.
+            sep = ",\n" + inner
+            table = np.array([f"{v}{sep}".encode() for v in range(lo, hi + 1)])
+            body = table[np.subtract(obj, lo, dtype=np.intp)].tobytes().replace(b"\0", b"")
+            return "[\n" + inner + body[: -len(sep)].decode() + "\n" + pad + "]"
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) == {int}:
             # The repr of a list of ints, "[1, 2]", is written in C; only the
@@ -288,7 +304,11 @@ def _cmd_sample(args):
         rows = [("index", "value")] + [(i, v) for i, v in enumerate(run.values)]
         return _csv_text(rows)
     if args.format == "json":
-        return _json_text(run.to_json_dict(include_values=not args.no_values))
+        doc = run.to_json_dict(include_values=False)
+        if not args.no_values:  # the array, in the key order of to_json_dict
+            moments = doc.pop("moments")
+            doc.update(values=run.samples, moments=moments)
+        return _json_text(doc)
     return (
         f"{run.n_samples} samples, seed {run.seed}: mean {run.sample_mean}"
         f" (= {float(run.sample_mean):.6f}),"

@@ -51,9 +51,9 @@ drawn in pieces small enough for the allocator's heap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import itertools
 import math
 import threading
@@ -96,17 +96,27 @@ class WPartitionCounts:
 
 @dataclass
 class SampleRun:
-    """A seeded Monte Carlo record with exact sample moments."""
+    """A seeded Monte Carlo record with exact sample moments.
+
+    ``samples`` is the one integer array the sampler fills, in draw order;
+    ``values`` is the same values as a list of Python ints, built on first
+    read and cached.  Equality and the repr leave the array out.
+    """
 
     spec: str
     descriptor: dict
     seed: int
     n_samples: int
-    values: list[int]
+    samples: np.ndarray = field(repr=False, compare=False)
     sample_mean: Fraction
     sample_variance: Fraction
 
+    @cached_property
+    def values(self) -> list[int]:
+        return self.samples.tolist()
+
     def to_json_dict(self, include_values: bool = True) -> dict:
+        """Plain JSON types: ``values`` is the list, not the array."""
         out = {
             "spec": self.spec,
             "psi": self.descriptor,
@@ -316,6 +326,11 @@ def _diagonal_runs(roots) -> tuple[tuple[str, int, int, int], ...]:
     return tuple(tuple(run) for run in runs)
 
 
+def _value_dtype(largest: int):
+    """The smallest of uint8, uint16 and int64 that holds ``0..largest``."""
+    return np.uint8 if largest <= 0xFF else np.uint16 if largest <= 0xFFFF else np.int64
+
+
 def _count_rows(
     rows: np.ndarray, runs, ws: _Workspace | None = None, weights=None, tied: np.ndarray | None = None
 ) -> np.ndarray:
@@ -343,7 +358,7 @@ def _count_rows(
     weights = [1] * len(runs) if weights is None else weights
     cols = rows.T
     total = sum((hi - lo + 1) * w for (_, _, lo, hi), w in zip(runs, weights))
-    acc = np.uint8 if total <= 0xFF else np.uint16 if total <= 0xFFFF else np.int64
+    acc = _value_dtype(total)
     vals = np.zeros(cols.shape[1], dtype=acc)
     shape = (max((hi - lo + 1 for _, _, lo, hi in runs), default=0), cols.shape[1])
     neg_buf = ws.take("neg", shape, bool)
@@ -382,7 +397,7 @@ def _map_ordered(fn, items, threads: int) -> list:
 
     ``ws`` is the :class:`_Workspace` of the thread that makes the call,
     created by its first call and reused by every later one.  ``mc_run`` is
-    the one caller: it keeps every chunk's result, so the pool holds them all.
+    the one caller; its chunks write their values into one shared array.
     """
     global ThreadPoolExecutor
     if threads <= 1:
@@ -641,6 +656,8 @@ def mc_run(
 
     Draw ``i`` of chunk ``c`` is independent of every other draw; the stream
     of chunk ``c`` is ``numpy.random.default_rng(derived_seed(seed, c))``.
+    Each chunk counts in int64 and writes its values into its slice of one
+    array, of the smallest dtype that holds ``len(psi)`` (``_value_dtype``).
     """
     if n_samples < 1:
         raise WeylstatError("n_samples must be positive")
@@ -653,8 +670,9 @@ def mc_run(
         parts.append((comp, runs, _key_bits(comp.family, comp.dimension, runs)))
     block = _block_samples(max((comp.dimension for comp, _, _ in parts), default=1))
     n_chunks = (n_samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
+    values = np.empty(n_samples, dtype=_value_dtype(len(ids)))
 
-    def run_chunk(c: int, ws: _Workspace) -> np.ndarray:
+    def run_chunk(c: int, ws: _Workspace) -> None:
         m = min(CHUNK_SAMPLES, n_samples - c * CHUNK_SAMPLES)
         rng = np.random.default_rng(derived_seed(seed, c))
         vals = np.zeros(m, dtype=np.int64)
@@ -677,9 +695,9 @@ def mc_run(
             if found:
                 idx, rows, old = (np.concatenate(x) for x in zip(*found))
                 vals[idx] += _count_rows(_refined_keys(rng, rows), runs, ws) - old
-        return vals
+        values[c * CHUNK_SAMPLES : c * CHUNK_SAMPLES + m] = vals
 
-    values = np.concatenate(_map_ordered(run_chunk, range(n_chunks), threads))
+    _map_ordered(run_chunk, range(n_chunks), threads)
     # Moments from the histogram in Python ints: exact, with no int64 overflow.
     n, mean, variance = _moments(dict(enumerate(np.bincount(values).tolist())))
     variance = Fraction(0) if n == 1 else variance * n / (n - 1)  # the sample variance
@@ -690,7 +708,7 @@ def mc_run(
         descriptor=descriptor,
         seed=seed,
         n_samples=n_samples,
-        values=values.tolist(),
+        samples=values,
         sample_mean=mean,
         sample_variance=variance,
     )
@@ -700,20 +718,25 @@ def bootstrap_variance_se(run: SampleRun, resamples: int = BOOTSTRAP_RESAMPLES) 
     """Bootstrap standard error of the sample variance (seed-derived stream).
 
     ``resamples`` must be at least 2: the error is the spread (``ddof=1``) of
-    the resampled variances.
+    the resampled variances.  Resampling ``n`` values with replacement gives
+    each distinct value a multinomial count, so each resample is drawn as
+    ``multinomial(n, counts / n)`` over the run's atoms (the same law, at
+    O(atoms) per resample instead of O(n)).  Its variance is evaluated in
+    floats on the atoms centred at the sample mean, which keeps the sums of
+    squares far from overflow and cancellation.
     """
     if resamples < 2:
         raise WeylstatError(f"resamples must be at least 2, got {resamples}")
-    rng = np.random.default_rng(derived_seed(run.seed, "bootstrap"))
-    values = np.array(run.values, dtype=np.float64)
-    n = len(values)
+    n = run.n_samples
     if n == 1:  # mc_run defines the sample variance of one sample as 0, so it does not vary
         return 0.0
-    stats = np.empty(resamples)
-    for b in range(resamples):
-        idx = rng.integers(0, n, size=n)
-        stats[b] = values[idx].var(ddof=1)
-    return float(stats.std(ddof=1))
+    rng = np.random.default_rng(derived_seed(run.seed, "bootstrap"))
+    counts = np.bincount(run.samples)
+    atoms = np.flatnonzero(counts)
+    draws = rng.multinomial(n, counts[atoms] / n, size=resamples)
+    centred = atoms - float(run.sample_mean)
+    variances = (draws @ centred**2 - (draws @ centred) ** 2 / n) / (n - 1)
+    return float(variances.std(ddof=1))
 
 
 # -- serialization --------------------------------------------------------------------

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -352,6 +353,43 @@ _json_trees = st.recursive(
 @given(obj=_json_trees)
 def test_json_text_matches_json_dumps(obj):
     assert cli._json_text(obj) == json.dumps(obj, indent=1) + "\n"
+
+
+@st.composite
+def _int_arrays(draw, size=st.integers(0, 30)):
+    """1-D integer arrays whose values span 0, a few, a few hundred or all of the dtype's range."""
+    dtype = np.dtype(draw(st.sampled_from(["int8", "int16", "int32", "int64", "uint8", "uint16"])))
+    info = np.iinfo(dtype)
+    lo = draw(st.integers(info.min, info.max) | st.integers(max(info.min, -3), 3))
+    span = draw(st.sampled_from([0, 3, 300, int(info.max) - int(info.min)]))
+    hi = min(int(info.max), lo + span)
+    n = draw(size)
+    return np.array(draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n)), dtype=dtype)
+
+
+def _plain(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, list):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    return obj
+
+
+_array_trees = st.recursive(
+    _int_arrays() | st.integers(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_array_trees, length_one=_int_arrays(size=st.just(1)))
+def test_json_text_of_integer_arrays_matches_json_dumps_of_their_lists(tree, length_one):
+    # at depth 2 or more, and beside a one-value array
+    obj = {"spec": "A1", "runs": [tree, {"values": length_one}]}
+    assert cli._json_text(obj) == json.dumps(_plain(obj), indent=1) + "\n"
 
 
 @pytest.mark.parametrize("argv", [

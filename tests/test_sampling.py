@@ -11,6 +11,10 @@ from hypothesis import strategies as st
 from weylstat import clt, stats, weyl
 from weylstat.rootsys import Root
 
+# A degrees-of-freedom or overflow warning from the kernel or the moments is
+# a failure.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _component_rows(rs, ci, elements):
     """One-line signed rows of component ``ci`` for each element."""
@@ -472,5 +476,6 @@ def test_atom_ks_bit_identical_to_per_point_ks(systems, spec, d, stat, seed):
     run = stats.mc_run(rs, psi, 9_000, seed=seed)
     per_point = clt.ks_distance(clt.standardize(run, mean, var))
     assert clt._ks_over_atoms(run.values, mean, var) == per_point
+    assert clt._ks_over_atoms(run.samples, mean, var) == per_point
     report = clt.clt_report(rs, d, stat, 9_000, seed=seed)
     assert report.ks == per_point

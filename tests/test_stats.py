@@ -11,6 +11,10 @@ import weylstat as ws
 from weylstat import stats, weyl
 from weylstat.rootsys import Root
 
+# A degrees-of-freedom or overflow warning from the moments or the bootstrap
+# is a failure.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_single_root_distribution_half_half(systems):
     for spec, root in (
@@ -176,6 +180,19 @@ def test_samplerun_serialization_round_trip(systems):
     assert data["moments"]["mean"] == str(run.sample_mean)
     compact = run.to_json_dict(include_values=False)
     assert "values" not in compact
+
+
+def test_samplerun_values_are_the_array_as_python_ints(systems):
+    rs = systems("B4xG2")
+    run = stats.mc_run(rs, rs.roots_up_to_height(3), 5000, seed=6)
+    assert isinstance(run.samples, np.ndarray) and run.samples.shape == (5000,)
+    assert type(run.values) is list and {type(v) for v in run.values} == {int}
+    assert run.values == run.samples.tolist() and run.values is run.values  # built once
+    data = json.loads(json.dumps(run.to_json_dict()))
+    assert data == run.to_json_dict()
+    assert list(data) == ["spec", "psi", "seed", "n", "values", "moments"]
+    assert ", samples=" not in repr(run) and "array(" not in repr(run)
+    assert run == stats.mc_run(rs, rs.roots_up_to_height(3), 5000, seed=6, threads=2)
 
 
 def test_histogram_serialization(systems):
@@ -424,6 +441,28 @@ def test_bootstrap_se_needs_two_resamples(systems, resamples):
         with pytest.raises(ws.WeylstatError, match="resamples must be at least 2"):
             stats.bootstrap_variance_se(run, resamples=resamples)
         assert stats.bootstrap_variance_se(run, resamples=2) >= 0
+
+
+def test_bootstrap_se_of_one_atom_is_zero(systems):
+    rs = systems("A3")
+    run = stats.mc_run(rs, [], 1000, seed=4)
+    assert set(run.values) == {0}
+    assert stats.bootstrap_variance_se(run) == 0.0
+
+
+def test_bootstrap_se_matches_the_closed_form_of_the_run_law(systems):
+    # The bootstrap resamples the run's own law: the SE of the sample
+    # variance of n draws from it is sqrt((mu4 - sigma^4 (n-3)/(n-1)) / n).
+    rs = systems("B6")
+    run = stats.mc_run(rs, rs.roots_up_to_height(3), 10**5, seed=12)
+    n = run.n_samples
+    hist = dict(enumerate(np.bincount(run.samples).tolist()))
+    mean = F(sum(v * c for v, c in hist.items()), n)
+    m2 = F(sum((v - mean) ** 2 * c for v, c in hist.items()), n)
+    m4 = F(sum((v - mean) ** 4 * c for v, c in hist.items()), n)
+    closed = math.sqrt((m4 - m2**2 * F(n - 3, n - 1)) / n)
+    se = stats.bootstrap_variance_se(run, resamples=4000)
+    assert abs(se / closed - 1) < 0.05, (se, closed)
 
 
 def test_bootstrap_se_of_one_sample_is_zero(systems):
