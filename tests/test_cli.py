@@ -357,10 +357,12 @@ def test_json_text_matches_json_dumps(obj):
 
 @st.composite
 def _int_arrays(draw, size=st.integers(0, 30)):
-    """1-D integer arrays whose values span 0, a few, a few hundred or all of the dtype's range."""
-    dtype = np.dtype(draw(st.sampled_from(["int8", "int16", "int32", "int64", "uint8", "uint16"])))
+    """1-D integer arrays whose values span 0, a few, a few hundred or all of the dtype's range,
+    from anywhere in it, its ends included."""
+    dtype = np.dtype(draw(st.sampled_from(["int8", "int16", "int32", "int64", "uint8", "uint16", "uint64"])))
     info = np.iinfo(dtype)
-    lo = draw(st.integers(info.min, info.max) | st.integers(max(info.min, -3), 3))
+    edges = st.sampled_from([int(info.min), int(info.max) - 3])
+    lo = draw(st.integers(info.min, info.max) | st.integers(max(info.min, -3), 3) | edges)
     span = draw(st.sampled_from([0, 3, 300, int(info.max) - int(info.min)]))
     hi = min(int(info.max), lo + span)
     n = draw(size)
