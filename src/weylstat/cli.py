@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -301,8 +302,7 @@ def _cmd_sample(args):
         rs, psi, args.samples, args.seed, threads=args.threads, descriptor=descriptor
     )
     if args.format == "csv":
-        rows = [("index", "value")] + [(i, v) for i, v in enumerate(run.values)]
-        return _csv_text(rows)
+        return _csv_text(itertools.chain([("index", "value")], enumerate(run.samples.tolist())))
     if args.format == "json":
         doc = run.to_json_dict(include_values=False)
         if not args.no_values:  # the array, in the key order of to_json_dict

@@ -28,12 +28,15 @@ equal ``j - i``, ``P`` roots with equal ``i + j``) share a height, so they
 hold consecutive ids with consecutive ``i``; each ``O`` and ``G`` root is a
 diagonal of its own.  A catalog stores only these runs, whose number grows
 with the rank, and derives ids, heights, norms and cover parents from them
-by arithmetic.
+by arithmetic.  Cover parents follow from one table of rules, affine maps of
+a child's ``(i, j)``; validation checks each rule on each run, allocating
+nothing per root, and no part of the catalog needs numpy.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import operator
 import re
@@ -41,8 +44,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import InternalConsistencyError, InvalidSpecError, StaleRootError, TooLargeError
 
@@ -272,7 +273,7 @@ class RootSystem:
     @cached_property
     def heights(self) -> tuple[int, ...]:
         """Height of every root, by catalog id."""
-        return tuple(self._height_array().tolist())
+        return tuple(itertools.chain.from_iterable([r.height] * r.length for r in self._runs))
 
     @cached_property
     def height_index(self) -> dict[int, tuple[int, ...]]:
@@ -285,34 +286,59 @@ class RootSystem:
     @cached_property
     def _parent_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """``_parent_edges[k]`` lists (parent_id, simple_id) with root_k - simple = parent."""
-        child, parent, simple = self._cover_arrays()
-        pairs = list(zip(parent.tolist(), simple.tolist()))
-        bounds = np.searchsorted(child, np.arange(self._size + 1)).tolist()
-        return tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:]))
+        out: list[tuple[tuple[int, int], ...]] = []
+        for run, pieces in self._cover_pieces():
+            # between consecutive piece ends one set of rules applies, in rule order
+            ends = {run.first_i, run.first_i + run.length}.union(*(p[:2] for p in pieces))
+            for a, b in itertools.pairwise(sorted(ends)):
+                edges = [zip(_ids(p, a - lo, b - lo), _ids(s, a - lo, b - lo))
+                         for lo, stop, p, s in pieces if lo <= a < stop]
+                out += zip(*edges) if edges else [()] * (b - a)
+        return tuple(out)
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Every cover (parent_id, child_id), sorted."""
-        child, parent, _ = self._cover_arrays()
-        order = np.lexsort((child, parent))
-        return tuple(zip(parent[order].tolist(), child[order].tolist()))
+        size, keys = self._size, []
+        for run, pieces in self._cover_pieces():
+            for lo, stop, (_, parent, step), _ in pieces:
+                key = parent * size + run.first_id + lo - run.first_i  # affine in i
+                keys += range(key, key + (step * size + 1) * (stop - lo), step * size + 1)
+        keys.sort()
+        # a list first: the garbage collector retraces a tuple grown from an iterator
+        return tuple(list(map(divmod, keys, itertools.repeat(size))))
 
-    def _height_array(self) -> np.ndarray:
-        return np.repeat(
-            np.array([r.height for r in self._runs], dtype=np.int64),
-            [r.length for r in self._runs],
-        )
-
-    def _cover_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(child, parent, simple) ids of every cover, by child, each child's parents in rule order."""
-        edges = [
-            edge
-            for ci, comp in enumerate(self.spec.components)
-            for edge in _cover_edges(comp.family, [r for r in self._runs if r.component == ci])
-        ]
-        child, parent, simple, rule = (np.concatenate(col) for col in zip(*edges))
-        order = np.lexsort((rule, child))
-        return child[order], parent[order], simple[order]
+    def _cover_pieces(self):
+        """Each run, in catalog order, with a piece ``[lo, stop, parent, simple]`` per rule
+        that covers its roots ``lo <= i < stop``: for their parents and for the simple
+        roots subtracted, (run holding them, id of the image of ``lo``, id step)."""
+        rules, run_of = [_rules(c.family) for c in self.spec.components], self._run_of
+        for run in self._runs:
+            d, first, last = run.diagonal, run.first_i, run.first_i + run.length - 1
+            pieces = []
+            for conds, *targets in rules[run.component].get(run.form, ()):
+                lo, hi = first, last
+                for slope, b, c in conds:  # slope * i + b * d + c >= 0
+                    rest = b * d + c
+                    if slope > 0:
+                        lo = max(lo, -(rest // slope))
+                    elif slope < 0:
+                        hi = min(hi, rest // -slope)
+                    elif rest < 0:
+                        hi = lo - 1
+                if lo > hi:
+                    continue
+                piece = [lo, hi + 1]
+                for form, (a, b, c), (e, f, g) in targets:  # both end images in one run
+                    image = run_of.get((run.component, form, e * lo + f * d + g))
+                    i0 = a * lo + b * d + c - image.first_i if image else -1  # offsets there;
+                    i1 = i0 + a * (hi - lo)  # the diagonal moves by e per root
+                    if e * (hi - lo) or not (0 <= i0 < image.length and 0 <= i1 < image.length):
+                        raise InternalConsistencyError(
+                            f"cover rule maps {run.form} diagonal {d} outside one {form} run")
+                    piece.append((image, image.first_id + i0, a))
+                pieces.append(piece)
+            yield run, pieces
 
     # -- geometry ----------------------------------------------------------
 
@@ -417,21 +443,24 @@ class RootSystem:
 
     def _validate(self):
         for ci, comp in enumerate(self.spec.components):
-            count = len(self.component_root_ids(ci))
-            expected = _positive_root_count(comp)
+            count, expected = len(self.component_root_ids(ci)), _positive_root_count(comp)
             if count != expected:
                 raise InternalConsistencyError(
-                    f"component {comp}: {count} roots, expected {expected}"
-                )
-        child, parent, simple = self._cover_arrays()
-        heights = self._height_array()
-        n_parents = np.bincount(child, minlength=self._size)
-        if np.any(n_parents[heights == 1]):
-            raise InternalConsistencyError("height-1 root with a cover parent")
-        orphans = np.flatnonzero((heights > 1) & (n_parents == 0))
-        if len(orphans):
-            raise InternalConsistencyError(f"root {self.root(orphans[0])} has no cover parent")
-        if np.any(heights[parent] != heights[child] - 1) or np.any(heights[simple] != 1):
+                    f"component {comp}: {count} roots, expected {expected}")
+        orphan, graded = None, True
+        for run, pieces in self._cover_pieces():
+            if run.height == 1 and pieces:
+                raise InternalConsistencyError("height-1 root with a cover parent")
+            reach = run.first_i if run.height > 1 else run.first_i + run.length  # first uncovered
+            for lo, stop, parent, simple in sorted(pieces):
+                if lo <= reach < stop:
+                    reach = stop
+                graded &= parent[0].height == run.height - 1 and simple[0].height == 1
+            if orphan is None and reach < run.first_i + run.length:
+                orphan = run.first_id + reach - run.first_i
+        if orphan is not None:
+            raise InternalConsistencyError(f"root {self.root(orphan)} has no cover parent")
+        if not graded:
             raise InternalConsistencyError("cover relation is not graded")
 
     # -- rendering -----------------------------------------------------------
@@ -569,83 +598,54 @@ def _partner(form: str, diag: int, i: int) -> int:
 # G2 covers as (child, parent, simple) table entries, each child's parents in order.
 _G2_COVERS = ((3, 2, 1), (3, 1, 2), (4, 3, 1), (5, 4, 1), (6, 5, 2))
 
+# Cover rules of the classical families: (families, child form, conditions, parent,
+# simple).  A rule subtracts a simple root from the children (form, i, j) with
+# a*i + b*j + c >= 0 for each condition (a, b, c); parent and simple are (form, i', j'),
+# a coordinate (a, b, c) being a*i + b*j + c.  On a run, the conditions bound i.
+_I, _J, _ONE, _TWO, _NIL = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 2), (0, 0, 0)
+_I_1, _I1, _J_1 = (1, 0, -1), (1, 0, 1), (0, 1, -1)  # i - 1, i + 1, j - 1
+_GAP, _I2, _I_LE1 = (-1, 1, -2), (1, 0, -2), (-1, 0, 1)  # i < j - 1, i >= 2, i <= 1
+_COVER_RULES = (
+    ("ABCD", "N", [_GAP], ("N", _I1, _J), ("N", _I, _I1)),  # N[i+1,j] + N[i,i+1]
+    ("ABCD", "N", [_GAP], ("N", _I, _J_1), ("N", _J_1, _J)),  # N[i,j-1] + N[j-1,j]
+    ("B", "O", [_I2], ("N", _ONE, _I), ("O", _ONE, _NIL)),  # N[1,i] + O[1]
+    ("B", "O", [_I2], ("O", _I_1, _NIL), ("N", _I_1, _I)),  # O[i-1] + N[i-1,i]
+    ("C", "O", [_I2], ("P", _I_1, _I), ("N", _I_1, _I)),  # P[i-1,i] + N[i-1,i]
+    ("BCD", "P", [_GAP], ("P", _I, _J_1), ("N", _J_1, _J)),  # P[i,j-1] + N[j-1,j]
+    ("C", "P", [(1, -1, 1)], ("O", _J_1, _NIL), ("N", _J_1, _J)),  # i = j - 1: O[j-1] + N[j-1,j]
+    ("BCD", "P", [_I2], ("P", _I_1, _J), ("N", _I_1, _I)),  # P[i-1,j] + N[i-1,i]
+    ("B", "P", [_I_LE1], ("O", _J, _NIL), ("O", _ONE, _NIL)),  # i = 1: O[j] + O[1]
+    ("C", "P", [_I_LE1], ("N", _ONE, _J), ("O", _ONE, _NIL)),  # i = 1: N[1,j] + O[1]
+    ("D", "P", [_I_LE1, (0, 1, -3)], ("N", _TWO, _J), ("P", _ONE, _TWO)),  # j > 2: N[2,j] + P[1,2]
+    ("D", "P", [_I2, (-1, 0, 2)], ("N", _ONE, _J), ("P", _ONE, _TWO)),  # i = 2: N[1,j] + P[1,2]
+)
 
-def _cover_edges(fam: str, runs) -> list[tuple[np.ndarray, ...]]:
-    """Cover edges of one component as (child, parent, simple, rule) id arrays.
 
-    Each classical rule subtracts one simple root from every root of one form
-    that meets its condition; ``rule`` numbers the rules of a form so that
-    sorting by it lists each root's parents in a fixed order.
-    """
-    if fam == "G2":
-        g = {r.first_i: r.first_id for r in runs}  # table entry -> catalog id
-        child, parent, simple = (np.array([g[k] for k in col]) for col in zip(*_G2_COVERS))
-        return [(child, parent, simple, np.arange(len(_G2_COVERS)))]
+def _rules(family: str) -> dict[str, list]:
+    """A family's cover rules by child form, with every map a map of ``(i, d)``."""
+    if family == "G2":  # entry c covers entry p, subtracting entry s
+        rules = [("G", [(1, 0, -c), (-1, 0, c)], ("G", (0, 0, p), _NIL), ("G", (0, 0, s), _NIL))
+                 for c, p, s in _G2_COVERS]
+    else:
+        rules = [rule[1:] for rule in _COVER_RULES if family in rule[0]]
+    out: dict[str, list] = {}
+    for form, conds, *targets in rules:
+        images = [(target, mi, tuple(map(_diagonal, [target] * 3, mi, mj)))
+                  for target, *maps in targets for mi, mj in [_on_run(form, maps)]]
+        out.setdefault(form, []).append([_on_run(form, conds), *images])
+    return out
 
-    tables = {}
-    for form in {r.form for r in runs}:
-        own = [r for r in runs if r.form == form]
-        table = np.zeros((3, max(r.diagonal for r in own) + 1), dtype=np.int64)
-        for r in own:
-            table[:, r.diagonal] = r.first_id, r.first_i, r.length
-        tables[form] = table
 
-    def arrays(form):
-        # (ids, i, j) of every root of one form
-        own = [r for r in runs if r.form == form]
-        lengths = [r.length for r in own]
-        offset = np.arange(sum(lengths)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        i = np.repeat([r.first_i for r in own], lengths) + offset
-        j = _partner(form, np.repeat([r.diagonal for r in own], lengths), i)
-        return np.repeat([r.first_id for r in own], lengths) + offset, i, j
+def _on_run(form: str, maps) -> list[tuple[int, int, int]]:
+    """Maps (a, b, c) of ``(i, j)`` as maps of ``(i, d)`` on a run of diagonal ``d``."""
+    sigma, t = _partner(form, 0, 1), int(form in "NP")  # there j = sigma * i + t * d
+    return [(a + b * sigma, b * t, c) for a, b, c in maps]
 
-    def locate(form, i, j=None):
-        # vectorised catalog id of (form, i, j); every located root must exist
-        first_id, first_i, length = tables[form]
-        diag = _diagonal(form, i, j)
-        d = np.clip(diag, 0, len(first_id) - 1)
-        offset = i - first_i[d]
-        if not np.all((d == diag) & (offset >= 0) & (offset < length[d])):
-            raise InternalConsistencyError(f"cover rule reaches a {form} root outside the catalog")
-        return first_id[d] + offset
 
-    edges = []
-
-    def add(rule, ids, mask, parent, simple):
-        (pform, *pargs), (sform, *sargs) = parent, simple
-        edges.append((
-            ids[mask],
-            locate(pform, *(a[mask] for a in pargs)),
-            locate(sform, *(a[mask] for a in sargs)),
-            np.full(int(np.count_nonzero(mask)), rule),
-        ))
-
-    ids, i, j = arrays("N")
-    add(0, ids, i + 1 < j, ("N", i + 1, j), ("N", i, i + 1))
-    add(1, ids, i + 1 < j, ("N", i, j - 1), ("N", j - 1, j))
-    if fam in ("B", "C"):
-        ids, i, _ = arrays("O")
-        one = np.ones_like(i)
-        if fam == "B":
-            add(0, ids, i > 1, ("N", one, i), ("O", one))
-            add(1, ids, i > 1, ("O", i - 1), ("N", i - 1, i))
-        else:
-            add(0, ids, i > 1, ("P", i - 1, i), ("N", i - 1, i))
-    if fam in ("B", "C", "D"):
-        ids, i, j = arrays("P")
-        one = np.ones_like(i)
-        add(0, ids, i < j - 1, ("P", i, j - 1), ("N", j - 1, j))
-        if fam == "C":  # i == j - 1: subtracting N[j-1,j] leaves the long root 2 e_{j-1}
-            add(0, ids, i == j - 1, ("O", j - 1), ("N", j - 1, j))
-        add(1, ids, i >= 2, ("P", i - 1, j), ("N", i - 1, i))
-        if fam == "B":
-            add(2, ids, i == 1, ("O", j), ("O", one))
-        elif fam == "C":
-            add(2, ids, i == 1, ("N", one, j), ("O", one))
-        else:
-            add(2, ids, (i == 1) & (j > 2), ("N", one + 1, j), ("P", one, one + 1))
-            add(3, ids, i == 2, ("N", one, j), ("P", one, one + 1))
-    return edges
+def _ids(image, a: int, b: int):
+    """Ids of the images of the roots ``a .. b - 1`` of a piece, counted from its start."""
+    _, first, step = image
+    return range(first + a * step, first + b * step, step) if step else (first,) * (b - a)
 
 
 def build(spec: FamilySpec | str, validate: bool = True) -> RootSystem:

@@ -21,7 +21,7 @@ G2 in table order.
 from __future__ import annotations
 
 import itertools
-import random  # annotations only; numpy has already loaded it
+import random  # annotations only, but typing.get_type_hints resolves them at run time
 import re
 from dataclasses import dataclass, field
 from operator import itemgetter, mul

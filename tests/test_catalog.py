@@ -208,3 +208,92 @@ def test_build_validates_the_cover_arrays(monkeypatch, covers, message):
     with pytest.raises(ws.InternalConsistencyError, match=message):
         ws.build("G2xA3")
     assert len(ws.build("G2xA3", validate=False)) == 12
+
+
+def _p_to_p_j_minus_1(rule):
+    """True for the rule P[i,j] -> P[i,j-1] (subtracting N[j-1,j])."""
+    return rule[1] == "P" and rule[3] == ("P", (1, 0, 0), (0, 1, -1))
+
+
+def _n_to_n_i_plus_1(rule):
+    """True for the rule N[i,j] -> N[i+1,j] (subtracting N[i,i+1])."""
+    return rule[1] == "N" and rule[3] == ("N", (1, 0, 1), (0, 1, 0))
+
+
+def _drop_n_rules(rule):
+    # either N rule alone leaves every N root its other parent
+    return None if rule[1] == "N" else rule
+
+
+def _drop_c_o_rule(rule):
+    # 2e_i -> P[i-1,i] is the only cover of O[i] in type C
+    return None if rule[:2] == ("C", "O") else rule
+
+
+def _shift_parent_along_its_diagonal(rule):
+    # P[i,j] -> P[i+1,j-2]: same diagonal, so the last root's image leaves the run
+    return (*rule[:3], ("P", (1, 0, 1), (0, 1, -2)), rule[4]) if _p_to_p_j_minus_1(rule) else rule
+
+
+def _parent_off_one_diagonal(rule):
+    # N[i,j] -> N[1,j]: the images of a run spread over several diagonals
+    return (*rule[:3], ("N", (0, 0, 1), (0, 1, 0)), rule[4]) if _n_to_n_i_plus_1(rule) else rule
+
+
+def _parent_stretched_along_its_diagonal(rule):
+    # N[i,j] -> N[2i,i+j-1]: right for i = 1, past the end of a longer run
+    return (*rule[:3], ("N", (2, 0, 0), (1, 1, -1)), rule[4]) if _n_to_n_i_plus_1(rule) else rule
+
+
+def _simple_shifted_along_its_diagonal(rule):
+    # N[j-1,j] -> N[j,j+1]: the images run backwards, and the first leaves the run
+    return (*rule[:4], ("N", (0, 1, 0), (0, 1, 1))) if _p_to_p_j_minus_1(rule) else rule
+
+
+def _subtract_a_root_of_height_two(rule):
+    # N[j-1,j] -> N[j-2,j]: a catalog root, but not a simple one
+    return (*rule[:4], ("N", (0, 1, -2), (0, 1, 0))) if _p_to_p_j_minus_1(rule) else rule
+
+
+def _widen_onto_height_one(rule):
+    # D: P[2,j] -> N[1,j] widened to i <= 2 reaches P[1,2], a simple root
+    if rule[:2] == ("D", "P") and rule[3] == ("N", (0, 0, 1), (0, 1, 0)):
+        return (*rule[:2], [(-1, 0, 2)], *rule[3:])
+    return rule
+
+
+@pytest.mark.parametrize(
+    "change, spec, message",
+    [
+        (_drop_n_rules, "A5", r"root Root\(component=0, form='N', i=1, j=3\) has no cover parent"),
+        (_drop_c_o_rule, "C4", r"form='O', i=2, j=0\) has no cover parent"),
+        (_shift_parent_along_its_diagonal, "B5", "P diagonal 4 outside one P run"),
+        (_shift_parent_along_its_diagonal, "D5", "P diagonal 4 outside one P run"),
+        (_parent_off_one_diagonal, "A5", "N diagonal 2 outside one N run"),
+        (_parent_stretched_along_its_diagonal, "A5", "N diagonal 2 outside one N run"),
+        (_simple_shifted_along_its_diagonal, "B5", "P diagonal 6 outside one N run"),
+        (_subtract_a_root_of_height_two, "C5", "not graded"),
+        (_widen_onto_height_one, "D4", "height-1 root"),
+    ],
+)
+def test_build_validates_the_classical_rules(monkeypatch, change, spec, message):
+    size = len(ws.build(spec))
+    rules = [change(rule) for rule in rootsys._COVER_RULES]
+    assert rules != list(rootsys._COVER_RULES)
+    monkeypatch.setattr(rootsys, "_COVER_RULES", tuple(r for r in rules if r is not None))
+    with pytest.raises(ws.InternalConsistencyError, match=message):
+        ws.build(spec)
+    assert len(ws.build(spec, validate=False)) == size
+
+
+@pytest.mark.parametrize("spec", ["A999", "B500"])
+def test_validation_allocates_nothing_per_root(spec):
+    # The numpy validator peaked at 96 MB on A999 and 48 MB on B500.
+    tracemalloc.start()
+    try:
+        rs = ws.build(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert not {"roots", "heights", "covers", "_parent_edges"} & set(vars(rs))

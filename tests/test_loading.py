@@ -117,3 +117,17 @@ def test_every_annotation_resolves():
                     typing.get_type_hints(member)
                     checked += 1
     assert checked > 200
+
+
+def test_the_catalog_and_the_object_model_run_without_numpy():
+    code = (
+        "import sys\nfrom fractions import Fraction\n"
+        "import weylstat\nfrom weylstat import formulas\n"
+        "rs = weylstat.build('B5xG2')\nw0 = weylstat.longest_element(rs)\n"
+        "for w in weylstat.enumerate_elements(rs):\n"
+        "    weylstat.inversion_set(w)\n    weylstat.compose(w, w0)\n"
+        "q = formulas.VarianceQuery('A', 5, 2, 'descents')\n"
+        "assert formulas.var_descents(q) == Fraction(7, 12)\n"
+        "assert 'numpy' not in sys.modules, sorted(sys.modules)"
+    )
+    assert _loaded(code) == {"weylstat.weyl", "weylstat.formulas"}
