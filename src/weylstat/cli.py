@@ -25,8 +25,6 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import numpy as np
-
 # clt, depgraph and formulas are imported by the handlers that use them, so a
 # command compiles and runs only the modules it needs.
 from . import stats
@@ -70,7 +68,9 @@ def _json_text(obj) -> str:
 
 def _json_value(obj, pad: str) -> str:
     inner = pad + " "
-    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu":
+    # An array exists only once numpy is loaded, so a run that never loaded it has none.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu":
         lo, hi = (int(obj.min()), int(obj.max())) if len(obj) else (0, 0)
         if hi - lo < len(obj) and np.can_cast(obj.dtype, np.intp):
             # One NUL-padded record "<value>,<newline><indent>" per value in

@@ -3,11 +3,15 @@
 For a set Psi of positive roots, the statistic of an element w counts the
 roots of Psi sent to negative roots.  Every exact result is the law of a
 weighted sum of root indicators (weight 1 for the histogram, one bit per
-root for joint laws and sign classes), found by enumerating each irreducible
-component's group once and convolving the per-component histograms
-(components act on orthogonal blocks, so their contributions are
+root for joint laws and sign classes), found per irreducible component and
+convolved (components act on orthogonal blocks, so their contributions are
 independent); everything on the exact path is integer or rational, never
-floating point.
+floating point.  A component's law is counted by enumerating its group
+once, except where Psi's part of a type-A component is whole height layers
+with weight 1 (d-inversions, d-descents): there the insertion recursion
+(:func:`_layer_law`) gives it in Python ints, when its transitions cost less
+than enumerating the group (:func:`_recursion_layers`).  That path needs no
+numpy, and ``np`` is bound to numpy on its first use (:class:`_Numpy`).
 
 Both paths evaluate the statistic with one kernel over blocks of signed
 one-line rows: the roots of Psi are grouped into runs along diagonals, and
@@ -38,15 +42,16 @@ system and Psi, so results are bit-identical for any worker count: workers
 process disjoint chunks and the merge is associative integer accumulation.
 
 Exact enumeration runs on the calling thread; only ``mc_run`` spreads its
-chunks over worker threads.  An exact law, and each sampling worker thread,
-owns one :class:`_Workspace` (:func:`_map_ordered` creates a worker's), never
-shared, and reuses it for every block: the key words, the tie flags and the
-kernel's comparisons live in its buffers.  These temporaries are 100 KiB to a
-few MiB per block, at or above glibc's mmap threshold, so allocating them
-afresh gave every block new pages and a page fault on each first touch:
-``mc_run`` on B100xG2 with ``d <= 5`` and 400,000 samples took about 79,000
-minor faults, against about 3,100 with the workspace.  The raw words are
-drawn in pieces small enough for the allocator's heap.
+chunks over worker threads.  An exact law that enumerates, and each sampling
+worker thread, owns one :class:`_Workspace` (:func:`_map_ordered` creates a
+worker's), never shared, and reuses it for every block: the key words, the
+tie flags and the kernel's comparisons live in its buffers.  These
+temporaries are 100 KiB to a few MiB per block, at or above glibc's mmap
+threshold, so allocating them afresh gave every block new pages and a page
+fault on each first touch: ``mc_run`` on B100xG2 with ``d <= 5`` and
+400,000 samples took about 79,000 minor faults, against about 3,100 with
+the workspace.  The raw words are drawn in pieces small enough for the
+allocator's heap.
 """
 
 from __future__ import annotations
@@ -58,10 +63,25 @@ import itertools
 import math
 import threading
 
-import numpy as np
-
 from .errors import TooLargeError, WeylstatError
 from .rootsys import DEFAULT_CAP, Root, RootSystem, component_order, derived_seed, group_order
+
+
+class _Numpy:
+    """numpy, imported by the first attribute read, which also rebinds ``np`` to it.
+
+    A law served by :func:`_layer_law` alone needs no numpy, and importing it
+    is most of a short command's start-up.
+    """
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        globals()["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _Numpy()
 
 CHUNK_ELEMENTS = 65536
 CHUNK_SAMPLES = 4096
@@ -71,6 +91,9 @@ RAW_PIECE_WORDS = 8192
 # (:func:`_key_bits`); README "Sampling" gives the measurements.
 _RECOUNT_RUN_COST = 16384
 _REFINED_ENTRY_COST = 36
+# Cost of one transition of the insertion recursion in enumerated rows, for
+# the rule that picks it over enumeration (:func:`_recursion_layers`).
+_LAYER_TRANSITION_COST = 128
 BOOTSTRAP_RESAMPLES = 200
 SUFFIX_POSITIONS = 8
 JOINT_OUTCOME_GUARD = 20
@@ -190,12 +213,26 @@ class _Workspace:
 
 # -- enumeration (numpy rows of signed one-line values) ---------------------------
 
-# W(G2) = +-S_3 on the plane x1 + x2 + x3 = 0: row t is the image of the
-# generic point (-3, 1, 2) under element t of weyl's G2 table.
-_G2_ROWS = np.array([
-    (-3, 1, 2), (-3, 2, 1), (-2, -1, 3), (-1, -2, 3), (-2, 3, -1), (-1, 3, -2),
-    (1, -3, 2), (2, -3, 1), (1, 2, -3), (2, 1, -3), (3, -2, -1), (3, -1, -2),
-], dtype=np.int8)
+@lru_cache(maxsize=None)
+def _g2_rows() -> np.ndarray:
+    """The int8 table ``_G2_ROWS``, built on first use.
+
+    W(G2) = +-S_3 on the plane x1 + x2 + x3 = 0: row t is the image of the
+    generic point (-3, 1, 2) under element t of weyl's G2 table.
+    """
+    return np.array([
+        (-3, 1, 2), (-3, 2, 1), (-2, -1, 3), (-1, -2, 3), (-2, 3, -1), (-1, 3, -2),
+        (1, -3, 2), (2, -3, 1), (1, 2, -3), (2, 1, -3), (3, -2, -1), (3, -1, -2),
+    ], dtype=np.int8)
+
+
+def __getattr__(name: str):
+    # PEP 562: ``stats._G2_ROWS`` reads the table without the module building it at import.
+    if name == "_G2_ROWS":
+        return _g2_rows()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 # A row inverts the G2 root r_k iff the classical test (form, i, j) of entry k
 # holds on it.  A short root e_j - e_i is an N test.  A long root
 # +-(2e_i - e_j - e_k) pairs with the plane as +-3x_i, so it reads one sign;
@@ -284,7 +321,7 @@ def _row_blocks(fam: str, rank: int):
     :data:`_G2_ROWS` in table order.
     """
     if fam == "G2":
-        yield np.ascontiguousarray(_G2_ROWS.T).T
+        yield np.ascontiguousarray(_g2_rows().T).T
         return
     dim = rank + 1 if fam == "A" else rank
     blocks = _permutation_blocks(dim, _row_dtype(dim))
@@ -416,35 +453,127 @@ def _map_ordered(fn, items, threads: int) -> list:
         return list(pool.map(call, items))
 
 
+def _enumerated_law(comp, runs, weights, ws: _Workspace) -> dict[int, int]:
+    """Law of one component's weighted indicator sum, by enumerating its group.
+
+    Each block's values are counted: bincounted, or sorted with ``np.unique``
+    when the possible values outnumber the block's rows, as for a joint law's
+    ``2^k`` bitmasks.  Every block is counted in ``ws``.
+    """
+    size = 1 + sum((hi - lo + 1) * w for (_, _, lo, hi), w in zip(runs, weights))
+    law: dict[int, int] = {}
+    for rows in _row_blocks(comp.family, comp.rank):
+        values = _count_rows(rows, runs, ws, weights=weights)
+        if size > len(values):
+            values, counts = np.unique(values, return_counts=True)
+        else:
+            counts = np.bincount(values, minlength=size)
+            values = np.flatnonzero(counts)
+            counts = counts[values]
+        for v, c in zip(values.tolist(), counts.tolist()):
+            law[v] = law.get(v, 0) + c
+    return law
+
+
+def _layer_transitions(dim: int, depth: int) -> int:
+    """Transitions of :func:`_layer_law` on ``S_dim`` with ``depth`` tracked values."""
+    return sum(math.perm(k, min(k, depth)) * (k + 1) for k in range(dim))
+
+
+def _recursion_layers(comp, runs, weights) -> frozenset[int] | None:
+    """The height layers :func:`_layer_law` counts for a component, or None to enumerate.
+
+    The recursion serves a type-A component whose part of Psi, with weights
+    all 1, is a union of whole height layers: every run is ``('N', h, 1,
+    dim - h)``.  It is taken when its transitions, at
+    :data:`_LAYER_TRANSITION_COST` enumerated rows each, cost less than
+    enumerating the component's order; README "Exact laws" gives the
+    measurements.
+    """
+    dim = comp.dimension
+    if comp.family != "A" or any(w != 1 for w in weights):
+        return None
+    if not all(form == "N" and lo == 1 and hi == dim - h for form, h, lo, hi in runs):
+        return None
+    layers = frozenset(h for _, h, _, _ in runs)
+    if _layer_transitions(dim, max(layers)) * _LAYER_TRANSITION_COST >= component_order(comp):
+        return None
+    return layers
+
+
+def _layer_law(dim: int, layers) -> dict[int, int]:
+    """Law over ``S_dim`` of ``#{(i, j): j - i in layers, w_i > w_j}``, by insertion.
+
+    The one-line word is built left to right.  The rank ``r`` of the
+    ``(k+1)``-th value among the first ``k + 1`` is uniform on ``0..k``,
+    independently at each step, and every permutation is exactly one sequence
+    of ranks (its inversion table; Knuth, TAOCP vol. 3, 5.1.1).  The new value
+    is below each earlier value of prefix rank ``>= r``, so it inverts with
+    the value ``h`` places back, for ``h`` in ``layers``, iff that value's
+    rank is ``>= r``; then those ranks rise by one.  A state is the tuple of
+    prefix ranks of the last ``max(layers)`` values, oldest first.  Its law
+    so far is one Python int with ``bits`` bits per coefficient, wide enough
+    that no count (at most ``dim!``) carries into the next, so a transition
+    is one shift and one add.  The ranks between two values of a state give
+    the same comparisons, so they share one shifted term; the last step
+    needs no new states and multiplies that term by their number.
+    """
+    depth = max(layers)
+    bits = math.factorial(dim).bit_length() + 1
+    states = {(): 1}
+    total = 0
+    for k in range(dim):
+        last = k == dim - 1
+        nxt: dict[tuple[int, ...], int] = {}
+        for state, poly in states.items():
+            compared = [state[-h] for h in layers if h <= len(state)]
+            kept = state[1:] if len(state) == depth else state
+            lo = 0
+            # the ranks r in lo..top see exactly the earlier values >= top above them
+            for top in (*sorted(state), k):
+                term = poly << (bits * sum(c >= top for c in compared))
+                if last:
+                    total += term * (top + 1 - lo)
+                else:
+                    raised = tuple(x + (x >= top) for x in kept)
+                    for r in range(lo, top + 1):
+                        key = (*raised, r)
+                        nxt[key] = nxt.get(key, 0) + term
+                lo = top + 1
+        states = nxt
+    mask = (1 << bits) - 1
+    law = {}
+    for v in range(sum(dim - h for h in layers) + 1):
+        count = (total >> (bits * v)) & mask
+        if count:
+            law[v] = count
+    return law
+
+
 def _weighted_law(rs: RootSystem, terms: dict) -> dict[int, int]:
     """Exact law over the group of a weighted sum of root indicators.
 
     ``terms`` maps a component to its ``(runs, weights)`` for
     :func:`_count_rows`; the other components add 0 on every element.  Each
-    component's group is enumerated once and each block's values counted:
-    bincounted, or sorted with ``np.unique`` when the possible values
-    outnumber the block's rows, as for a joint law's ``2^k`` bitmasks.  The
-    per-component histograms convolve.  Keys are sorted.  Every block of
-    every component is counted on the calling thread, in one workspace.
+    component's law comes from :func:`_layer_law` where
+    :func:`_recursion_layers` takes it, and otherwise from enumerating its
+    group once (:func:`_enumerated_law`).  The per-component laws convolve.
+    Keys are sorted.  Every enumerated block of every component is counted
+    on the calling thread, in one workspace, created by the first.
     """
-    ws = _Workspace()
+    ws = None
     law = {0: 1}
     for ci, comp in enumerate(rs.spec.components):
         part = {0: component_order(comp)}
         if ci in terms:
             runs, weights = terms[ci]
-            size = 1 + sum((hi - lo + 1) * w for (_, _, lo, hi), w in zip(runs, weights))
-            part = {}
-            for rows in _row_blocks(comp.family, comp.rank):
-                values = _count_rows(rows, runs, ws, weights=weights)
-                if size > len(values):
-                    values, counts = np.unique(values, return_counts=True)
-                else:
-                    counts = np.bincount(values, minlength=size)
-                    values = np.flatnonzero(counts)
-                    counts = counts[values]
-                for v, c in zip(values.tolist(), counts.tolist()):
-                    part[v] = part.get(v, 0) + c
+            layers = _recursion_layers(comp, runs, weights)
+            if layers:
+                part = _layer_law(comp.dimension, layers)
+            else:
+                if ws is None:
+                    ws = _Workspace()
+                part = _enumerated_law(comp, runs, weights, ws)
         law = _convolve(law, part)
     return dict(sorted(law.items()))
 
@@ -604,7 +733,8 @@ def _draw_rows(
     coordinate-major, whatever ``bits`` says.
     """
     if fam == "G2":
-        return _G2_ROWS.T.take(rng.integers(0, len(_G2_ROWS), size=m), axis=1).T
+        rows = _g2_rows()
+        return rows.T.take(rng.integers(0, len(rows), size=m), axis=1).T
     dim = rank + 1 if fam == "A" else rank
     word = np.dtype(f"<u{bits // 8}")
     per_raw = 64 // bits

@@ -66,6 +66,25 @@ def test_a_command_loads_only_what_it_runs(argv):
     assert _loaded(code) == {"weylstat.stats"}
 
 
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (None, False),
+    (["dist", "A9", "-d", "3", "--format", "json"], False),
+    (["var", "A5", "--stat", "descents", "-d", "2"], False),
+    (["cov", "A4", "N[1,2]", "N[2,3]", "--method", "closed"], False),
+    (["roots", "B3", "-d", "2"], False),
+    (["sample", "A3", "-d", "1", "--samples", "10", "--seed", "1"], True),
+])
+def test_numpy_loads_only_where_a_kernel_runs(argv, loads_numpy):
+    code = "import contextlib, io, sys\nfrom weylstat import cli\n"
+    if argv is not None:
+        code += f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.run({argv!r}) == 0\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "print('numpy' in sys.modules)"], capture_output=True,
+        text=True, check=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.stdout.split() == [str(loads_numpy)]
+
+
 def test_a_name_loads_its_own_module():
     assert _loaded("import weylstat\nweylstat.mc_run") == {"weylstat.stats"}
     assert _loaded("import weylstat\nweylstat.inversion_set") == {"weylstat.weyl"}
