@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import depgraph, formulas, stats
 from .errors import WeylstatError
 from .rootsys import RootSystem
@@ -57,26 +55,28 @@ def ks_distance(standardized: list[float]) -> float:
     return best
 
 
-def _ks_over_atoms(values, mean: Fraction, variance: Fraction) -> float:
+def _ks_over_atoms(counts, mean: Fraction, variance: Fraction) -> float:
     """``ks_distance(standardize(values, mean, variance))``, one step per distinct value.
 
     Sorted, the sample holds a value in one index range ``a..b-1``, where all
     points share one normal CDF value ``phi``.  The gaps ``|t/m - phi|`` for
     ``t`` in ``a..b`` are largest at ``t = a`` or ``t = b``, also after
     rounding, since rounded division and subtraction are monotone.  So the
-    result is bit-identical to the per-point evaluation.  ``values`` is a
-    list or a 1-D integer array of nonnegative values.
+    result is bit-identical to the per-point evaluation.  ``counts`` is the
+    sample's histogram, ``counts[v]`` the number of values ``v`` (as
+    ``np.bincount(values)`` or :attr:`stats.SampleRun.counts`).
     """
     if variance <= 0:
         raise WeylstatError(f"variance must be positive, got {variance}")
-    m = len(values)
+    counts = [int(c) for c in counts]
+    m = sum(counts)
     if m == 0:
         raise WeylstatError("cannot compute a KS distance of an empty sample")
     mu = float(mean)
     sigma = math.sqrt(float(variance))
     best = 0.0
     a = 0
-    for v, count in enumerate(np.bincount(values).tolist()):
+    for v, count in enumerate(counts):
         if not count:
             continue
         b = a + count
@@ -231,7 +231,7 @@ def clt_report(
         rs, psi, n_samples, seed, threads=threads,
         descriptor={"stat": statistic, "d": d},
     )
-    ks = _ks_over_atoms(run.samples, mean, variance)
+    ks = _ks_over_atoms(run.counts, mean, variance)
     crit = janson_criterion(len(psi), graph.max_degree, variance, m=3)
     regime = None
     if statistic == "inversions":

@@ -122,8 +122,10 @@ class SampleRun:
     """A seeded Monte Carlo record with exact sample moments.
 
     ``samples`` is the one integer array the sampler fills, in draw order;
-    ``values`` is the same values as a list of Python ints, built on first
-    read and cached.  Equality and the repr leave the array out.
+    ``counts`` is ``np.bincount(samples)``, the int64 histogram counted chunk
+    by chunk as the sampler runs, which every statistic of the run reads;
+    ``values`` is the samples as a list of Python ints, built on first read
+    and cached.  Equality and the repr leave the arrays out.
     """
 
     spec: str
@@ -131,6 +133,7 @@ class SampleRun:
     seed: int
     n_samples: int
     samples: np.ndarray = field(repr=False, compare=False)
+    counts: np.ndarray = field(repr=False, compare=False)
     sample_mean: Fraction
     sample_variance: Fraction
 
@@ -786,8 +789,9 @@ def mc_run(
 
     Draw ``i`` of chunk ``c`` is independent of every other draw; the stream
     of chunk ``c`` is ``numpy.random.default_rng(derived_seed(seed, c))``.
-    Each chunk counts in int64 and writes its values into its slice of one
-    array, of the smallest dtype that holds ``len(psi)`` (``_value_dtype``).
+    Each chunk counts in int64, writes its values into its slice of one
+    array, of the smallest dtype that holds ``len(psi)`` (``_value_dtype``),
+    and adds their histogram to the run's ``counts``.
     """
     if n_samples < 1:
         raise WeylstatError("n_samples must be positive")
@@ -801,6 +805,8 @@ def mc_run(
     block = _block_samples(max((comp.dimension for comp, _, _ in parts), default=1))
     n_chunks = (n_samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
     values = np.empty(n_samples, dtype=_value_dtype(len(ids)))
+    counts = np.zeros(len(ids) + 1, dtype=np.int64)
+    counts_lock = threading.Lock()
 
     def run_chunk(c: int, ws: _Workspace) -> None:
         m = min(CHUNK_SAMPLES, n_samples - c * CHUNK_SAMPLES)
@@ -826,10 +832,14 @@ def mc_run(
                 idx, rows, old = (np.concatenate(x) for x in zip(*found))
                 vals[idx] += _count_rows(_refined_keys(rng, rows), runs, ws) - old
         values[c * CHUNK_SAMPLES : c * CHUNK_SAMPLES + m] = vals
+        chunk_counts = np.bincount(vals)  # int64 already, so not cast to a copy
+        with counts_lock:
+            counts[: len(chunk_counts)] += chunk_counts
 
     _map_ordered(run_chunk, range(n_chunks), threads)
+    counts = counts[: np.flatnonzero(counts)[-1] + 1]
     # Moments from the histogram in Python ints: exact, with no int64 overflow.
-    n, mean, variance = _moments(dict(enumerate(np.bincount(values).tolist())))
+    n, mean, variance = _moments(dict(enumerate(counts.tolist())))
     variance = Fraction(0) if n == 1 else variance * n / (n - 1)  # the sample variance
     if descriptor is None:
         descriptor = {"psi": [rs.render_root(rs.root(k)) for k in ids]}
@@ -839,6 +849,7 @@ def mc_run(
         seed=seed,
         n_samples=n_samples,
         samples=values,
+        counts=counts,
         sample_mean=mean,
         sample_variance=variance,
     )
@@ -861,7 +872,7 @@ def bootstrap_variance_se(run: SampleRun, resamples: int = BOOTSTRAP_RESAMPLES) 
     if n == 1:  # mc_run defines the sample variance of one sample as 0, so it does not vary
         return 0.0
     rng = np.random.default_rng(derived_seed(run.seed, "bootstrap"))
-    counts = np.bincount(run.samples)
+    counts = run.counts
     atoms = np.flatnonzero(counts)
     draws = rng.multinomial(n, counts[atoms] / n, size=resamples)
     centred = atoms - float(run.sample_mean)

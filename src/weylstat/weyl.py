@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import random  # annotations only, but typing.get_type_hints resolves them at run time
 import re
+import weakref
 from dataclasses import dataclass, field
 from operator import itemgetter, mul
 from typing import NamedTuple
@@ -121,15 +122,27 @@ class WeylElement:
         return compose(self, other)
 
 
+def _new_element(rs, parts, new=object.__new__, cls=WeylElement):
+    """A :class:`WeylElement` of trusted parts, without the frozen ``__init__``."""
+    w = new(cls)
+    d = w.__dict__
+    d["system"] = rs
+    d["parts"] = parts
+    return w
+
+
+_G2_PARTS = tuple(map(G2Part, range(_G2_ORDER)))
+
+
 def identity(rs: RootSystem) -> WeylElement:
     parts = []
     for comp in rs.spec.components:
         if comp.family == "G2":
-            parts.append(G2Part(0))
+            parts.append(_G2_PARTS[0])
         else:
             n = comp.dimension
             parts.append(SignedPermPart(tuple(range(1, n + 1)), (1,) * n))
-    return WeylElement(rs, tuple(parts))
+    return _new_element(rs, tuple(parts))
 
 
 def _validated_part(comp, part):
@@ -158,7 +171,7 @@ def element(rs: RootSystem, parts) -> WeylElement:
     parts = tuple(parts)
     if len(parts) != len(comps):
         raise ComponentMismatchError(f"expected {len(comps)} parts, got {len(parts)}")
-    return WeylElement(rs, tuple(
+    return _new_element(rs, tuple(
         _validated_part(c, p) for c, p in zip(comps, parts)
     ))
 
@@ -196,60 +209,88 @@ def is_inversion(w: WeylElement, beta: Root) -> bool:
     return apply(w, beta)[1] < 0
 
 
+# Per system, held weakly: one slot per component.  A classical slot is (last
+# part seen, its inverted roots), replaced as one tuple so a thread reads an old
+# pair or a new one; holding the part keeps its id from being reused meanwhile.
+# A G2 slot holds the inverted roots of each of the 12 table elements.
+_INVERSION_SLOTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def inversion_set(w: WeylElement) -> set[Root]:
-    """The positive roots ``w`` sends to negative roots.
+    """The positive roots ``w`` sends to negative roots, as a new set.
 
     Reads the signed one-line values ``v`` of each classical part: ``N[i,j]``
     is an inversion iff ``v_j < v_i``, ``P[i,j]`` iff ``v_i + v_j < 0`` and
-    ``O[i]`` iff ``v_i < 0``, the tests :func:`apply` agrees with.
+    ``O[i]`` iff ``v_i < 0``, the tests :func:`apply` agrees with.  Each
+    (system, component) keeps one slot, the last part object seen and its
+    roots, reused while that same object comes back; G2 reads a per-system
+    table.  The slots take O(1) memory per component, and the result does not
+    depend on the order of calls.
     """
+    rs = w.system
+    slots = _INVERSION_SLOTS.get(rs)
+    if slots is None:
+        slots = _INVERSION_SLOTS.setdefault(rs, [
+            tuple(frozenset(r for k, r in enumerate(tests) if mask >> k & 1) for mask in _G2_INV_MASKS)
+            if comp.family == "G2" else (None, frozenset())
+            for comp, tests in zip(rs.spec.components, rs.sign_tests)
+        ])
     out = set()
-    add = out.add
-    for part, tests in zip(w.parts, w.system.sign_tests):
+    for k, part in enumerate(w.parts):
+        slot = slots[k]
         if isinstance(part, G2Part):
-            mask = _G2_INV_MASKS[part.index]
-            for r in tests:
-                if mask & 1:
-                    add(r)
-                mask >>= 1
+            out.update(slot[part.index])
             continue
-        v = (0, *map(mul, part.perm, part.signs))
-        n_tests, p_tests, o_tests = tests
-        for i, j, r in n_tests:
-            if v[j] < v[i]:
-                add(r)
-        for i, j, r in p_tests:
-            if v[i] + v[j] < 0:
-                add(r)
-        for i, r in o_tests:
-            if v[i] < 0:
-                add(r)
+        if slot[0] is not part:
+            v = (0, *map(mul, part.perm, part.signs))
+            n_tests, p_tests, o_tests = rs.sign_tests[k]
+            slot = slots[k] = (part, frozenset((
+                *[r for i, j, r in n_tests if v[j] < v[i]],
+                *[r for i, j, r in p_tests if v[i] + v[j] < 0],
+                *[r for i, r in o_tests if v[i] < 0],
+            )))
+        out.update(slot[1])
     return out
 
 
 # -- group structure -----------------------------------------------------------
 
+# One slot per component position, (pu, pv, product), as in inversion_set;
+# composing signed permutations does not read the family, so no system key.
+_COMPOSE_SLOTS: dict[int, tuple] = {}
+
+
 def compose(u: WeylElement, v: WeylElement) -> WeylElement:
-    """The element ``x -> u(v(x))``."""
+    """The element ``x -> u(v(x))``.
+
+    Each classical component position keeps one slot, the last two part
+    objects composed there and their product, reused while the same two
+    objects come back.  The slots take O(1) memory per component, and the
+    result does not depend on the order of calls.
+    """
     if u.system is not v.system and u.system.spec != v.system.spec:
         raise ComponentMismatchError(f"element of {u.system.spec} used with system {v.system.spec}")
     parts = []
-    for pu, pv in zip(u.parts, v.parts):
+    for k, (pu, pv) in enumerate(zip(u.parts, v.parts)):
         if isinstance(pu, G2Part):
-            parts.append(G2Part(_G2_MUL[pu.index][pv.index]))
-        else:
+            parts.append(_G2_PARTS[_G2_MUL[pu.index][pv.index]])
+            continue
+        slot = _COMPOSE_SLOTS.get(k)
+        if slot is None or slot[0] is not pu or slot[1] is not pv:
             # reads the 1-based values of pv.perm from 1-prefixed tuples; a
             # classical part has at least two entries, so ``at`` returns a tuple
             at = itemgetter(*pv.perm)
-            parts.append(SignedPermPart(at((0, *pu.perm)), tuple(map(mul, pv.signs, at((0, *pu.signs))))))
-    return WeylElement(u.system, tuple(parts))
+            slot = _COMPOSE_SLOTS[k] = (pu, pv, SignedPermPart(
+                at((0, *pu.perm)), tuple(map(mul, pv.signs, at((0, *pu.signs))))))
+        parts.append(slot[2])
+    return _new_element(u.system, tuple(parts))
 
 
 def inverse(w: WeylElement) -> WeylElement:
     parts = []
     for p in w.parts:
         if isinstance(p, G2Part):
-            parts.append(G2Part(_G2_INV[p.index]))
+            parts.append(_G2_PARTS[_G2_INV[p.index]])
         else:
             n = len(p.perm)
             perm = [0] * n
@@ -258,7 +299,7 @@ def inverse(w: WeylElement) -> WeylElement:
                 perm[p.perm[i] - 1] = i + 1
                 signs[p.perm[i] - 1] = p.signs[i]
             parts.append(SignedPermPart(tuple(perm), tuple(signs)))
-    return WeylElement(w.system, tuple(parts))
+    return _new_element(w.system, tuple(parts))
 
 
 def simple_reflection(rs: RootSystem, alpha: Root) -> WeylElement:
@@ -268,7 +309,7 @@ def simple_reflection(rs: RootSystem, alpha: Root) -> WeylElement:
     parts = list(identity(rs).parts)
     fam = rs.spec.components[alpha.component].family
     if fam == "G2":
-        parts[alpha.component] = G2Part(_G2_SIMPLE_IDX[alpha.i - 1])
+        parts[alpha.component] = _G2_PARTS[_G2_SIMPLE_IDX[alpha.i - 1]]
     else:
         n = rs.spec.components[alpha.component].dimension
         perm = list(range(1, n + 1))
@@ -282,7 +323,7 @@ def simple_reflection(rs: RootSystem, alpha: Root) -> WeylElement:
             signs[alpha.i - 1] = -1
             signs[alpha.j - 1] = -1
         parts[alpha.component] = SignedPermPart(tuple(perm), tuple(signs))
-    return WeylElement(rs, tuple(parts))
+    return _new_element(rs, tuple(parts))
 
 
 def longest_element(rs: RootSystem) -> WeylElement:
@@ -291,9 +332,7 @@ def longest_element(rs: RootSystem) -> WeylElement:
     for comp in rs.spec.components:
         fam, n = comp.family, comp.rank
         if fam == "G2":
-            full = (1 << 6) - 1
-            idx = next(i for i, m in enumerate(_G2_INV_MASKS) if m == full)
-            parts.append(G2Part(idx))
+            parts.append(_G2_PARTS[_G2_INV_MASKS.index((1 << 6) - 1)])
         elif fam == "A":
             m = comp.dimension
             parts.append(SignedPermPart(tuple(range(m, 0, -1)), (1,) * m))
@@ -305,7 +344,7 @@ def longest_element(rs: RootSystem) -> WeylElement:
             else:
                 signs = (1,) + (-1,) * (n - 1)
             parts.append(SignedPermPart(tuple(range(1, n + 1)), signs))
-    return WeylElement(rs, tuple(parts))
+    return _new_element(rs, tuple(parts))
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -313,8 +352,7 @@ def longest_element(rs: RootSystem) -> WeylElement:
 def _component_parts_iter(comp):
     fam, n = comp.family, comp.rank
     if fam == "G2":
-        for i in range(_G2_ORDER):
-            yield G2Part(i)
+        yield from _G2_PARTS
         return
     dim = comp.dimension
     if fam == "A":
@@ -343,7 +381,7 @@ def enumerate_elements(rs: RootSystem, cap: int = DEFAULT_CAP):
     if order > cap:
         raise TooLargeError(order, cap)
     for parts in itertools.product(*(_component_parts_iter(c) for c in rs.spec.components)):
-        yield WeylElement(rs, parts)
+        yield _new_element(rs, parts)
 
 
 # -- sampling --------------------------------------------------------------------
@@ -360,7 +398,7 @@ def sample_uniform(rs: RootSystem, rng: random.Random) -> WeylElement:
     for comp in rs.spec.components:
         fam, n = comp.family, comp.rank
         if fam == "G2":
-            parts.append(G2Part(rng.randrange(_G2_ORDER)))
+            parts.append(_G2_PARTS[rng.randrange(_G2_ORDER)])
             continue
         dim = comp.dimension
         perm = list(range(1, dim + 1))
@@ -376,7 +414,7 @@ def sample_uniform(rs: RootSystem, rng: random.Random) -> WeylElement:
                 last *= s
             signs = tuple(head + [last])
         parts.append(SignedPermPart(tuple(perm), signs))
-    return WeylElement(rs, tuple(parts))
+    return _new_element(rs, tuple(parts))
 
 
 # -- parabolic decomposition -------------------------------------------------------

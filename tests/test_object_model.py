@@ -1,6 +1,11 @@
 """The object model's value semantics, its exhaustive oracles, and element parsing."""
 
+import gc
 import pickle
+import random
+import sys
+import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -51,6 +56,131 @@ def test_compose_and_inverse_agree_with_the_root_action(systems):
             assert weyl.compose(u, v_inv) == by_action[then(action[v_inv], au)]
 
 
+# -- per-component slots: results do not depend on call order ---------------------
+
+def _inversions_by_apply(w):
+    return {beta for beta in w.system.roots if weyl.apply(w, beta)[1] < 0}
+
+
+def _composed_by_apply(u, v):
+    # the action of u(v(x)) on every positive root, read from apply alone
+    out = []
+    for beta in u.system.roots:
+        image, s = weyl.apply(v, beta)
+        image, t = weyl.apply(u, image)
+        out.append((image, s * t))
+    return out
+
+
+def _check(u, v):
+    assert weyl.inversion_set(u) == _inversions_by_apply(u)
+    uv = weyl.compose(u, v)
+    assert [weyl.apply(uv, beta) for beta in u.system.roots] == _composed_by_apply(u, v)
+
+
+@pytest.mark.parametrize("spec", ["B3xG2", "A3xD4", "B3xB3"])
+def test_slots_in_shuffled_order_match_apply(systems, spec):
+    # B3xB3 has two classical slots, and a shuffled order changes both at once
+    rs = systems(spec)
+    elements = list(weyl.enumerate_elements(rs))
+    order = elements[:]
+    random.Random(2101).shuffle(order)
+    for u, v in zip(order, elements):
+        _check(u, v)
+        _check(u, u)
+
+
+def test_one_part_object_in_two_systems(systems):
+    # D3 parts are B3 parts too; a slot keyed on the part alone would hand
+    # B3's O roots to D3, or D3's roots to B3
+    b3, d3 = systems("B3xG2"), systems("D3xG2")
+    parts = [w.parts for w in weyl.enumerate_elements(d3)]
+    random.Random(2102).shuffle(parts)
+    w0 = {rs: weyl.longest_element(rs) for rs in (b3, d3)}
+    for p in parts:
+        pair = [weyl.element(rs, p) for rs in (b3, d3)]
+        assert pair[0].parts[0] is pair[1].parts[0]
+        for w in pair + pair[::-1]:
+            _check(w, w0[w.system])
+            _check(w0[w.system], w)
+
+
+def test_slots_shared_by_threads(systems):
+    rs = systems("B3xG2")
+    elements = list(weyl.enumerate_elements(rs))
+    w0 = weyl.longest_element(rs)
+    expected = {}
+    for w in elements:
+        _check(w, w0)
+        expected[w] = (weyl.inversion_set(w), weyl.compose(w, w0).parts)
+    errors = []
+    start = threading.Barrier(4, timeout=60)
+
+    def worker(seed):
+        # the enumeration order repeats each B3 part 12 times, so threads that
+        # start together meet on one part object; a shuffled pass changes it
+        # on every call
+        order = elements[:]
+        random.Random(seed).shuffle(order)
+        start.wait()
+        for w in elements * 8 + order:
+            if (weyl.inversion_set(w), weyl.compose(w, w0).parts) != expected[w]:
+                errors.append(w)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+def test_inversion_sets_are_fresh_sets(systems):
+    rs = systems("B3xG2")
+    w = weyl.parse_element(rs, "[-2,3,1]xg5")
+    expected = _inversions_by_apply(w)
+    assert len({beta.component for beta in expected}) == 2
+    first = weyl.inversion_set(w)
+    first.clear()
+    first.add(rs.roots[0])
+    assert weyl.inversion_set(w) == expected
+    assert weyl.inversion_set(w) is not weyl.inversion_set(w)
+
+
+def test_a_new_part_at_a_freed_address_is_not_a_hit(systems):
+    # each element is freed before the next is built, so a fresh part can
+    # take the address of the one a slot last saw; inversion_set and compose
+    # run in separate loops, so neither slot keeps the other's part alive
+    rs = systems("B3xG2")
+    values = [((2, 3, 1), (1, -1, 1)), ((3, 1, 2), (-1, -1, 1))] * 100
+    for perm, signs in values:
+        w = weyl.element(rs, [SignedPermPart(perm, signs), G2Part(0)])
+        assert weyl.inversion_set(w) == _inversions_by_apply(w)
+        del w
+    for perm, signs in values:
+        w = weyl.element(rs, [SignedPermPart(perm, signs), G2Part(0)])
+        uv = weyl.compose(w, w)
+        assert [weyl.apply(uv, beta) for beta in rs.roots] == _composed_by_apply(w, w)
+        del w, uv
+
+
+def test_slots_do_not_keep_a_system_alive():
+    rs = ws.build("B3xG2")
+    w = weyl.parse_element(rs, "[-2,3,1]xg5")
+    weyl.inversion_set(w)
+    weyl.compose(w, w)
+    gone = weakref.ref(rs)
+    del rs, w
+    gc.collect()
+    assert gone() is None
+
+
 # -- value semantics of roots, parts and elements ----------------------------------
 
 def test_reprs_are_the_field_reprs():
@@ -98,6 +228,27 @@ def test_pickle_round_trip(systems):
         copy = pickle.loads(pickle.dumps(value))
         assert copy == value and type(copy) is type(value)
     assert weyl.render_element(pickle.loads(pickle.dumps(w))) == "[-2,1]xg7"
+
+
+def _built_elements(rs):
+    u, v = list(weyl.enumerate_elements(rs))[5:7]
+    return {"enumerate": u, "compose": weyl.compose(u, v), "inverse": weyl.inverse(v)}
+
+
+@pytest.mark.parametrize("source", ["enumerate", "compose", "inverse"])
+def test_built_elements_are_values(systems, source):
+    rs = systems("B2xG2")
+    w = _built_elements(rs)[source]
+    twin = weyl.element(ws.build("B2xG2"), list(w.parts))
+    assert type(w) is WeylElement and w == twin and hash(w) == hash(twin)
+    assert repr(w) == repr(twin) == f"WeylElement(parts={w.parts!r})"
+    copy = pickle.loads(pickle.dumps(w))
+    assert copy == w and type(copy) is WeylElement and copy.system.spec == rs.spec
+    assert weyl.render_element(copy) == weyl.render_element(w)
+    with pytest.raises(AttributeError):
+        w.parts = twin.parts
+    with pytest.raises(AttributeError):
+        w.system = rs
 
 
 def test_element_rejects_plain_tuples_as_parts(systems):

@@ -439,6 +439,16 @@ def test_sample_stream_across_chunk_boundaries_and_threads(systems, k):
     assert runs[n0 - 1][:full] == runs[n0][:full]
 
 
+
+@pytest.mark.parametrize("n", [1, stats.CHUNK_SAMPLES - 1, 2 * stats.CHUNK_SAMPLES + 1])
+@pytest.mark.parametrize("threads", [1, 2, 8])
+def test_run_counts_are_the_histogram_of_its_samples(systems, n, threads):
+    # counted chunk by chunk, on any number of threads, with no trailing zeros
+    rs = systems("B4xG2")
+    run = stats.mc_run(rs, rs.roots_up_to_height(3), n, seed=41, threads=threads)
+    assert run.counts.dtype == np.int64
+    assert run.counts.tolist() == np.bincount(run.samples).tolist()
+
 def test_blocks_above_512_rows_are_thread_invariant(systems, monkeypatch):
     # a narrow product: blocks of 3584 rows, so every chunk ends in a partial
     # block, and the last chunk is partial too
@@ -475,7 +485,7 @@ def test_atom_ks_bit_identical_to_per_point_ks(systems, spec, d, stat, seed):
     var = clt.theoretical_variance(rs, d, stat)
     run = stats.mc_run(rs, psi, 9_000, seed=seed)
     per_point = clt.ks_distance(clt.standardize(run, mean, var))
-    assert clt._ks_over_atoms(run.values, mean, var) == per_point
-    assert clt._ks_over_atoms(run.samples, mean, var) == per_point
+    assert clt._ks_over_atoms(run.counts, mean, var) == per_point
+    assert clt._ks_over_atoms(np.bincount(run.values), mean, var) == per_point
     report = clt.clt_report(rs, d, stat, 9_000, seed=seed)
     assert report.ks == per_point
