@@ -122,8 +122,8 @@ class SampleRun:
     """A seeded Monte Carlo record with exact sample moments.
 
     ``samples`` is the one integer array the sampler fills, in draw order;
-    ``counts`` is ``np.bincount(samples)``, the int64 histogram counted chunk
-    by chunk as the sampler runs, which every statistic of the run reads;
+    ``counts`` is ``np.bincount(samples)``, which every statistic reads (as
+    :func:`mc_run` counted it per chunk, else counted on first read and cached);
     ``values`` is the samples as a list of Python ints, built on first read
     and cached.  Equality and the repr leave the arrays out.
     """
@@ -133,9 +133,12 @@ class SampleRun:
     seed: int
     n_samples: int
     samples: np.ndarray = field(repr=False, compare=False)
-    counts: np.ndarray = field(repr=False, compare=False)
     sample_mean: Fraction
     sample_variance: Fraction
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        return np.bincount(self.samples)
 
     @cached_property
     def values(self) -> list[int]:
@@ -789,9 +792,9 @@ def mc_run(
 
     Draw ``i`` of chunk ``c`` is independent of every other draw; the stream
     of chunk ``c`` is ``numpy.random.default_rng(derived_seed(seed, c))``.
-    Each chunk counts in int64, writes its values into its slice of one
-    array, of the smallest dtype that holds ``len(psi)`` (``_value_dtype``),
-    and adds their histogram to the run's ``counts``.
+    Each chunk counts in int64, adds its histogram to ``counts`` and writes its
+    values into its slice of one array, of the smallest dtype that holds
+    ``len(psi)`` (``_value_dtype``).
     """
     if n_samples < 1:
         raise WeylstatError("n_samples must be positive")
@@ -843,16 +846,17 @@ def mc_run(
     variance = Fraction(0) if n == 1 else variance * n / (n - 1)  # the sample variance
     if descriptor is None:
         descriptor = {"psi": [rs.render_root(rs.root(k)) for k in ids]}
-    return SampleRun(
+    run = SampleRun(
         spec=str(rs.spec),
         descriptor=descriptor,
         seed=seed,
         n_samples=n_samples,
         samples=values,
-        counts=counts,
         sample_mean=mean,
         sample_variance=variance,
     )
+    run.counts = counts  # fills the cached property, so nothing recounts
+    return run
 
 
 def bootstrap_variance_se(run: SampleRun, resamples: int = BOOTSTRAP_RESAMPLES) -> float:

@@ -209,11 +209,11 @@ def is_inversion(w: WeylElement, beta: Root) -> bool:
     return apply(w, beta)[1] < 0
 
 
-# Per system, held weakly: one slot per component.  A classical slot is (last
-# part seen, its inverted roots), replaced as one tuple so a thread reads an old
-# pair or a new one; holding the part keeps its id from being reused meanwhile.
-# A G2 slot holds the inverted roots of each of the 12 table elements.
-_INVERSION_SLOTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# By system id, one slot per component: G2's root sets, or the last part seen,
+# then (part, its roots) when it comes back.  A finalizer drops the entry before
+# the id can be reused; a slot holds its part, so the part's id cannot be reused
+# either; and a slot is replaced in one store, so threads see old or new.
+_INVERSION_SLOTS: dict[int, list] = {}
 
 
 def inversion_set(w: WeylElement) -> set[Root]:
@@ -221,52 +221,58 @@ def inversion_set(w: WeylElement) -> set[Root]:
 
     Reads the signed one-line values ``v`` of each classical part: ``N[i,j]``
     is an inversion iff ``v_j < v_i``, ``P[i,j]`` iff ``v_i + v_j < 0`` and
-    ``O[i]`` iff ``v_i < 0``, the tests :func:`apply` agrees with.  Each
-    (system, component) keeps one slot, the last part object seen and its
-    roots, reused while that same object comes back; G2 reads a per-system
-    table.  The slots take O(1) memory per component, and the result does not
-    depend on the order of calls.
+    ``O[i]`` iff ``v_i < 0``, the tests :func:`apply` agrees with.  A part
+    object met twice in a row at one component keeps its roots while it comes
+    back, in O(1) memory per component; the result does not depend on call order.
     """
     rs = w.system
-    slots = _INVERSION_SLOTS.get(rs)
-    if slots is None:
-        slots = _INVERSION_SLOTS.setdefault(rs, [
+    try:
+        slots = _INVERSION_SLOTS[id(rs)]
+    except KeyError:
+        slots = _INVERSION_SLOTS.setdefault(id(rs), [
             tuple(frozenset(r for k, r in enumerate(tests) if mask >> k & 1) for mask in _G2_INV_MASKS)
-            if comp.family == "G2" else (None, frozenset())
+            if comp.family == "G2" else (None, None)
             for comp, tests in zip(rs.spec.components, rs.sign_tests)
         ])
+        weakref.finalize(rs, _INVERSION_SLOTS.pop, id(rs), None)
     out = set()
-    for k, part in enumerate(w.parts):
+    for k, (part, tests) in enumerate(zip(w.parts, rs.sign_tests)):
         slot = slots[k]
         if isinstance(part, G2Part):
             out.update(slot[part.index])
-            continue
-        if slot[0] is not part:
+        elif slot[0] is part:
+            out.update(slot[1])
+        else:  # at first sight, add to out; at the second, keep the roots
+            found = set() if slot is part else out
+            slots[k] = part
+            add = found.add
             v = (0, *map(mul, part.perm, part.signs))
-            n_tests, p_tests, o_tests = rs.sign_tests[k]
-            slot = slots[k] = (part, frozenset((
-                *[r for i, j, r in n_tests if v[j] < v[i]],
-                *[r for i, j, r in p_tests if v[i] + v[j] < 0],
-                *[r for i, r in o_tests if v[i] < 0],
-            )))
-        out.update(slot[1])
+            n_tests, p_tests, o_tests = tests
+            for i, j, r in n_tests:
+                if v[j] < v[i]:
+                    add(r)
+            for i, j, r in p_tests:
+                if v[i] + v[j] < 0:
+                    add(r)
+            for i, r in o_tests:
+                if v[i] < 0:
+                    add(r)
+            if found is not out:
+                slots[k] = (part, found)
+                out.update(found)
     return out
 
 
 # -- group structure -----------------------------------------------------------
 
-# One slot per component position, (pu, pv, product), as in inversion_set;
-# composing signed permutations does not read the family, so no system key.
+# One slot per component position, (pu, pv, product); composing signed
+# permutations does not read the family, so no system key.
 _COMPOSE_SLOTS: dict[int, tuple] = {}
 
 
 def compose(u: WeylElement, v: WeylElement) -> WeylElement:
-    """The element ``x -> u(v(x))``.
-
-    Each classical component position keeps one slot, the last two part
-    objects composed there and their product, reused while the same two
-    objects come back.  The slots take O(1) memory per component, and the
-    result does not depend on the order of calls.
+    """The element ``x -> u(v(x))``; a component reuses its last product while
+    the same two part objects come back (O(1) memory, independent of call order).
     """
     if u.system is not v.system and u.system.spec != v.system.spec:
         raise ComponentMismatchError(f"element of {u.system.spec} used with system {v.system.spec}")
@@ -277,11 +283,12 @@ def compose(u: WeylElement, v: WeylElement) -> WeylElement:
             continue
         slot = _COMPOSE_SLOTS.get(k)
         if slot is None or slot[0] is not pu or slot[1] is not pv:
-            # reads the 1-based values of pv.perm from 1-prefixed tuples; a
-            # classical part has at least two entries, so ``at`` returns a tuple
+            # reads the 1-based values of pv.perm from 1-prefixed tuples (a
+            # classical part has two entries or more, so ``at`` returns a tuple);
+            # tuple.__new__ skips the named tuple's Python-level __new__
             at = itemgetter(*pv.perm)
-            slot = _COMPOSE_SLOTS[k] = (pu, pv, SignedPermPart(
-                at((0, *pu.perm)), tuple(map(mul, pv.signs, at((0, *pu.signs))))))
+            slot = _COMPOSE_SLOTS[k] = (pu, pv, tuple.__new__(SignedPermPart, (
+                at((0, *pu.perm)), tuple(map(mul, pv.signs, at((0, *pu.signs)))))))
         parts.append(slot[2])
     return _new_element(u.system, tuple(parts))
 

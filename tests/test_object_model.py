@@ -73,9 +73,15 @@ def _composed_by_apply(u, v):
 
 
 def _check(u, v):
-    assert weyl.inversion_set(u) == _inversions_by_apply(u)
-    uv = weyl.compose(u, v)
-    assert [weyl.apply(uv, beta) for beta in u.system.roots] == _composed_by_apply(u, v)
+    # a slot notes a part at its first call, keeps its roots at the second and
+    # reads them from the third on; a compose slot is read from the second
+    expected = _inversions_by_apply(u)
+    for _ in range(3):
+        assert weyl.inversion_set(u) == expected
+    expected = _composed_by_apply(u, v)
+    for _ in range(2):
+        uv = weyl.compose(u, v)
+        assert [weyl.apply(uv, beta) for beta in u.system.roots] == expected
 
 
 @pytest.mark.parametrize("spec", ["B3xG2", "A3xD4", "B3xB3"])
@@ -100,8 +106,9 @@ def test_one_part_object_in_two_systems(systems):
     for p in parts:
         pair = [weyl.element(rs, p) for rs in (b3, d3)]
         assert pair[0].parts[0] is pair[1].parts[0]
-        for w in pair + pair[::-1]:
+        for w in pair + pair[::-1]:  # each system's slot right after the other's
             _check(w, w0[w.system])
+        for w in pair:
             _check(w0[w.system], w)
 
 
@@ -146,10 +153,11 @@ def test_inversion_sets_are_fresh_sets(systems):
     w = weyl.parse_element(rs, "[-2,3,1]xg5")
     expected = _inversions_by_apply(w)
     assert len({beta.component for beta in expected}) == 2
-    first = weyl.inversion_set(w)
-    first.clear()
-    first.add(rs.roots[0])
-    assert weyl.inversion_set(w) == expected
+    for _ in range(4):  # the part noted, its roots kept, then read twice
+        got = weyl.inversion_set(w)
+        assert got == expected
+        got.clear()
+        got.add(rs.roots[0])
     assert weyl.inversion_set(w) is not weyl.inversion_set(w)
 
 
@@ -161,13 +169,28 @@ def test_a_new_part_at_a_freed_address_is_not_a_hit(systems):
     values = [((2, 3, 1), (1, -1, 1)), ((3, 1, 2), (-1, -1, 1))] * 100
     for perm, signs in values:
         w = weyl.element(rs, [SignedPermPart(perm, signs), G2Part(0)])
-        assert weyl.inversion_set(w) == _inversions_by_apply(w)
+        for _ in range(2):  # the second call keeps the part's roots
+            assert weyl.inversion_set(w) == _inversions_by_apply(w)
         del w
     for perm, signs in values:
         w = weyl.element(rs, [SignedPermPart(perm, signs), G2Part(0)])
         uv = weyl.compose(w, w)
         assert [weyl.apply(uv, beta) for beta in rs.roots] == _composed_by_apply(w, w)
         del w, uv
+
+
+def test_slots_hold_the_parts_they_match(systems):
+    # a freed part's address can be reused, so a slot that held only the
+    # address could match a new part; the test above sees that only when the
+    # allocator reuses the address, this one checks the reference is held
+    rs = systems("B3xG2")
+    a, b = SignedPermPart((2, 3, 1), (1, -1, 1)), SignedPermPart((3, 1, 2), (-1, -1, 1))
+    free = sys.getrefcount(a)
+    weyl.inversion_set(weyl.element(rs, [a, G2Part(0)]))
+    x = weyl.element(rs, [b, G2Part(0)])
+    weyl.compose(x, x)
+    del x
+    assert sys.getrefcount(a) > free and sys.getrefcount(b) > free
 
 
 def test_slots_do_not_keep_a_system_alive():

@@ -439,7 +439,6 @@ def test_sample_stream_across_chunk_boundaries_and_threads(systems, k):
     assert runs[n0 - 1][:full] == runs[n0][:full]
 
 
-
 @pytest.mark.parametrize("n", [1, stats.CHUNK_SAMPLES - 1, 2 * stats.CHUNK_SAMPLES + 1])
 @pytest.mark.parametrize("threads", [1, 2, 8])
 def test_run_counts_are_the_histogram_of_its_samples(systems, n, threads):
@@ -448,6 +447,11 @@ def test_run_counts_are_the_histogram_of_its_samples(systems, n, threads):
     run = stats.mc_run(rs, rs.roots_up_to_height(3), n, seed=41, threads=threads)
     assert run.counts.dtype == np.int64
     assert run.counts.tolist() == np.bincount(run.samples).tolist()
+    # a run built by hand takes the same positional fields and counts on read
+    built = stats.SampleRun(run.spec, run.descriptor, run.seed, run.n_samples, run.samples,
+                            run.sample_mean, run.sample_variance)
+    assert built == run and built.counts.tolist() == run.counts.tolist()
+
 
 def test_blocks_above_512_rows_are_thread_invariant(systems, monkeypatch):
     # a narrow product: blocks of 3584 rows, so every chunk ends in a partial
