@@ -3,9 +3,9 @@
 Output contract: identical argv (and seed) produce byte-identical output for
 any ``--threads`` value.  CSV is RFC-4180 style with a header row and LF line
 endings; JSON is UTF-8 with a stable key order.  The commands that enumerate
-group elements (``dist``, ``cov``, ``wpartition``, ``var``) take the
-enumeration cap from ``--cap`` or the ``WEYLSTAT_CAP`` environment variable;
-the others have no ``--cap`` option and refuse it as a usage error.
+group elements (``dist``, ``cov``, ``wpartition``, ``var``) take a cap of at
+least 1 on an exact law's cost (elements enumerated, 128 per recursion
+transition) from ``--cap`` or ``WEYLSTAT_CAP``; others refuse ``--cap`` (exit 2).
 
 System arguments use the rank grammar (``A4``, ``B10``, ``G2``, ``A3xB4``)
 except for ``var``, whose family parameter follows the formula convention:
@@ -32,10 +32,9 @@ from .errors import WeylstatError
 from .rootsys import DEFAULT_CAP, build, parse_spec
 
 MAX_THREADS = 64
-# A sample run holds its values in one array of 1, 2 or 8 bytes per sample,
-# and counting them casts it to 8-byte ints for a moment.  At 10**7 samples
-# `sample B100xG2 -d 5` peaks at about 130 MB (human) and 260 MB (json); csv
-# also builds a row of Python ints per sample, about 120 MB per 10**6 samples.
+# A sample run holds its values in one array of 1, 2 or 8 bytes per sample.
+# At 10**7 samples `sample B100xG2 -d 5` peaks at 57 MB (human), 256 MB (json)
+# and 306 MB (csv) of RSS, one run each: json and csv hold their whole text.
 MAX_SAMPLES = 10**7
 
 
@@ -137,7 +136,8 @@ def _add_common(p, formats=("human", "json", "csv"), cap=False):
     p.add_argument("--format", choices=formats, default="human")
     p.add_argument("--out", help="write output to this file instead of stdout")
     if cap:
-        p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
+        p.add_argument("--cap", type=_height,
+                       help="cost cap: elements enumerated, plus 128 per recursion transition")
     p.add_argument("--threads", type=_thread_count, default=1, help="worker threads (sample, clt)")
 
 
@@ -148,9 +148,9 @@ def _cap(args) -> int:
     if not env:
         return DEFAULT_CAP
     try:
-        return int(env)
-    except ValueError:
-        raise WeylstatError(f"WEYLSTAT_CAP must be an integer, got {env!r}") from None
+        return _height(env)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise WeylstatError(f"WEYLSTAT_CAP must be an integer of at least 1, got {env!r}") from None
 
 
 # -- subcommand handlers ---------------------------------------------------------

@@ -54,7 +54,7 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 2, "G2": 2}
 # Largest catalog build() accepts: A999 (499,500 roots) fits, A100000 does not.
 MAX_CATALOG_ROOTS = 2_000_000
 
-# Default limit on the group elements an exact computation may enumerate.
+# Default cap on an exact law's price: elements enumerated, 128 per recursion transition.
 DEFAULT_CAP = 10**7
 
 # G2 root table over the simple pair (alpha short, gamma long), in catalog

@@ -10,8 +10,9 @@ floating point.  A component's law is counted by enumerating its group
 once, except where Psi's part of a type-A component is whole height layers
 with weight 1 (d-inversions, d-descents): there the insertion recursion
 (:func:`_layer_law`) gives it in Python ints, when its transitions cost less
-than enumerating the group (:func:`_recursion_layers`).  That path needs no
-numpy, and ``np`` is bound to numpy on its first use (:class:`_Numpy`).
+than enumerating the group (:func:`_recursion_layers`); the cap bounds the
+summed cost, 1 per element enumerated and :data:`_LAYER_TRANSITION_COST` per
+transition.  That path never loads numpy (:class:`_Numpy`).
 
 Both paths evaluate the statistic with one kernel over blocks of signed
 one-line rows: the roots of Psi are grouped into runs along diagonals, and
@@ -92,7 +93,7 @@ RAW_PIECE_WORDS = 8192
 _RECOUNT_RUN_COST = 16384
 _REFINED_ENTRY_COST = 36
 # Cost of one transition of the insertion recursion in enumerated rows, for
-# the rule that picks it over enumeration (:func:`_recursion_layers`).
+# the rule that picks it over enumeration and for the cap (:func:`_weighted_law`).
 _LAYER_TRANSITION_COST = 128
 BOOTSTRAP_RESAMPLES = 200
 SUFFIX_POSITIONS = 8
@@ -162,17 +163,6 @@ class SampleRun:
 
 
 # -- helpers -------------------------------------------------------------------
-
-def _check_enumerated(rs: RootSystem, components, cap: int) -> None:
-    """Refuse when the components to be enumerated hold more than ``cap`` elements.
-
-    Components are enumerated one at a time and combined by convolution, so
-    the work is the sum of their orders, not the order of the product.
-    """
-    work = sum(component_order(rs.spec.components[ci]) for ci in components)
-    if work > cap:
-        raise TooLargeError(work, cap, what="element count")
-
 
 def _canonical_ids(rs: RootSystem, roots) -> tuple[int, ...]:
     return tuple(sorted({rs.index(r) for r in roots}))
@@ -523,6 +513,10 @@ def _layer_law(dim: int, layers) -> dict[int, int]:
     is one shift and one add.  The ranks between two values of a state give
     the same comparisons, so they share one shifted term; the last step
     needs no new states and multiplies that term by their number.
+
+    The cap's price bounds the transitions, so the states and the memory:
+    tracemalloc peaks at 0.27 MB (S_61, d = 1), 0.47 MB (S_24, d <= 2) and
+    0.66 MB (S_14, d <= 3), the largest laws of the default cap.
     """
     depth = max(layers)
     bits = math.factorial(dim).bit_length() + 1
@@ -556,30 +550,35 @@ def _layer_law(dim: int, layers) -> dict[int, int]:
     return law
 
 
-def _weighted_law(rs: RootSystem, terms: dict) -> dict[int, int]:
+def _weighted_law(rs: RootSystem, terms: dict, cap: int) -> dict[int, int]:
     """Exact law over the group of a weighted sum of root indicators.
 
-    ``terms`` maps a component to its ``(runs, weights)`` for
-    :func:`_count_rows`; the other components add 0 on every element.  Each
-    component's law comes from :func:`_layer_law` where
-    :func:`_recursion_layers` takes it, and otherwise from enumerating its
-    group once (:func:`_enumerated_law`).  The per-component laws convolve.
-    Keys are sorted.  Every enumerated block of every component is counted
-    on the calling thread, in one workspace, created by the first.
+    ``terms`` maps a component to its ``(runs, weights)`` for :func:`_count_rows`;
+    the other components add 0 on every element.  Each component's law comes
+    from :func:`_layer_law` where :func:`_recursion_layers` takes it, priced at
+    :data:`_LAYER_TRANSITION_COST` per transition, and otherwise from enumerating
+    its group once (:func:`_enumerated_law`), priced at its order.  A summed
+    price above ``cap`` is refused before any law is computed.  The laws
+    convolve, and keys are sorted.  Every enumerated block is counted on the
+    calling thread, in one workspace, created by the first.
     """
+    comps = rs.spec.components
+    layers = {ci: _recursion_layers(comps[ci], *terms[ci]) for ci in terms}
+    price = sum(component_order(comps[ci]) for ci, ls in layers.items() if not ls)
+    price += sum(_layer_transitions(comps[ci].dimension, max(ls)) * _LAYER_TRANSITION_COST
+                 for ci, ls in layers.items() if ls)
+    if price > cap:
+        what = f"exact-law cost (elements enumerated, {_LAYER_TRANSITION_COST} per recursion transition)"
+        raise TooLargeError(price, cap, what=what)
     ws = None
     law = {0: 1}
-    for ci, comp in enumerate(rs.spec.components):
+    for ci, comp in enumerate(comps):
         part = {0: component_order(comp)}
-        if ci in terms:
-            runs, weights = terms[ci]
-            layers = _recursion_layers(comp, runs, weights)
-            if layers:
-                part = _layer_law(comp.dimension, layers)
-            else:
-                if ws is None:
-                    ws = _Workspace()
-                part = _enumerated_law(comp, runs, weights, ws)
+        if layers.get(ci):
+            part = _layer_law(comp.dimension, layers[ci])
+        elif ci in terms:
+            ws = ws or _Workspace()
+            part = _enumerated_law(comp, *terms[ci], ws)
         law = _convolve(law, part)
     return dict(sorted(law.items()))
 
@@ -598,14 +597,11 @@ def _convolve(h1: dict[int, int], h2: dict[int, int]) -> dict[int, int]:
 def exact_distribution(rs: RootSystem, psi, cap: int = DEFAULT_CAP) -> dict[int, int]:
     """Exact histogram of the Psi-statistic over the whole group.
 
-    Counts sum to the group order.  Components are enumerated independently
-    and combined by convolution.
+    Counts sum to the group order.  :func:`_weighted_law` prices and counts it.
     """
     ids = _canonical_ids(rs, psi)
-    by_comp = _split_by_component(rs, ids)
-    _check_enumerated(rs, by_comp, cap)
-    runs = {ci: _diagonal_runs(roots) for ci, roots in by_comp.items()}
-    return _weighted_law(rs, {ci: (r, [1] * len(r)) for ci, r in runs.items()})
+    runs = {ci: _diagonal_runs(roots) for ci, roots in _split_by_component(rs, ids).items()}
+    return _weighted_law(rs, {ci: (r, [1] * len(r)) for ci, r in runs.items()}, cap)
 
 
 def exact_mean(rs: RootSystem, psi) -> Fraction:
@@ -672,9 +668,8 @@ def exact_joint_distribution(
     terms = {}
     for ci, roots in _split_by_component(rs, weight).items():
         terms[ci] = ([_diagonal_runs([r])[0] for r in roots], [weight[rs.index(r)] for r in roots])
-    _check_enumerated(rs, terms, cap)
     low = (1 << shift) - 1
-    return {(v >> shift, v & low): c for v, c in _weighted_law(rs, terms).items()}
+    return {(v >> shift, v & low): c for v, c in _weighted_law(rs, terms, cap).items()}
 
 
 # -- Monte Carlo --------------------------------------------------------------------

@@ -382,13 +382,17 @@ def enumerate_elements(rs: RootSystem, cap: int = DEFAULT_CAP):
     """Yield every group element exactly once, in the documented order.
 
     The order is estimated from the order formula up front; exceeding ``cap``
-    raises :class:`TooLargeError` before any work is done.
+    raises :class:`TooLargeError` before any work is done.  The first
+    component's parts are made 4,096 at a time; the others' are all held.
     """
     order = group_order(rs)
     if order > cap:
         raise TooLargeError(order, cap)
-    for parts in itertools.product(*(_component_parts_iter(c) for c in rs.spec.components)):
-        yield _new_element(rs, parts)
+    first, *rest = (_component_parts_iter(c) for c in rs.spec.components)
+    rest = [tuple(parts) for parts in rest]
+    while block := tuple(itertools.islice(first, 4096)):
+        for parts in itertools.product(block, *rest):
+            yield _new_element(rs, parts)
 
 
 # -- sampling --------------------------------------------------------------------

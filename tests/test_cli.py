@@ -2,9 +2,11 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +145,38 @@ def test_cap_env_must_be_an_integer(monkeypatch, capsys, value):
     err = capsys.readouterr().err
     assert err.startswith("error: WEYLSTAT_CAP must be an integer")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_a_cap_below_1_is_refused(monkeypatch, capsys, value):
+    with pytest.raises(SystemExit) as err:
+        cli.run(["dist", "A3", "--psi", "N[1,2]", "--cap", value])
+    assert err.value.code == 2
+    assert f"must be at least 1, got {value}" in capsys.readouterr().err
+    monkeypatch.setenv("WEYLSTAT_CAP", value)
+    assert cli.run(["dist", "A3", "--psi", "N[1,2]"]) == 1
+    assert capsys.readouterr().err.startswith("error: WEYLSTAT_CAP must be an integer")
+
+
+@pytest.mark.parametrize("family, stat, d", [
+    ("A24", "inversions", 2), ("A24", "descents", 2), ("A14", "inversions", 3), ("A61", "descents", 1),
+])
+def test_var_checks_type_a_tables_beyond_rank_9(family, stat, d):
+    # the command raises if the table and the exact law disagree
+    run_cli("var", family, "--stat", stat, "-d", str(d), "--method", "enumerate")
+
+
+def test_dist_reaches_a12_at_height_2():
+    doc = json.loads(run_cli("dist", "A12", "-d", "2", "--format", "json"))
+    assert sum(c for _, c in doc["counts"]) == math.factorial(13)
+    assert Fraction(sum(v * c for v, c in doc["counts"]), math.factorial(13)) == Fraction(23, 2)
+
+
+def test_the_refusal_names_the_price(capsys):
+    assert cli.run(["var", "A25", "--stat", "inversions", "-d", "2", "--method", "enumerate"]) == 1
+    err = capsys.readouterr().err
+    assert "exact-law cost (elements enumerated, 128 per recursion transition) 11481984" in err
+    assert "exceeds enumeration cap 10000000" in err
 
 
 def test_thread_flag_does_not_change_output():

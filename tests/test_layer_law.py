@@ -132,9 +132,13 @@ def test_the_cost_rule_picks_the_recursion_on_a9_up_to_height_3(systems, enumera
     assert sum(hist.values()) == math.factorial(10) and enumerated_blocks == []
 
 
-def test_the_cap_refuses_what_it_refused_before(systems):
+def test_the_cap_prices_the_recursion_by_its_transitions(systems):
     rs = systems("A9")
+    price = 11097 * stats._LAYER_TRANSITION_COST  # A9 d <= 3 takes the recursion
+    with pytest.raises(ws.TooLargeError, match=f"cost .* {price} exceeds enumeration cap"):
+        stats.exact_distribution(rs, rs.roots_up_to_height(3), cap=price - 1)
+    hist = stats.exact_distribution(rs, rs.roots_up_to_height(3), cap=price)
+    assert price == 1420416 and sum(hist.values()) == math.factorial(10)
+    # A9 d <= 4 is enumerated, and priced at its order
     with pytest.raises(ws.TooLargeError):
-        stats.exact_distribution(rs, rs.roots_up_to_height(3), cap=math.factorial(10) - 1)
-    hist = stats.exact_distribution(rs, rs.roots_of_height(2), cap=math.factorial(10))
-    assert sum(hist.values()) == math.factorial(10)
+        stats.exact_distribution(rs, rs.roots_up_to_height(4), cap=math.factorial(10) - 1)

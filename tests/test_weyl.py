@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -77,6 +78,29 @@ def test_enumeration_cap(systems):
     with pytest.raises(ws.TooLargeError) as err:
         next(weyl.enumerate_elements(b5, cap=100))
     assert err.value.order == 3840
+
+
+@pytest.mark.parametrize("spec", ["A6", "A6xA1", "B3xG2", "G2xB3"])
+def test_enumeration_order_is_the_product_of_the_parts(systems, spec):
+    # A6 has 5,040 parts, more than one block of the first component
+    rs = systems(spec)
+    parts = itertools.product(*(weyl._component_parts_iter(c) for c in rs.spec.components))
+    elements = list(weyl.enumerate_elements(rs))
+    assert [w.parts for w in elements] == list(parts)
+    # a part that repeats from one element to the next is the same object
+    for u, v in zip(elements, elements[1:]):
+        assert all(p is q for p, q in zip(u.parts, v.parts) if p == q)
+
+
+def test_the_first_element_does_not_hold_every_part(systems):
+    rs = systems("D7")  # 322,560 parts
+    tracemalloc.start()
+    try:
+        next(weyl.enumerate_elements(rs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_composition_convention_locked(systems):
