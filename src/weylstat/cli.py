@@ -32,10 +32,13 @@ from .errors import WeylstatError
 from .rootsys import DEFAULT_CAP, build, parse_spec
 
 MAX_THREADS = 64
-# A sample run holds its values in one array of 1, 2 or 8 bytes per sample.
-# At 10**7 samples `sample B100xG2 -d 5` peaks at 57 MB (human), 256 MB (json)
-# and 306 MB (csv) of RSS, one run each: json and csv hold their whole text.
+# A sample run holds its values in one array of 1, 2 or 8 bytes per sample,
+# and writes them in pieces of PIECE_VALUES values, a few hundred kB of text
+# each.  `sample B100xG2 -d 5` peaks at 39.2 MB (human), 39.2 MB (json) and
+# 41.0 MB (csv) of RSS at 10**6 samples, and at 56.6, 56.7 and 58.8 MB at
+# 10**7, one run each (os.wait4).
 MAX_SAMPLES = 10**7
+PIECE_VALUES = 2**16
 
 
 def decimal_str(x: Fraction, digits: int = 20) -> str:
@@ -46,60 +49,112 @@ def decimal_str(x: Fraction, digits: int = 20) -> str:
 
 def _csv_text(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
-def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=1)`` and a newline, written at C speed.
+def _indexed_csv_pieces(a):
+    """The ``index,value`` CSV rows of a 1-D array of non-negative integers.
+
+    Each piece of ``PIECE_VALUES`` rows is one matrix of ASCII bytes, a row
+    per CSV row, whose NUL padding is then dropped.
+    """
+    import numpy as np  # loaded by the run that filled ``a``
+
+    value_width = len(str(int(a.max())))
+    for start in range(0, len(a), PIECE_VALUES):
+        piece = a[start : start + PIECE_VALUES]
+        index_width = len(str(start + len(piece) - 1))
+        rows = np.zeros((len(piece), index_width + value_width + 2), np.uint8)
+        _put_decimal(np, np.arange(start, start + len(piece)), rows[:, :index_width])
+        rows[:, index_width] = ord(",")
+        _put_decimal(np, piece, rows[:, index_width + 1 : -1])
+        rows[:, -1] = ord("\n")
+        yield rows.tobytes().replace(b"\0", b"").decode()
+
+
+def _put_decimal(np, x, out):
+    """Write non-negative integers ``x`` in ASCII decimal into the rows of the
+    zeroed uint8 matrix ``out``, right-aligned, leaving NULs before the first digit."""
+    x = x.astype(np.int64)
+    digit = np.empty_like(x)
+    for col in range(out.shape[1] - 1, -1, -1):
+        shown = (x > 0) | (col == out.shape[1] - 1)  # 0 shows its units digit
+        np.divmod(x, 10, out=(x, digit))
+        np.add(digit, ord("0"), out=out[:, col], where=shown, casting="unsafe")
+
+
+def _json_text(obj):
+    """The pieces of ``json.dumps(obj, indent=1)`` and a newline, written at C speed.
 
     With an indent, ``json.dumps`` runs the pure-Python encoder.  This writes
     the same text: a non-empty list of plain ints is re-indented from its
     ``repr``, dicts with ``str`` keys and other non-empty lists and tuples
     recurse, and every other value goes through ``json.dumps`` and is
-    re-indented.  A 1-D integer array is written as ``json.dumps`` writes
-    its ``tolist()``, from a table of each distinct value's text.
+    re-indented.  Everything but the 1-D integer arrays is one piece,
+    formatted before this returns.  A non-empty 1-D integer array is written
+    as ``json.dumps`` writes its ``tolist()``, in pieces of ``PIECE_VALUES``
+    values formatted as they are read, so no piece holds a whole array's
+    text.  Join the pieces for one ``str``.
     """
-    return _json_value(obj, "") + "\n"
+    arrays = []
+    # JSON text holds no NUL (json.dumps escapes control characters), so a
+    # NUL marks where each array's pieces go.
+    head, *tails = (_json_value(obj, "", arrays) + "\n").split("\0")
+    return itertools.chain([head], *(itertools.chain(a, [t]) for a, t in zip(arrays, tails)))
 
 
-def _json_value(obj, pad: str) -> str:
+def _json_value(obj, pad: str, arrays: list) -> str:
     inner = pad + " "
     # An array exists only once numpy is loaded, so a run that never loaded it has none.
     np = sys.modules.get("numpy")
     if np is not None and isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu":
-        lo, hi = (int(obj.min()), int(obj.max())) if len(obj) else (0, 0)
-        if hi - lo < len(obj) and np.can_cast(obj.dtype, np.intp):
-            # One NUL-padded record "<value>,<newline><indent>" per value in
-            # lo..hi, gathered in sample order; the padding is then dropped.
-            sep = ",\n" + inner
-            table = np.array([f"{v}{sep}".encode() for v in range(lo, hi + 1)])
-            body = table[np.subtract(obj, lo, dtype=np.intp)].tobytes().replace(b"\0", b"")
-            return "[\n" + inner + body[: -len(sep)].decode() + "\n" + pad + "]"
-        obj = obj.tolist()
+        if len(obj):  # every value but the last is followed by a separator
+            arrays.append(_int_array_pieces(np, obj[:-1], ",\n" + inner))
+            return "[\n" + inner + "\0" + str(obj[-1]) + "\n" + pad + "]"
+        obj = []
     if isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) == {int}:
             # The repr of a list of ints, "[1, 2]", is written in C; only the
             # separators need re-indenting.  A 1-tuple's repr has a trailing comma.
             body = repr(list(obj))[1:-1].replace(", ", ",\n" + inner)
             return "[\n" + inner + body + "\n" + pad + "]"
-        items = (_json_value(v, inner) for v in obj)
+        items = (_json_value(v, inner, arrays) for v in obj)
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
-        items = (json.dumps(k) + ": " + _json_value(v, inner) for k, v in obj.items())
+        items = (json.dumps(k) + ": " + _json_value(v, inner, arrays) for k, v in obj.items())
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     # JSON strings escape newlines, so every newline here is between lines.
     return json.dumps(obj, indent=1).replace("\n", "\n" + pad)
 
 
-def _emit(text: str, out: str | None):
+def _int_array_pieces(np, a, sep: str):
+    """The text "<value><sep>" of each value of a 1-D integer array, ``PIECE_VALUES`` values a piece.
+
+    The table of each value's text is built here, and each piece as it is read.
+    """
+    lo, hi = (int(a.min()), int(a.max())) if len(a) else (0, 0)
+    if hi - lo < len(a) and np.can_cast(a.dtype, np.intp):
+        # One NUL-padded record "<value><sep>" per value in lo..hi, gathered in
+        # array order; the padding is then dropped.
+        table = np.array([f"{v}{sep}".encode() for v in range(lo, hi + 1)])
+
+        def text(piece):
+            return table[np.subtract(piece, lo, dtype=np.intp)].tobytes().replace(b"\0", b"").decode()
+    else:
+        def text(piece):
+            return repr(piece.tolist())[1:-1].replace(", ", sep) + sep
+    return (text(a[start : start + PIECE_VALUES]) for start in range(0, len(a), PIECE_VALUES))
+
+
+def _emit(text, out: str | None):
+    """Write a handler's output: one ``str`` or an iterable of ``str`` pieces."""
+    pieces = [text] if isinstance(text, str) else text
     if out:
         with open(out, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+            f.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _psi_from_args(rs, args):
@@ -110,8 +165,15 @@ def _psi_from_args(rs, args):
     return list(stats.statistic_roots(rs, args.stat, args.d))
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+
+
 def _count_up_to(text: str, limit: int) -> int:
-    value = int(text)
+    value = _integer(text)
     if not 1 <= value <= limit:
         raise argparse.ArgumentTypeError(f"must be between 1 and {limit}, got {value}")
     return value
@@ -126,7 +188,7 @@ def _sample_count(text: str) -> int:
 
 
 def _height(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -149,7 +211,7 @@ def _cap(args) -> int:
         return DEFAULT_CAP
     try:
         return _height(env)
-    except (ValueError, argparse.ArgumentTypeError):
+    except argparse.ArgumentTypeError:
         raise WeylstatError(f"WEYLSTAT_CAP must be an integer of at least 1, got {env!r}") from None
 
 
@@ -302,7 +364,7 @@ def _cmd_sample(args):
         rs, psi, args.samples, args.seed, threads=args.threads, descriptor=descriptor
     )
     if args.format == "csv":
-        return _csv_text(itertools.chain([("index", "value")], enumerate(run.samples.tolist())))
+        return itertools.chain(["index,value\n"], _indexed_csv_pieces(run.samples))
     if args.format == "json":
         doc = run.to_json_dict(include_values=False)
         if not args.no_values:  # the array, in the key order of to_json_dict

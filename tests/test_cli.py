@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -6,8 +7,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -307,6 +310,25 @@ def test_var_keeps_its_own_height_check(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["dist", "A3", "-d", "x"], "-d"),
+    (["dist", "A3", "-d", "1", "--cap", "1e3"], "--cap"),
+    (["sample", "A3", "-d", "1", "--samples", "x", "--seed", "1"], "--samples"),
+    (["clt", "A3", "-d", "1", "--samples", "10", "--seed", "1", "--threads", "2.0"], "--threads"),
+])
+def test_a_non_integer_is_a_readable_usage_error(monkeypatch, capsys, argv, option):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a catalog was built")
+
+    monkeypatch.setattr(cli, "build", no_build)
+    with pytest.raises(SystemExit) as err:
+        cli.run(argv)
+    assert err.value.code == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert message.endswith(f"argument {option}: must be an integer, got {argv[argv.index(option) + 1]!r}")
+    assert "invalid" not in message and "_" not in message  # no parser function named
+
+
 def test_samples_bound_is_inclusive():
     args = cli.build_parser().parse_args(
         ["sample", "B3", "-d", "2", "--samples", str(cli.MAX_SAMPLES), "--seed", "1"]
@@ -386,7 +408,7 @@ _json_trees = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(obj=_json_trees)
 def test_json_text_matches_json_dumps(obj):
-    assert cli._json_text(obj) == json.dumps(obj, indent=1) + "\n"
+    assert "".join(cli._json_text(obj)) == json.dumps(obj, indent=1) + "\n"
 
 
 @st.composite
@@ -425,7 +447,79 @@ _array_trees = st.recursive(
 def test_json_text_of_integer_arrays_matches_json_dumps_of_their_lists(tree, length_one):
     # at depth 2 or more, and beside a one-value array
     obj = {"spec": "A1", "runs": [tree, {"values": length_one}]}
-    assert cli._json_text(obj) == json.dumps(_plain(obj), indent=1) + "\n"
+    assert "".join(cli._json_text(obj)) == json.dumps(_plain(obj), indent=1) + "\n"
+
+
+@pytest.mark.parametrize("piece", [1, 2, 5])
+@settings(max_examples=50, deadline=None)
+@given(tree=_array_trees)
+def test_json_text_of_arrays_written_in_small_pieces_matches_json_dumps(tree, piece):
+    obj = {"runs": [tree]}
+    with mock.patch.object(cli, "PIECE_VALUES", piece):
+        assert "".join(cli._json_text(obj)) == json.dumps(_plain(obj), indent=1) + "\n"
+
+
+@pytest.mark.parametrize("piece", [1, 3, 1000])
+@settings(max_examples=50, deadline=None)
+@given(a=st.sampled_from(["uint8", "uint16", "int64"]).flatmap(
+    lambda dtype: st.lists(st.integers(0, int(np.iinfo(dtype).max)), min_size=1, max_size=40).map(
+        lambda values: np.array(values, dtype=dtype))))
+def test_indexed_csv_pieces_match_csv_writer(a, piece):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(enumerate(a.tolist()))
+    with mock.patch.object(cli, "PIECE_VALUES", piece):
+        pieces = list(cli._indexed_csv_pieces(a))
+    assert "".join(pieces) == buf.getvalue()
+    assert len(pieces) == math.ceil(len(a) / piece)
+
+
+@functools.lru_cache(maxsize=None)
+def _sample_text(n: int, fmt: str) -> str:
+    """``sample B6 -d 3 --seed 3`` written by json.dumps or csv.writer from the run's values."""
+    from weylstat import stats
+    from weylstat.rootsys import build
+
+    rs = build("B6")
+    run = stats.mc_run(rs, stats.statistic_roots(rs, "inversions", 3), n, 3,
+                       descriptor={"stat": "inversions", "d": 3})
+    if fmt == "json":
+        return json.dumps(run.to_json_dict(), indent=1) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([("index", "value"), *enumerate(run.values)])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("n", [
+    1, cli.PIECE_VALUES - 1, cli.PIECE_VALUES, cli.PIECE_VALUES + 1, 3 * cli.PIECE_VALUES + 5,
+])
+def test_sample_values_across_piece_boundaries_match_json_dumps_and_csv_writer(tmp_path, n, fmt, threads):
+    argv = ["sample", "B6", "-d", "3", "--samples", str(n), "--seed", "3", "--format", fmt,
+            "--threads", threads]
+    out = run_cli(*argv)
+    assert out == _sample_text(n, fmt)
+    target = tmp_path / f"values.{fmt}"
+    run_cli(*argv, "--out", str(target))
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sample_values_are_written_in_bounded_pieces(tmp_path, fmt):
+    # 10**6 values take 5 MB of JSON or 8.9 MB of CSV text, and 1 MB as the
+    # run's array: writing them in pieces adds a fraction of the text
+    target = tmp_path / f"values.{fmt}"
+    argv = ["sample", "A4", "-d", "1", "--samples", str(10**6), "--seed", "3", "--out", str(target)]
+    peaks = []
+    for extra in ([], ["--format", fmt]):
+        tracemalloc.start()
+        try:
+            assert cli.run([*argv, *extra]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    run_peak, peak = peaks
+    assert peak - run_peak < target.stat().st_size / 3
 
 
 @pytest.mark.parametrize("argv", [
