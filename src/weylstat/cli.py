@@ -85,47 +85,43 @@ def _put_decimal(np, x, out):
 
 
 def _json_text(obj):
-    """The pieces of ``json.dumps(obj, indent=1)`` and a newline, written at C speed.
+    """The pieces of ``json.dumps(obj, indent=1)`` and a newline, formatted as they are read.
 
-    With an indent, ``json.dumps`` runs the pure-Python encoder.  This writes
-    the same text: a non-empty list of plain ints is re-indented from its
-    ``repr``, dicts with ``str`` keys and other non-empty lists and tuples
-    recurse, and every other value goes through ``json.dumps`` and is
-    re-indented.  Everything but the 1-D integer arrays is one piece,
-    formatted before this returns.  A non-empty 1-D integer array is written
-    as ``json.dumps`` writes its ``tolist()``, in pieces of ``PIECE_VALUES``
-    values formatted as they are read, so no piece holds a whole array's
-    text.  Join the pieces for one ``str``.
+    The standard library's encoder writes the text, in pieces of ``PIECE_VALUES``
+    of its chunks; a 1-D integer array is written as its ``tolist()``, its values
+    gathered by ``_int_array_pieces``.  Join the pieces for one ``str``.
     """
-    arrays = []
-    # JSON text holds no NUL (json.dumps escapes control characters), so a
-    # NUL marks where each array's pieces go.
-    head, *tails = (_json_value(obj, "", arrays) + "\n").split("\0")
-    return itertools.chain([head], *(itertools.chain(a, [t]) for a, t in zip(arrays, tails)))
-
-
-def _json_value(obj, pad: str, arrays: list) -> str:
-    inner = pad + " "
     # An array exists only once numpy is loaded, so a run that never loaded it has none.
     np = sys.modules.get("numpy")
-    if np is not None and isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu":
-        if len(obj):  # every value but the last is followed by a separator
-            arrays.append(_int_array_pieces(np, obj[:-1], ",\n" + inner))
-            return "[\n" + inner + "\0" + str(obj[-1]) + "\n" + pad + "]"
-        obj = []
-    if isinstance(obj, (list, tuple)) and obj:
-        if set(map(type, obj)) == {int}:
-            # The repr of a list of ints, "[1, 2]", is written in C; only the
-            # separators need re-indenting.  A 1-tuple's repr has a trailing comma.
-            body = repr(list(obj))[1:-1].replace(", ", ",\n" + inner)
-            return "[\n" + inner + body + "\n" + pad + "]"
-        items = (_json_value(v, inner, arrays) for v in obj)
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    if isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
-        items = (json.dumps(k) + ": " + _json_value(v, inner, arrays) for k, v in obj.items())
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    # JSON strings escape newlines, so every newline here is between lines.
-    return json.dumps(obj, indent=1).replace("\n", "\n" + pad)
+    arrays = []
+
+    def default(o):
+        if np is not None and isinstance(o, np.ndarray) and o.ndim == 1 and o.dtype.kind in "iu":
+            arrays.append(o)
+            return []
+        return json.JSONEncoder.default(encoder, o)  # raises TypeError, as json.dumps does
+
+    encoder = json.JSONEncoder(indent=1, default=default)
+    piece = []
+    # With an indent, iterencode runs json.encoder._make_iterencode, which yields
+    # what ``default`` returns as its very next chunk, so no document text is taken
+    # for an array: the "[]" read just after one is recorded is its place (or text).
+    for chunk in encoder.iterencode(obj):
+        if arrays and len(a := arrays.pop()):
+            text = "".join(piece)
+            line = text[text.rfind("\n") + 1 :]
+            pad = " " * (len(line) - len(line.lstrip(" ")))
+            yield text + "[\n" + pad + " "
+            # every value but the last is followed by a separator
+            yield from _int_array_pieces(np, a[:-1], ",\n" + pad + " ")
+            piece = [f"{a[-1]}\n{pad}]"]
+            continue
+        piece.append(chunk)
+        if len(piece) >= PIECE_VALUES:  # keep the open line, for an array's indent
+            head, newline, line = "".join(piece).rpartition("\n")
+            yield head + newline
+            piece = [line]
+    yield "".join(piece) + "\n"
 
 
 def _int_array_pieces(np, a, sep: str):

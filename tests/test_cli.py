@@ -459,6 +459,47 @@ def test_json_text_of_arrays_written_in_small_pieces_matches_json_dumps(tree, pi
         assert "".join(cli._json_text(obj)) == json.dumps(_plain(obj), indent=1) + "\n"
 
 
+@pytest.mark.parametrize("listed", [False, True], ids=["top-level", "only-item"])
+@pytest.mark.parametrize("a", [
+    np.array([7], np.int64),
+    np.arange(-5, 3 * cli.PIECE_VALUES, dtype=np.int32),
+    np.array([], np.uint8),
+], ids=["one", "many", "empty"])
+def test_json_text_of_a_lone_array_matches_json_dumps(a, listed):
+    obj = [a] if listed else a
+    assert "".join(cli._json_text(obj)) == json.dumps(_plain(obj), indent=1) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    Fraction(1, 3), np.array([0.5, 1.0]), np.zeros((2, 3), np.int64),
+], ids=["fraction", "float-array", "2d-array"])
+def test_json_text_refuses_what_json_dumps_refuses(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=1)
+    with pytest.raises(TypeError):
+        "".join(cli._json_text({"runs": [obj]}))
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    pytest.param(["roots", "A199"], "ee8298fdc160231ca220c621c33d0f4cea7060e6aa1de100a0c06c94a632f357",
+                 id="roots-A199"),
+    pytest.param(["poset", "B20"], "71586f7e156c978f91df59c6a377399192933355084e3af69f296dc7a5a364e6",
+                 id="poset-B20"),
+    pytest.param(["depgraph", "A99", "-d", "3"],
+                 "895f338f037c7763252335dc552cfc7130edc32a94dab48446aac17722cd3c09", id="depgraph-A99"),
+])
+def test_large_documents_without_arrays_are_pinned(argv, sha256):
+    out = run_cli(*argv, "--format", "json")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_a_large_document_is_written_in_bounded_pieces():
+    args = cli.build_parser().parse_args(["roots", "A199", "--format", "json"])
+    pieces = list(args.fn(args))
+    assert len(pieces) > 1
+    assert max(map(len, pieces)) <= len("".join(pieces)) / 4
+
+
 @pytest.mark.parametrize("piece", [1, 3, 1000])
 @settings(max_examples=50, deadline=None)
 @given(a=st.sampled_from(["uint8", "uint16", "int64"]).flatmap(
