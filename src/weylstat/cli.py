@@ -217,14 +217,15 @@ def _cmd_roots(args):
     if args.exact_height and args.d is None:
         raise WeylstatError("--exact-height needs -d")
     rs = build(args.system)
+    heights = rs.heights  # the roots come in catalog order: read ids and heights off it
     if args.d is None:
-        roots = rs.roots
+        roots, ids = rs.roots, range(len(rs))
     elif args.exact_height:
-        roots = rs.roots_of_height(args.d)
+        roots, ids = rs.roots_of_height(args.d), [k for k, h in enumerate(heights) if h == args.d]
     else:
-        roots = rs.roots_up_to_height(args.d)
+        roots, ids = rs.roots_up_to_height(args.d), [k for k, h in enumerate(heights) if h <= args.d]
     rows = [("id", "root", "height")]
-    rows += [(rs.index(r), rs.render_root(r), rs.height(r)) for r in roots]
+    rows += [(k, rs.render_root(r), heights[k]) for k, r in zip(ids, roots, strict=True)]
     if args.format == "csv":
         return _csv_text(rows)
     if args.format == "json":
@@ -464,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("var", help="closed-form variance (formula convention: A is keyed by degree)")
     p.add_argument("family", help="e.g. A5 (degree-5 symmetric group) or B4")
     p.add_argument("--stat", choices=("descents", "inversions"), required=True)
-    p.add_argument("-d", type=int, required=True)
+    p.add_argument("-d", type=_integer, required=True)
     p.add_argument("--method", choices=("formula", "enumerate"), default="formula")
     _add_common(p, cap=True)
     p.set_defaults(fn=_cmd_var)
@@ -481,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--psi", nargs="+", default=None, help="explicit root list")
         if needs_seed:
             p.add_argument("--samples", type=_sample_count, required=True)
-            p.add_argument("--seed", type=int, required=True)
+            p.add_argument("--seed", type=_integer, required=True)
             p.add_argument("--no-values", action="store_true")
         # dot is depgraph's own format; of these three commands only dist enumerates
         dot = ("dot",) if name == "depgraph" else ()
@@ -493,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", type=_height, required=True)
     p.add_argument("--stat", choices=("descents", "inversions"), default="inversions")
     p.add_argument("--samples", type=_sample_count, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_integer, required=True)
     _add_common(p)
     p.set_defaults(fn=_cmd_clt)
 

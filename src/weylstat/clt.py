@@ -206,8 +206,7 @@ def theoretical_variance(rs: RootSystem, d: int, statistic: str) -> Fraction:
             own = [r for r in psi if r.component == ci]
             total += sum(formulas.cov_closed(rs, b, g) for b in own for g in own)
         else:
-            n_param = comp.rank + 1 if comp.family == "A" else comp.rank
-            q = formulas.VarianceQuery(comp.family, n_param, rs.height(top), statistic)
+            q = formulas.VarianceQuery(comp.family, comp.dimension, rs.height(top), statistic)
             total += formulas.variance_with_branch(q)[0]
     return total
 

@@ -13,6 +13,10 @@ coordinates:
 G2 is realized by a fixed six-root table over its two simple roots, placed
 in the plane ``x_1 + x_2 + x_3 = 0`` of ``Z^3`` (short norm 2, long norm 6),
 so that every root is an integer vector with a few nonzero coordinates.
+Its Weyl group is defined once here, from these vectors: ``_G2_ROWS`` holds
+the 12 images of the generic point ``(-3, 1, 2)`` under the reflections in
+the two simple roots, and both the object model in ``weyl`` and the counting
+kernel in ``stats`` derive their G2 tables from it.
 
 Normalization note: the standard literature leaves the type C ambient scaling
 open; here ``O[i]`` is stored as the long root ``2 e_i`` so that the sign of
@@ -68,6 +72,23 @@ _G2_COEFFS = ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))
 _G2_VECTORS = tuple(
     tuple((k, c) for k, c in enumerate((-b, 2 * b - a, a - b), 1) if c) for a, b in _G2_COEFFS
 )
+
+
+def _g2_orbit(point):
+    """Images of ``point`` under the reflections in r1 and r2, breadth first."""
+    rows = [point]
+    for x in rows:  # the list grows while it is read: a breadth-first queue
+        for r in _G2_VECTORS[:2]:
+            c = 2 * sum(v * x[k - 1] for k, v in r) // sum(v * v for _, v in r)
+            y = tuple(x[k - 1] - c * dict(r).get(k, 0) for k in (1, 2, 3))
+            if y not in rows:
+                rows.append(y)
+    return tuple(rows)
+
+
+# W(G2), defined once: row t is w_t^-1 (-3, 1, 2) for element t.  The point pairs
+# with r1..r6 to 1, 3, 4, 5, 6 and 9, all distinct, so each row fixes its element.
+_G2_ROWS = _g2_orbit((-3, 1, 2))
 
 
 @dataclass(frozen=True)

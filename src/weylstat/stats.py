@@ -20,9 +20,9 @@ each run is tested with one comparison of two coordinate slices.  Every
 block, enumerated or sampled, is stored coordinate-major (the values of one
 coordinate are contiguous), so each such slice is contiguous.
 
-G2 is counted by the same kernel: W(G2) is +-S_3 acting on the sum-zero plane
-of R^3, its 12 elements are the rows :data:`_G2_ROWS` (images of one generic
-point), and each G2 root is a classical coordinate test (:data:`_G2_TESTS`).
+G2 is counted by the same kernel: its 12 elements are the rows :data:`_G2_ROWS`,
+the images of one generic point by which ``rootsys`` defines W(G2) once (weyl's
+table derives from them too); each G2 root is a coordinate test (:data:`_G2_TESTS`).
 A sampled G2 component is still drawn as one uniform table index per sample.
 
 A sampled row holds i.i.d. signed keys read off the raw bit stream
@@ -64,6 +64,7 @@ import itertools
 import math
 import threading
 
+from . import rootsys
 from .errors import TooLargeError, WeylstatError
 from .rootsys import DEFAULT_CAP, Root, RootSystem, component_order, derived_seed, group_order
 
@@ -211,15 +212,8 @@ class _Workspace:
 
 @lru_cache(maxsize=None)
 def _g2_rows() -> np.ndarray:
-    """The int8 table ``_G2_ROWS``, built on first use.
-
-    W(G2) = +-S_3 on the plane x1 + x2 + x3 = 0: row t is the image of the
-    generic point (-3, 1, 2) under element t of weyl's G2 table.
-    """
-    return np.array([
-        (-3, 1, 2), (-3, 2, 1), (-2, -1, 3), (-1, -2, 3), (-2, 3, -1), (-1, 3, -2),
-        (1, -3, 2), (2, -3, 1), (1, 2, -3), (2, 1, -3), (3, -2, -1), (3, -1, -2),
-    ], dtype=np.int8)
+    """The int8 table ``_G2_ROWS``, built on first use from rootsys's definition of W(G2)."""
+    return np.array(rootsys._G2_ROWS, dtype=np.int8)
 
 
 def __getattr__(name: str):

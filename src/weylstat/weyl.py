@@ -3,7 +3,9 @@
 Elements of classical components are signed permutations stored per component
 as a permutation of ``1..n`` plus a sign vector (type A: all signs positive;
 type D: evenly many negative signs).  The G2 component uses indices into a
-fixed 12-element group table generated once from the two simple reflections.
+fixed 12-element group table derived from W(G2) as ``rootsys`` defines it:
+element t is the w_t with ``w_t^-1 (-3, 1, 2)`` equal to row t of
+``rootsys._G2_ROWS``, read off the root vectors.
 Roots and parts are named tuples (:class:`~weylstat.rootsys.Root`,
 :class:`SignedPermPart`, :class:`G2Part`), so hashing, comparison and
 construction run in C; a ``Root`` therefore also equals the plain tuple of
@@ -32,6 +34,8 @@ from .errors import ComponentMismatchError, TooLargeError, WeylstatError
 # Group orders, the cap and the seed split are defined beside the catalog and
 # re-exported here unchanged.
 from .rootsys import (
+    _G2_ROWS,
+    _G2_VECTORS,
     DEFAULT_CAP,
     Root,
     RootSystem,
@@ -44,44 +48,24 @@ from .rootsys import (
 # -- G2 group table ----------------------------------------------------------
 
 def _g2_compose(u, v):
-    out = []
-    for t in v:
-        s = 1 if t > 0 else -1
-        img = u[abs(t) - 1]
-        out.append(s * img)
-    return tuple(out)
+    return tuple(u[abs(t) - 1] * (1 if t > 0 else -1) for t in v)
 
 
-def _g2_build_table():
-    """Close the two simple reflections under composition, BFS from identity."""
-    ident = (1, 2, 3, 4, 5, 6)
-    s1 = (-1, 5, 4, 3, 2, 6)  # reflection in the short simple root r1
-    s2 = (3, -2, 1, 4, 6, 5)  # reflection in the long simple root r2
-    elems = [ident]
-    index = {ident: 0}
-    queue = [ident]
-    while queue:
-        g = queue.pop(0)
-        for gen in (s1, s2):
-            h = _g2_compose(g, gen)
-            if h not in index:
-                index[h] = len(elems)
-                elems.append(h)
-                queue.append(h)
-    mul = tuple(
-        tuple(index[_g2_compose(a, b)] for b in elems) for a in elems
-    )
-    inv = tuple(next(j for j, b in enumerate(elems) if mul[i][j] == 0) for i, _ in enumerate(elems))
-    return tuple(elems), mul, inv, index
-
-
-_G2_ELEMS, _G2_MUL, _G2_INV, _G2_INDEX = _g2_build_table()
+# Element t as the signed indices of w_t(r1..r6).  w_t^-1 (-3, 1, 2) is row t, so
+# w_t(r_k) is the signed root whose pairing with (-3, 1, 2), row 0, is <r_k, row t>.
+_G2_PAIRINGS = tuple(tuple(sum(c * x[k - 1] for k, c in v) for v in _G2_VECTORS) for x in _G2_ROWS)
+_G2_ELEMS = tuple(
+    tuple((_G2_PAIRINGS[0].index(abs(p)) + 1) * (1 if p > 0 else -1) for p in row) for row in _G2_PAIRINGS
+)
+_G2_MUL = tuple(tuple(_G2_ELEMS.index(_g2_compose(a, b)) for b in _G2_ELEMS) for a in _G2_ELEMS)
+_G2_INV = tuple(row.index(0) for row in _G2_MUL)
 _G2_ORDER = len(_G2_ELEMS)
 # Per-element bitmask over the six roots: bit k set iff r_{k+1} is an inversion.
 _G2_INV_MASKS = tuple(
     sum(1 << k for k, t in enumerate(g) if t < 0) for g in _G2_ELEMS
 )
-_G2_SIMPLE_IDX = (_G2_INDEX[(-1, 5, 4, 3, 2, 6)], _G2_INDEX[(3, -2, 1, 4, 6, 5)])
+# The reflections in r1 and r2: the elements inverting that root alone.
+_G2_SIMPLE_IDX = (_G2_INV_MASKS.index(1), _G2_INV_MASKS.index(2))
 
 
 # -- element data model -------------------------------------------------------

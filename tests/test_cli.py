@@ -315,6 +315,9 @@ def test_var_keeps_its_own_height_check(capsys):
     (["dist", "A3", "-d", "1", "--cap", "1e3"], "--cap"),
     (["sample", "A3", "-d", "1", "--samples", "x", "--seed", "1"], "--samples"),
     (["clt", "A3", "-d", "1", "--samples", "10", "--seed", "1", "--threads", "2.0"], "--threads"),
+    (["var", "A5", "--stat", "descents", "-d", "x"], "-d"),
+    (["sample", "A3", "-d", "1", "--samples", "10", "--seed", "x"], "--seed"),
+    (["clt", "A3", "-d", "1", "--samples", "10", "--seed", "1.5"], "--seed"),
 ])
 def test_a_non_integer_is_a_readable_usage_error(monkeypatch, capsys, argv, option):
     def no_build(*args, **kwargs):

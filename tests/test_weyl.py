@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,25 @@ def test_apply_sign_flip_example(systems):
     b2 = systems("B2")
     w = weyl.element(b2, [weyl.SignedPermPart((1, 2), (-1, 1))])
     assert weyl.apply(w, Root(0, "P", 1, 2)) == (Root(0, "N", 1, 2), 1)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "D4", "G2", "A2xG2"])
+def test_simple_reflections_act_as_reflections(systems, spec):
+    # s_alpha(beta) = beta - (2 <beta, alpha> / <alpha, alpha>) alpha, on the root vectors
+    rs = systems(spec)
+
+    def vector(root, scale=1):
+        return {(root.component, k): scale * c for k, c in rs._vector(root)}
+
+    for alpha in rs.simple_roots():
+        s = weyl.simple_reflection(rs, alpha)
+        for beta in rs.roots:
+            c = Fraction(2 * rs.inner_product_int(beta, alpha), rs.inner_product_int(alpha, alpha))
+            expected = vector(beta)
+            for key, a in vector(alpha).items():
+                expected[key] = expected.get(key, 0) - c * a
+            image, sign = weyl.apply(s, beta)
+            assert vector(image, sign) == {k: v for k, v in expected.items() if v}, (alpha, beta)
 
 
 def test_inversion_set_identity_and_longest(systems):
