@@ -16,7 +16,6 @@ families rank and formula parameter coincide.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import itertools
 import json
@@ -48,6 +47,8 @@ def decimal_str(x: Fraction, digits: int = 20) -> str:
 
 
 def _csv_text(rows) -> str:
+    import csv
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
@@ -242,11 +243,9 @@ def _cmd_roots(args):
 
 def _cmd_poset(args):
     rs = build(args.system)
+    names = list(map(rs.render_root, rs.roots))  # each root once, indexed by id
     rows = [("lower", "upper")]
-    rows += [
-        (rs.render_root(rs.roots[a]), rs.render_root(rs.roots[b]))
-        for a, b in rs.covers
-    ]
+    rows += [(names[a], names[b]) for a, b in rs.covers]
     if args.format == "csv":
         return _csv_text(rows)
     if args.format == "json":

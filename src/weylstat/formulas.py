@@ -15,8 +15,8 @@ Family conventions: type A formulas are keyed by the permutation degree
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InternalConsistencyError, RangeError, WeylstatError
 from .rootsys import Root, RootSystem
@@ -79,8 +79,7 @@ def cov_closed_angle(rs: RootSystem, beta: Root, gamma: Root) -> Fraction:
 
 # -- piecewise variance tables ----------------------------------------------------
 
-@dataclass(frozen=True)
-class VarianceQuery:
+class VarianceQuery(NamedTuple):
     family: str
     n: int
     d: int
@@ -285,8 +284,7 @@ def var_inversions(q: VarianceQuery) -> Fraction:
 
 # -- type B block covariances ---------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockCovariancesB:
+class BlockCovariancesB(NamedTuple):
     """The five mixed-form block covariances of the type B height-d statistic.
 
     ``pn2``/``no2``/``po2`` carry the factor 2 (both orders of the pair of

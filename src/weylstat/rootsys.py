@@ -44,7 +44,6 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -91,22 +90,29 @@ def _g2_orbit(point):
 _G2_ROWS = _g2_orbit((-3, 1, 2))
 
 
-@dataclass(frozen=True)
-class Component:
-    """One irreducible factor of a system descriptor."""
-
+class _ComponentFields(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InvalidSpecError(f"unknown family {self.family!r}")
-        if self.family == "G2" and self.rank != 2:
+
+class Component(_ComponentFields):
+    """One irreducible factor of a system descriptor.
+
+    A named tuple, like :class:`Root`: it equals, hashes and unpacks as the
+    plain tuple ``(family, rank)``.  Construction checks the fields, also
+    when a pickled copy is loaded.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int):
+        if family not in FAMILIES:
+            raise InvalidSpecError(f"unknown family {family!r}")
+        if family == "G2" and rank != 2:
             raise InvalidSpecError("G2 has fixed rank 2")
-        if self.rank < _MIN_RANK[self.family]:
-            raise InvalidSpecError(
-                f"family {self.family} requires rank >= {_MIN_RANK[self.family]}, got {self.rank}"
-            )
+        if rank < _MIN_RANK[family]:
+            raise InvalidSpecError(f"family {family} requires rank >= {_MIN_RANK[family]}, got {rank}")
+        return super().__new__(cls, family, rank)
 
     def __str__(self):
         return "G2" if self.family == "G2" else f"{self.family}{self.rank}"
@@ -119,15 +125,19 @@ class Component:
         return self.rank
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Ordered list of components in pairwise orthogonal coordinate blocks."""
-
+class _FamilySpecFields(NamedTuple):
     components: tuple[Component, ...]
 
-    def __post_init__(self):
-        if not self.components:
+
+class FamilySpec(_FamilySpecFields):
+    """Ordered list of components in pairwise orthogonal coordinate blocks."""
+
+    __slots__ = ()
+
+    def __new__(cls, components: tuple[Component, ...]):
+        if not components:
             raise InvalidSpecError("empty system descriptor")
+        return super().__new__(cls, components)
 
     @property
     def rank(self) -> int:
@@ -486,7 +496,9 @@ class RootSystem:
 
     # -- rendering -----------------------------------------------------------
 
+    @cached_property
     def _component_prefixes(self) -> tuple[str, ...]:
+        """Each component's prefix in the root grammar, such as ``B4`` or ``A2.1``."""
         # repeated components get an ordinal suffix so parsing stays injective
         names = [str(c) for c in self.spec.components]
         dup = {n for n in names if names.count(n) > 1}
@@ -508,7 +520,7 @@ class RootSystem:
             body = f"{root.form}[{root.i},{root.j}]"
         if self.irreducible:
             return body
-        return f"{self._component_prefixes()[root.component]}:{body}"
+        return f"{self._component_prefixes[root.component]}:{body}"
 
     def parse_root(self, text: str) -> Root:
         """Inverse of :meth:`render_root`; accepts an optional component prefix."""
@@ -516,7 +528,7 @@ class RootSystem:
         comp = 0
         if ":" in text:
             prefix, body = text.split(":", 1)
-            prefixes = self._component_prefixes()
+            prefixes = self._component_prefixes
             if prefix not in prefixes:
                 raise StaleRootError(f"unknown component prefix {prefix!r} in {text!r}")
             comp = prefixes.index(prefix)

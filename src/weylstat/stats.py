@@ -57,12 +57,12 @@ allocator's heap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 import itertools
 import math
 import threading
+from typing import NamedTuple
 
 from . import rootsys
 from .errors import TooLargeError, WeylstatError
@@ -101,8 +101,7 @@ SUFFIX_POSITIONS = 8
 JOINT_OUTCOME_GUARD = 20
 
 
-@dataclass(frozen=True)
-class WPartitionCounts:
+class WPartitionCounts(NamedTuple):
     """Sizes of the four sign classes of the group for a root pair.
 
     ``pp`` counts elements keeping both roots positive, ``pm`` those keeping
@@ -119,7 +118,6 @@ class WPartitionCounts:
         return self.pp + self.pm + self.mp + self.mm
 
 
-@dataclass
 class SampleRun:
     """A seeded Monte Carlo record with exact sample moments.
 
@@ -127,16 +125,32 @@ class SampleRun:
     ``counts`` is ``np.bincount(samples)``, which every statistic reads (as
     :func:`mc_run` counted it per chunk, else counted on first read and cached);
     ``values`` is the samples as a list of Python ints, built on first read
-    and cached.  Equality and the repr leave the arrays out.
+    and cached.  Equality and the repr leave the arrays out.  A plain class,
+    not a named tuple: the two caches need an instance dict.
     """
 
-    spec: str
-    descriptor: dict
-    seed: int
-    n_samples: int
-    samples: np.ndarray = field(repr=False, compare=False)
-    sample_mean: Fraction
-    sample_variance: Fraction
+    _COMPARED = ("spec", "descriptor", "seed", "n_samples", "sample_mean", "sample_variance")
+
+    def __init__(self, spec: str, descriptor: dict, seed: int, n_samples: int,
+                 samples: np.ndarray, sample_mean: Fraction, sample_variance: Fraction):
+        self.spec = spec
+        self.descriptor = descriptor
+        self.seed = seed
+        self.n_samples = n_samples
+        self.samples = samples
+        self.sample_mean = sample_mean
+        self.sample_variance = sample_variance
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._COMPARED)
+
+    __hash__ = None  # equal runs may hold different arrays, and the fields are mutable
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._COMPARED)
+        return f"{self.__class__.__qualname__}({fields})"
 
     @cached_property
     def counts(self) -> np.ndarray:

@@ -6,10 +6,12 @@ type D: evenly many negative signs).  The G2 component uses indices into a
 fixed 12-element group table derived from W(G2) as ``rootsys`` defines it:
 element t is the w_t with ``w_t^-1 (-3, 1, 2)`` equal to row t of
 ``rootsys._G2_ROWS``, read off the root vectors.
-Roots and parts are named tuples (:class:`~weylstat.rootsys.Root`,
-:class:`SignedPermPart`, :class:`G2Part`), so hashing, comparison and
-construction run in C; a ``Root`` therefore also equals the plain tuple of
-its fields and unpacks like one.
+Roots, parts and elements are named tuples (:class:`~weylstat.rootsys.Root`,
+:class:`SignedPermPart`, :class:`G2Part`, :class:`WeylElement`), so
+construction runs in C, and a ``Root`` or a part hashes and compares in C
+too; a ``Root`` therefore also equals the plain tuple of its fields and
+unpacks like one.  An element keeps its own equality: its parts and its
+system's descriptor, not the catalog object.
 
 Composition convention, locked by tests: ``compose(u, v)`` is the map
 ``x -> u(v(x))``.
@@ -26,7 +28,6 @@ import itertools
 import random  # annotations only, but typing.get_type_hints resolves them at run time
 import re
 import weakref
-from dataclasses import dataclass, field
 from operator import itemgetter, mul
 from typing import NamedTuple
 
@@ -83,15 +84,15 @@ class G2Part(NamedTuple):
     index: int
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """Immutable group element of the system it was created for.
 
     Two elements are equal when their systems have the same descriptor and
-    their parts are equal; the catalog object itself is not compared.
+    their parts are equal; the catalog object itself is not compared, and
+    the repr leaves it out.
     """
 
-    system: RootSystem = field(compare=False, repr=False)
+    system: RootSystem
     parts: tuple[SignedPermPart | G2Part, ...]
 
     def __eq__(self, other):
@@ -99,20 +100,23 @@ class WeylElement:
             return NotImplemented
         return self.parts == other.parts and self.system.spec == other.system.spec
 
+    def __ne__(self, other):  # else tuple's own, which compares the catalog objects
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
     def __hash__(self):
         return hash((self.system.spec, self.parts))
+
+    def __repr__(self):
+        return f"WeylElement(parts={self.parts!r})"
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return compose(self, other)
 
 
-def _new_element(rs, parts, new=object.__new__, cls=WeylElement):
-    """A :class:`WeylElement` of trusted parts, without the frozen ``__init__``."""
-    w = new(cls)
-    d = w.__dict__
-    d["system"] = rs
-    d["parts"] = parts
-    return w
+def _new_element(rs, parts, new=tuple.__new__, cls=WeylElement):
+    """A :class:`WeylElement` of trusted parts, built in C without the named tuple's ``__new__``."""
+    return new(cls, (rs, parts))
 
 
 _G2_PARTS = tuple(map(G2Part, range(_G2_ORDER)))

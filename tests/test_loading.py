@@ -40,9 +40,9 @@ EXPORTS = {
 }
 
 
-def _loaded(code: str) -> set[str]:
-    """The modules of OPTIONAL that a fresh interpreter holds after running ``code``."""
-    report = f"import json, sys; print(json.dumps([m for m in {OPTIONAL!r} if m in sys.modules]))"
+def _loaded(code: str, modules=OPTIONAL) -> set[str]:
+    """The ``modules`` (by default OPTIONAL) that a fresh interpreter holds after running ``code``."""
+    report = f"import json, sys; print(json.dumps([m for m in {modules!r} if m in sys.modules]))"
     proc = subprocess.run(
         [sys.executable, "-c", f"{code}\n{report}"], capture_output=True, text=True,
         check=True, env={**os.environ, "PYTHONPATH": SRC},
@@ -83,6 +83,24 @@ def test_numpy_loads_only_where_a_kernel_runs(argv, loads_numpy):
         text=True, check=True, env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.stdout.split() == [str(loads_numpy)]
+
+
+_RUN = ("import contextlib, io\nfrom weylstat import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.run({!r}) == 0")
+
+
+@pytest.mark.parametrize("code", [
+    "import weylstat",
+    "import weylstat.cli",
+    _RUN.format(["dist", "A9", "-d", "3", "--format", "json"]),
+    _RUN.format(["roots", "B3", "-d", "2"]),
+    _RUN.format(["var", "A5", "--stat", "descents", "-d", "2"]),
+    "import weylstat\nweylstat.inversion_set",
+], ids=["import", "import-cli", "dist", "roots", "var", "inversion_set"])
+def test_no_command_loads_the_introspection_modules(code):
+    # dataclasses imports inspect, and inspect imports ast, dis and tokenize:
+    # records are named tuples, so a short command compiles none of them
+    assert _loaded(code, ("dataclasses", "inspect")) == set()
 
 
 def test_a_name_loads_its_own_module():
