@@ -409,13 +409,11 @@ def _cmd_depgraph(args):
     if args.format == "dot":
         return depgraph_mod.to_dot(rs, graph)
     if args.format == "json":
+        names = depgraph_mod.vertex_names(rs, graph)
         return _json_text({
             "spec": str(rs.spec),
-            "vertices": [rs.render_root(rs.root(v)) for v in graph.vertices],
-            "edges": [
-                [rs.render_root(rs.root(a)), rs.render_root(rs.root(b))]
-                for a, b in graph.edges()
-            ],
+            "vertices": list(names.values()),
+            "edges": [[names[a], names[b]] for a, b in graph.edges()],
             "max_degree": graph.max_degree,
             "component_sizes": list(graph.component_sizes),
         })
@@ -482,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_seed:
             p.add_argument("--samples", type=_sample_count, required=True)
             p.add_argument("--seed", type=_integer, required=True)
-            p.add_argument("--no-values", action="store_true")
+            p.add_argument("--no-values", action="store_true",
+                           help="json: leave out the values (csv and human ignore it)")
         # dot is depgraph's own format; of these three commands only dist enumerates
         dot = ("dot",) if name == "depgraph" else ()
         _add_common(p, formats=("human", "json", "csv", *dot), cap=name == "dist")

@@ -10,8 +10,8 @@ to a bounded-height inversion statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import depgraph, formulas, stats
 from .errors import WeylstatError
@@ -100,8 +100,7 @@ def janson_criterion(k: int, delta: int, variance, m: int = 3) -> float:
     return k * max(delta, 1) ** (m - 1) / float(variance) ** (m / 2)
 
 
-@dataclass(frozen=True)
-class RegimeClassification:
+class RegimeClassification(NamedTuple):
     """Rank mass per regime bucket and the three candidate rate bounds."""
 
     r_a: int
@@ -136,8 +135,7 @@ def classify_regime(component_ranks, d: int) -> RegimeClassification:
     return RegimeClassification(r_a, r_b, r_c, regime, rates)
 
 
-@dataclass
-class CLTReport:
+class CLTReport(NamedTuple):
     """One normality experiment: moments, sampled KS distance, rate bound."""
 
     spec: str

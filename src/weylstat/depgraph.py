@@ -5,7 +5,7 @@ approximation bounds."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PropertyViolationError, TooLargeError
 from .rootsys import RootSystem
@@ -13,8 +13,7 @@ from .rootsys import RootSystem
 ANTICHAIN_ENUMERATION_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
+class DependencyGraph(NamedTuple):
     """Undirected graph keyed by canonical root ids; equality is decidable."""
 
     vertices: tuple[int, ...]
@@ -150,19 +149,22 @@ def antichains(rs: RootSystem, limit: int = ANTICHAIN_ENUMERATION_CAP):
     yield from extend([], 0)
 
 
+def vertex_names(rs: RootSystem, graph: DependencyGraph) -> dict[int, str]:
+    """Each vertex's root rendered once, by root id, in vertex order."""
+    return {v: rs.render_root(rs.root(v)) for v in graph.vertices}
+
+
 def edge_csv_rows(rs: RootSystem, graph: DependencyGraph):
+    names = vertex_names(rs, graph)
     yield ("source", "target")
     for v, w in graph.edges():
-        yield (rs.render_root(rs.root(v)), rs.render_root(rs.root(w)))
+        yield (names[v], names[w])
 
 
 def to_dot(rs: RootSystem, graph: DependencyGraph) -> str:
+    names = vertex_names(rs, graph)
     lines = ["graph dependency {"]
-    for v in graph.vertices:
-        lines.append(f'  "{rs.render_root(rs.root(v))}";')
-    for v, w in graph.edges():
-        lines.append(
-            f'  "{rs.render_root(rs.root(v))}" -- "{rs.render_root(rs.root(w))}";'
-        )
+    lines += [f'  "{name}";' for name in names.values()]
+    lines += [f'  "{names[v]}" -- "{names[w]}";' for v, w in graph.edges()]
     lines.append("}")
     return "\n".join(lines) + "\n"

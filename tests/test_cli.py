@@ -496,6 +496,17 @@ def test_large_documents_without_arrays_are_pinned(argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("fmt, sha256", [
+    ("csv", "3cb38b8f2f94e4afe21cd05d75ee750c9ca9c80cc85a789a8afaf0a1df7faee2"),
+    ("dot", "76d11d2828563f8dc95013f921aedbe33682df4bdf706b8f137f45600acf25fa"),
+    ("json", "08759ff6bd429e8bd2ead02682f5601fc7c47711b43f3119045f58991390be28"),
+])
+def test_the_dependency_graph_of_a_product_is_pinned(fmt, sha256):
+    # 149 vertices and 685 edges over three prefixed components
+    out = run_cli("depgraph", "B30xG2xA20", "-d", "3", "--format", fmt)
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_a_large_document_is_written_in_bounded_pieces():
     args = cli.build_parser().parse_args(["roots", "A199", "--format", "json"])
     pieces = list(args.fn(args))

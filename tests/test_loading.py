@@ -95,12 +95,24 @@ _RUN = ("import contextlib, io\nfrom weylstat import cli\n"
     _RUN.format(["dist", "A9", "-d", "3", "--format", "json"]),
     _RUN.format(["roots", "B3", "-d", "2"]),
     _RUN.format(["var", "A5", "--stat", "descents", "-d", "2"]),
+    _RUN.format(["depgraph", "A3", "-d", "2"]),
+    _RUN.format(["depgraph", "A3", "-d", "2", "--format", "json"]),
     "import weylstat\nweylstat.inversion_set",
-], ids=["import", "import-cli", "dist", "roots", "var", "inversion_set"])
+], ids=["import", "import-cli", "dist", "roots", "var", "depgraph", "depgraph-json", "inversion_set"])
 def test_no_command_loads_the_introspection_modules(code):
     # dataclasses imports inspect, and inspect imports ast, dis and tokenize:
     # records are named tuples, so a short command compiles none of them
     assert _loaded(code, ("dataclasses", "inspect")) == set()
+
+
+@pytest.mark.parametrize("code", [
+    "import weylstat.clt",
+    "import weylstat.depgraph",
+    _RUN.format(["clt", "A3", "-d", "1", "--samples", "10", "--seed", "1"]),
+], ids=["import-clt", "import-depgraph", "clt"])
+def test_the_clt_records_load_no_dataclasses(code):
+    # clt loads numpy, which imports inspect itself
+    assert _loaded(code, ("dataclasses",)) == set()
 
 
 def test_a_name_loads_its_own_module():
@@ -128,6 +140,25 @@ def test_weyl_reexports_the_shared_helpers():
     assert weyl._G2_ORDER == rootsys.component_order(rootsys.Component("G2", 2))
 
 
+def _source_definitions(module) -> set[str]:
+    """The qualified names of the defs and classes at module or class level of the module's source."""
+    import ast
+
+    found = set()
+
+    def visit(nodes, prefix):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.add(prefix + node.name)
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{prefix}{node.name}.")
+            else:  # a def under an if, try or with is still at this level
+                visit(ast.iter_child_nodes(node), prefix)
+
+    visit([ast.parse(Path(module.__file__).read_text(encoding="utf-8"))], "")
+    return found
+
+
 def test_every_annotation_resolves():
     import inspect
     import typing
@@ -135,25 +166,34 @@ def test_every_annotation_resolves():
 
     from weylstat import cli
 
-    modules = (weylstat, cli, clt, depgraph, errors, formulas, rootsys, stats, weyl)
-    checked = 0
-    for module in modules:
-        for obj in vars(module).values():
-            if getattr(obj, "__module__", None) != module.__name__:
+    def functions(member):
+        if isinstance(member, (staticmethod, classmethod)):
+            return [member.__func__]
+        if isinstance(member, property):
+            return [member.fget]
+        if isinstance(member, cached_property):
+            return [member.func]
+        # an lru_cache wrapper keeps its function as __wrapped__
+        return [inspect.unwrap(member)] if callable(member) else []
+
+    def walk(namespace, module, checked):
+        for obj in list(namespace.values()):
+            if inspect.isclass(obj):
+                if obj.__module__ == module.__name__ and obj.__qualname__ not in checked:
+                    typing.get_type_hints(obj)  # a named tuple's fields are class annotations
+                    checked.add(obj.__qualname__)
+                    walk(vars(obj), module, checked)
                 continue
-            members = vars(obj).values() if inspect.isclass(obj) else [obj]
-            for member in members:
-                if isinstance(member, (staticmethod, classmethod)):
-                    member = member.__func__
-                elif isinstance(member, property):
-                    member = member.fget
-                elif isinstance(member, cached_property):
-                    member = member.func
-                # skip methods generated elsewhere, such as a NamedTuple's __new__
-                if inspect.isfunction(member) and member.__module__ == module.__name__:
-                    typing.get_type_hints(member)
-                    checked += 1
-    assert checked > 200
+            for f in functions(obj):
+                # skip functions compiled elsewhere, such as a NamedTuple's __new__
+                if inspect.isfunction(f) and f.__code__.co_filename == module.__file__:
+                    typing.get_type_hints(f)
+                    checked.add(f.__qualname__)
+
+    for module in (weylstat, cli, clt, depgraph, errors, formulas, rootsys, stats, weyl):
+        checked: set[str] = set()
+        walk(vars(module), module, checked)
+        assert checked == _source_definitions(module), module.__name__
 
 
 def test_the_catalog_and_the_object_model_run_without_numpy():
