@@ -54,6 +54,13 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
+def _record_text(record: dict, fmt: str):
+    """One record as a json object, or as a csv header of its keys over one row."""
+    if fmt == "json":
+        return _json_text(record)
+    return _csv_text([tuple(record), tuple(record.values())])
+
+
 def _indexed_csv_pieces(a):
     """The ``index,value`` CSV rows of a 1-D array of non-negative integers.
 
@@ -270,18 +277,12 @@ def _cmd_cov(args):
         value = formulas.cov_closed_angle(rs, beta, gamma)
     else:
         value = stats.exact_cov(rs, beta, gamma, cap=_cap(args))
-    if args.format == "json":
-        return _json_text({
+    if args.format != "human":
+        return _record_text({
             "spec": str(rs.spec), "beta": args.beta, "gamma": args.gamma,
             "method": args.method, "cov": str(value),
             "decimal": decimal_str(value),
-        })
-    if args.format == "csv":
-        return _csv_text([
-            ("spec", "beta", "gamma", "method", "cov", "decimal"),
-            (str(rs.spec), args.beta, args.gamma, args.method,
-             str(value), decimal_str(value)),
-        ])
+        }, args.format)
     return f"{value} = {decimal_str(value)} [method {args.method}]\n"
 
 
@@ -323,17 +324,12 @@ def _cmd_var(args):
             raise WeylstatError(
                 f"formula {value} disagrees with enumeration {enum_value}"
             )
-    if args.format == "json":
-        return _json_text({
+    if args.format != "human":
+        return _record_text({
             "family": family, "n": n, "d": args.d, "statistic": args.stat,
             "variance": str(value), "decimal": decimal_str(value),
             "branch": branch,
-        })
-    if args.format == "csv":
-        return _csv_text([
-            ("family", "n", "d", "statistic", "variance", "decimal", "branch"),
-            (family, n, args.d, args.stat, str(value), decimal_str(value), branch),
-        ])
+        }, args.format)
     return f"{value} = {decimal_str(value)} [branch {branch}]\n"
 
 

@@ -16,7 +16,8 @@ so that every root is an integer vector with a few nonzero coordinates.
 Its Weyl group is defined once here, from these vectors: ``_G2_ROWS`` holds
 the 12 images of the generic point ``(-3, 1, 2)`` under the reflections in
 the two simple roots, and both the object model in ``weyl`` and the counting
-kernel in ``stats`` derive their G2 tables from it.
+kernel in ``stats`` derive their G2 tables from it.  The one reflection
+helper, ``_reflect``, builds these rows and every simple reflection of weyl.
 
 Normalization note: the standard literature leaves the type C ambient scaling
 open; here ``O[i]`` is stored as the long root ``2 e_i`` so that the sign of
@@ -73,13 +74,22 @@ _G2_VECTORS = tuple(
 )
 
 
+def _reflect(x, vector):
+    """``x - 2<x, b>/<b, b> b`` for the root ``b`` of sparse 1-based ``vector``; the
+    ratio is an integer at every integer point (of G2's plane, for G2)."""
+    c = 2 * sum(v * x[k - 1] for k, v in vector) // sum(v * v for _, v in vector)
+    y = list(x)
+    for k, v in vector:
+        y[k - 1] -= c * v
+    return tuple(y)
+
+
 def _g2_orbit(point):
     """Images of ``point`` under the reflections in r1 and r2, breadth first."""
     rows = [point]
     for x in rows:  # the list grows while it is read: a breadth-first queue
         for r in _G2_VECTORS[:2]:
-            c = 2 * sum(v * x[k - 1] for k, v in r) // sum(v * v for _, v in r)
-            y = tuple(x[k - 1] - c * dict(r).get(k, 0) for k in (1, 2, 3))
+            y = _reflect(x, r)
             if y not in rows:
                 rows.append(y)
     return tuple(rows)

@@ -1,11 +1,15 @@
 """Weyl group elements, their action on roots, enumeration and sampling.
 
-Elements of classical components are signed permutations stored per component
-as a permutation of ``1..n`` plus a sign vector (type A: all signs positive;
-type D: evenly many negative signs).  The G2 component uses indices into a
-fixed 12-element group table derived from W(G2) as ``rootsys`` defines it:
-element t is the w_t with ``w_t^-1 (-3, 1, 2)`` equal to row t of
-``rootsys._G2_ROWS``, read off the root vectors.
+An element is read through its row ``w^-1 p``, for a generic dominant point
+``p`` of each component: a root ``beta`` is an inversion iff
+``<beta, w^-1 p> < 0``.  A classical component has ``p = (1, ..., n)``, and its
+row is the signed one-line word that :func:`render_element` prints; the part
+stores it as a permutation of ``1..n`` plus a sign vector (type A: all signs
+positive; type D: evenly many negative signs).  The G2 component has
+``p = (-3, 1, 2)``, and its part is the index of its row in
+``rootsys._G2_ROWS``; the 12-element group table is read off the root
+vectors.  The constructors make each part from its row, and the simple
+reflections reflect ``p`` by ``rootsys``'s one reflection formula.
 Roots, parts and elements are named tuples (:class:`~weylstat.rootsys.Root`,
 :class:`SignedPermPart`, :class:`G2Part`, :class:`WeylElement`), so
 construction runs in C, and a ``Root`` or a part hashes and compares in C
@@ -28,6 +32,7 @@ import itertools
 import random  # annotations only, but typing.get_type_hints resolves them at run time
 import re
 import weakref
+from math import prod
 from operator import itemgetter, mul
 from typing import NamedTuple
 
@@ -40,6 +45,7 @@ from .rootsys import (
     DEFAULT_CAP,
     Root,
     RootSystem,
+    _reflect,
     component_order,
     derived_seed,
     group_order,
@@ -65,8 +71,6 @@ _G2_ORDER = len(_G2_ELEMS)
 _G2_INV_MASKS = tuple(
     sum(1 << k for k, t in enumerate(g) if t < 0) for g in _G2_ELEMS
 )
-# The reflections in r1 and r2: the elements inverting that root alone.
-_G2_SIMPLE_IDX = (_G2_INV_MASKS.index(1), _G2_INV_MASKS.index(2))
 
 
 # -- element data model -------------------------------------------------------
@@ -122,15 +126,30 @@ def _new_element(rs, parts, new=tuple.__new__, cls=WeylElement):
 _G2_PARTS = tuple(map(G2Part, range(_G2_ORDER)))
 
 
+def _point(comp):
+    """The generic dominant point ``p`` of a component: the identity's row."""
+    return _G2_ROWS[0] if comp.family == "G2" else tuple(range(1, comp.dimension + 1))
+
+
+def _part(comp, row):
+    """The part of ``comp`` whose row ``w^-1 p`` is ``row``."""
+    if comp.family == "G2":
+        return _G2_PARTS[_G2_ROWS.index(row)]
+    return SignedPermPart(tuple(map(abs, row)), tuple(1 if v > 0 else -1 for v in row))
+
+
+def _sign_vectors(comp):
+    """Every sign vector of a part of ``comp``, in enumeration order; at most 2^n."""
+    if comp.family == "A":
+        return [(1,) * comp.dimension]
+    signs = itertools.product((1, -1), repeat=comp.rank)
+    if comp.family == "D":  # evenly many negative signs
+        return [s for s in signs if prod(s) == 1]
+    return list(signs)
+
+
 def identity(rs: RootSystem) -> WeylElement:
-    parts = []
-    for comp in rs.spec.components:
-        if comp.family == "G2":
-            parts.append(_G2_PARTS[0])
-        else:
-            n = comp.dimension
-            parts.append(SignedPermPart(tuple(range(1, n + 1)), (1,) * n))
-    return _new_element(rs, tuple(parts))
+    return _new_element(rs, tuple(_part(c, _point(c)) for c in rs.spec.components))
 
 
 def _validated_part(comp, part):
@@ -171,25 +190,19 @@ def apply(w: WeylElement, beta: Root) -> tuple[Root, int]:
     rs = w.system
     rs.index(beta)  # membership check, raises for stale roots
     part = w.parts[beta.component]
-    fam = rs.spec.components[beta.component].family
-
-    if fam == "G2":
-        t = _G2_ELEMS[part.index][beta.i - 1]
-        return Root(beta.component, "G", abs(t)), (1 if t > 0 else -1)
-
-    perm, signs = part.perm, part.signs
     ci = beta.component
-    if beta.form == "O":
-        a, sa = perm[beta.i - 1], signs[beta.i - 1]
-        return Root(ci, "O", a), sa
-    # The image is c_a e_a + c_b e_b with a = w(i), b = w(j): an N root
-    # e_j - e_i has c_a = -s_i, a P root e_j + e_i has c_a = s_i; c_b = s_j.
-    # With x < y, c_x e_x + c_y e_y is c_y (e_y - e_x) when the signs differ,
-    # else c_y (e_x + e_y).
-    i, j = beta.i, beta.j
-    ca = signs[i - 1] if beta.form == "P" else -signs[i - 1]
-    (x, cx), (y, cy) = sorted(((perm[i - 1], ca), (perm[j - 1], signs[j - 1])))
-    return Root(ci, "N" if cx != cy else "P", x, y), cy
+    if isinstance(part, G2Part):
+        t = _G2_ELEMS[part.index][beta.i - 1]
+        return Root(ci, "G", abs(t)), (1 if t > 0 else -1)
+    # sum c_k e_k goes to sum c_k s_k e_perm(k): one coordinate is an O root,
+    # two (coefficients +-1) an N root if their signs differ, else a P root,
+    # and the sign is that of the last coordinate's coefficient
+    *head, (y, cy) = sorted((part.perm[k - 1], c * part.signs[k - 1]) for k, c in rs._vector(beta))
+    sign = 1 if cy > 0 else -1
+    if not head:
+        return Root(ci, "O", y), sign
+    (x, cx), = head
+    return Root(ci, "P" if cx == cy else "N", x, y), sign
 
 
 def is_inversion(w: WeylElement, beta: Root) -> bool:
@@ -283,87 +296,59 @@ def compose(u: WeylElement, v: WeylElement) -> WeylElement:
 
 def inverse(w: WeylElement) -> WeylElement:
     parts = []
-    for p in w.parts:
+    for comp, p in zip(w.system.spec.components, w.parts):
         if isinstance(p, G2Part):
             parts.append(_G2_PARTS[_G2_INV[p.index]])
-        else:
-            n = len(p.perm)
-            perm = [0] * n
-            signs = [1] * n
-            for i in range(n):
-                perm[p.perm[i] - 1] = i + 1
-                signs[p.perm[i] - 1] = p.signs[i]
-            parts.append(SignedPermPart(tuple(perm), tuple(signs)))
+        else:  # the inverse's row is w p = sum_k k s_k e_perm(k)
+            row = [0] * len(p.perm)
+            for k, (t, s) in enumerate(zip(p.perm, p.signs), 1):
+                row[t - 1] = s * k
+            parts.append(_part(comp, tuple(row)))
     return _new_element(w.system, tuple(parts))
 
 
 def simple_reflection(rs: RootSystem, alpha: Root) -> WeylElement:
-    """Reflection in a simple root (non-simple roots are rejected)."""
+    """Reflection in a simple root (non-simple roots are rejected).
+
+    A reflection is its own inverse, so its row is the image of ``p``.
+    """
     if rs.height(alpha) != 1:
         raise WeylstatError(f"{alpha} is not a simple root")
-    parts = list(identity(rs).parts)
-    fam = rs.spec.components[alpha.component].family
-    if fam == "G2":
-        parts[alpha.component] = _G2_PARTS[_G2_SIMPLE_IDX[alpha.i - 1]]
-    else:
-        n = rs.spec.components[alpha.component].dimension
-        perm = list(range(1, n + 1))
-        signs = [1] * n
-        if alpha.form == "N":
-            perm[alpha.i - 1], perm[alpha.j - 1] = perm[alpha.j - 1], perm[alpha.i - 1]
-        elif alpha.form == "O":
-            signs[alpha.i - 1] = -1
-        else:  # P[i,j]: e_i -> -e_j, e_j -> -e_i
-            perm[alpha.i - 1], perm[alpha.j - 1] = perm[alpha.j - 1], perm[alpha.i - 1]
-            signs[alpha.i - 1] = -1
-            signs[alpha.j - 1] = -1
-        parts[alpha.component] = SignedPermPart(tuple(perm), tuple(signs))
-    return _new_element(rs, tuple(parts))
+    return _new_element(rs, tuple(
+        _part(c, _reflect(_point(c), rs._vector(alpha)) if k == alpha.component else _point(c))
+        for k, c in enumerate(rs.spec.components)
+    ))
 
 
 def longest_element(rs: RootSystem) -> WeylElement:
-    """The unique element sending every positive root to a negative one."""
+    """The unique element sending every positive root to a negative one.
+
+    Its row is antidominant: ``p`` reversed in type A; ``-p`` in B, C, G2 and
+    D of even rank; in D of odd rank ``-p`` with its first entry kept positive.
+    """
     parts = []
     for comp in rs.spec.components:
-        fam, n = comp.family, comp.rank
-        if fam == "G2":
-            parts.append(_G2_PARTS[_G2_INV_MASKS.index((1 << 6) - 1)])
-        elif fam == "A":
-            m = comp.dimension
-            parts.append(SignedPermPart(tuple(range(m, 0, -1)), (1,) * m))
-        elif fam in ("B", "C"):
-            parts.append(SignedPermPart(tuple(range(1, n + 1)), (-1,) * n))
-        else:  # type D: negate everything, or all but the first coordinate
-            if n % 2 == 0:
-                signs = (-1,) * n
-            else:
-                signs = (1,) + (-1,) * (n - 1)
-            parts.append(SignedPermPart(tuple(range(1, n + 1)), signs))
+        p = _point(comp)
+        if comp.family == "A":
+            row = p[::-1]
+        elif comp.family == "D" and comp.rank % 2:
+            row = (p[0], *(-x for x in p[1:]))
+        else:
+            row = tuple(-x for x in p)
+        parts.append(_part(comp, row))
     return _new_element(rs, tuple(parts))
 
 
 # -- enumeration ----------------------------------------------------------------
 
 def _component_parts_iter(comp):
-    fam, n = comp.family, comp.rank
-    if fam == "G2":
+    if comp.family == "G2":
         yield from _G2_PARTS
         return
-    dim = comp.dimension
-    if fam == "A":
-        for perm in itertools.permutations(range(1, dim + 1)):
-            yield SignedPermPart(perm, (1,) * dim)
-    elif fam in ("B", "C"):
-        for perm in itertools.permutations(range(1, n + 1)):
-            for signs in itertools.product((1, -1), repeat=n):
-                yield SignedPermPart(perm, signs)
-    else:
-        for perm in itertools.permutations(range(1, n + 1)):
-            for head in itertools.product((1, -1), repeat=n - 1):
-                last = 1
-                for s in head:
-                    last *= s
-                yield SignedPermPart(perm, head + (last,))
+    sign_vectors = _sign_vectors(comp)
+    for perm in itertools.permutations(range(1, comp.dimension + 1)):
+        for signs in sign_vectors:
+            yield SignedPermPart(perm, signs)
 
 
 def enumerate_elements(rs: RootSystem, cap: int = DEFAULT_CAP):
@@ -389,9 +374,9 @@ def sample_uniform(rs: RootSystem, rng: random.Random) -> WeylElement:
     """One exactly uniform draw from the group.
 
     Per component: unbiased shuffle for the permutation; independent fair
-    sign bits for types B/C; type D draws n-1 free bits and fixes the last
-    sign to even parity (exact, since the parity classes are equinumerous);
-    G2 picks a uniform table index.
+    sign bits for types B/C; type D draws n-1 free bits and completes even
+    parity with their product (exact, since the parity classes are
+    equinumerous); G2 picks a uniform table index.
     """
     parts = []
     for comp in rs.spec.components:
@@ -399,20 +384,13 @@ def sample_uniform(rs: RootSystem, rng: random.Random) -> WeylElement:
         if fam == "G2":
             parts.append(_G2_PARTS[rng.randrange(_G2_ORDER)])
             continue
-        dim = comp.dimension
-        perm = list(range(1, dim + 1))
+        perm = list(range(1, comp.dimension + 1))
         rng.shuffle(perm)
-        if fam == "A":
-            signs = (1,) * dim
-        elif fam in ("B", "C"):
-            signs = tuple(1 - 2 * rng.getrandbits(1) for _ in range(n))
-        else:
-            head = [1 - 2 * rng.getrandbits(1) for _ in range(n - 1)]
-            last = 1
-            for s in head:
-                last *= s
-            signs = tuple(head + [last])
-        parts.append(SignedPermPart(tuple(perm), signs))
+        free = {"A": 0, "D": n - 1}.get(fam, n)
+        signs = [1 - 2 * rng.getrandbits(1) for _ in range(free)]
+        # the fixed signs: none in B and C, all + in A, and D's last completes even parity
+        signs += [prod(signs)] * (len(perm) - free)
+        parts.append(SignedPermPart(tuple(perm), tuple(signs)))
     return _new_element(rs, tuple(parts))
 
 
@@ -471,9 +449,6 @@ def parse_element(rs: RootSystem, text: str) -> WeylElement:
         m = (_G2_CHUNK if g2 else _SIGNED_PERM_CHUNK).fullmatch(chunk)
         if m is None:
             raise WeylstatError(f"cannot read {chunk!r} as a {comp} part")
-        vals = [int(v) for v in m[1].split(",")]
-        if g2:
-            parts.append(G2Part(vals[0]))
-        else:
-            parts.append(SignedPermPart(tuple(map(abs, vals)), tuple(1 if v > 0 else -1 for v in vals)))
+        vals = tuple(int(v) for v in m[1].split(","))
+        parts.append(G2Part(vals[0]) if g2 else _part(comp, vals))
     return element(rs, parts)

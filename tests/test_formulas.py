@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,47 @@ def test_cov_closed_examples(systems):
 
 @pytest.mark.parametrize("spec", ["A5", "B4", "C4", "D4", "G2"])
 def test_cov_closed_equals_enumeration(systems, spec):
+    rs = systems(spec)
+    for beta in rs.roots:
+        for gamma in rs.roots:
+            assert formulas.cov_closed(rs, beta, gamma) == stats.exact_cov(rs, beta, gamma)
+
+
+@pytest.mark.parametrize("big, small, forms", [
+    ("A499", "A3", "N"), ("B500", "B4", "NOP"), ("C500", "C4", "NOP"), ("D500", "B4", "NP"),
+])
+def test_cov_closed_at_the_sampling_ranks(systems, big, small, forms):
+    """The covariance theorem on random pairs at the sampling workloads' ranks.
+
+    Each pair moves onto a pair of a small system, whose covariance is exact
+    by enumeration:
+    - the joint law of a pair's two indicators depends only on the order and
+      the signs of the at most 4 coordinates of the one-line word ``v`` that
+      it reads: ``N[i,j]`` is an inversion iff ``v_j < v_i``, ``P[i,j]`` iff
+      ``v_i + v_j < 0`` and ``O[i]`` iff ``v_i < 0``;
+    - under a uniform element, the order and signs of m coordinates are a
+      uniform element of S_m or B_m; in D_n with m < n the coordinates left
+      out absorb the parity, so the m signs are free, and D has no ``O``
+      roots, so B_m;
+    - an order-preserving relabelling of the coordinates keeps each root's
+      form, so it keeps the inner products and the angle.
+    """
+    small_rs, big_rs = systems(small), systems(big)
+    roots = [r for r in small_rs.roots if r.form in forms]
+    exact = {(b, g): stats.exact_cov(small_rs, b, g) for b in roots for g in roots}
+    rng = random.Random(big)
+    n = big_rs.spec.components[0].dimension
+    for _ in range(500):
+        at = (0, *sorted(rng.sample(range(1, n + 1), 4)))  # at[0] = 0 keeps an O root's j
+        beta, gamma = rng.choice(roots), rng.choice(roots)
+        moved = [r._replace(i=at[r.i], j=at[r.j]) for r in (beta, gamma)]
+        assert formulas.cov_closed(big_rs, *moved) == exact[beta, gamma]
+
+
+@pytest.mark.parametrize("spec", ["D2", "D3"])
+def test_cov_closed_equals_enumeration_when_a_pair_reads_every_coordinate(systems, spec):
+    # a pair of D_n may read all n coordinates, and then its law is D_n's own,
+    # not B_n's: D4 is enumerated above, the smaller ranks here
     rs = systems(spec)
     for beta in rs.roots:
         for gamma in rs.roots:
