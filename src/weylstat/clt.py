@@ -127,11 +127,14 @@ def classify_regime(component_ranks, d: int) -> RegimeClassification:
     r = r_a + r_b + r_c
     buckets = {"A": r_a, "B": r_b, "C": r_c}
     regime = max("ABC", key=lambda key: (buckets[key], -ord(key)))
-    rates = (
-        ("A", r**-0.5, True),
-        ("B", r * d**-1.5, d**3 >= r * r),
-        ("C", r**-0.5 * d**1.5, d**3 <= r),
-    )
+    try:
+        rates = (
+            ("A", r**-0.5, True),
+            ("B", r * d**-1.5, d**3 >= r * r),
+            ("C", r**-0.5 * d**1.5, d**3 <= r),
+        )
+    except OverflowError:
+        raise WeylstatError(f"d of {d.bit_length()} bits overflows the floating-point rates") from None
     return RegimeClassification(r_a, r_b, r_c, regime, rates)
 
 

@@ -5,12 +5,18 @@ approximation bounds."""
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .errors import PropertyViolationError, TooLargeError
 from .rootsys import RootSystem
 
 ANTICHAIN_ENUMERATION_CAP = 10**6
+
+# Most candidate pairs build_graph tests, so that its graph stays under about 1 GB:
+# `depgraph` of A99 and A139 with d = rank, where every pair is an edge, peaked at
+# 105 MB for 485,100 pairs and 259 MB for 1,342,740, about 180 bytes a pair.
+MAX_GRAPH_PAIRS = 4_000_000
 
 
 class DependencyGraph(NamedTuple):
@@ -46,6 +52,9 @@ def build_graph(rs: RootSystem, psi) -> DependencyGraph:
     for v in ids:
         for cell in cells[v]:
             buckets.setdefault(cell, []).append(v)
+    pairs = sum(len(b) * (len(b) - 1) // 2 for b in buckets.values())
+    if pairs > MAX_GRAPH_PAIRS:
+        raise TooLargeError(pairs, MAX_GRAPH_PAIRS, what="candidate pair count", limit="pair limit")
     for v in ids:
         # ascending pairs, as the all-pairs loop visits them: edges() follows set order
         for w in sorted({w for cell in cells[v] for w in buckets[cell] if w > v}):
@@ -121,8 +130,28 @@ def degree_bound_phi_d(rs: RootSystem, d: int):
     return graph.max_degree, bound
 
 
+def _antichain_count(rs: RootSystem) -> int:
+    """Antichains of the root poset, the empty one included: the W-Catalan number,
+    a product over the components."""
+    def catalan(family, n):
+        if family == "A":
+            return math.comb(2 * n + 2, n + 1) // (n + 2)
+        if family == "D":
+            return math.comb(2 * n, n) - math.comb(2 * n - 2, n - 1)
+        return 8 if family == "G2" else math.comb(2 * n, n)
+
+    return math.prod(catalan(*c) for c in rs.spec.components)
+
+
 def antichains(rs: RootSystem, limit: int = ANTICHAIN_ENUMERATION_CAP):
-    """Yield every nonempty antichain (as a tuple of root ids), DFS order."""
+    """Yield every nonempty antichain (as a tuple of root ids), DFS order.
+
+    Refuses with :class:`TooLargeError` before any work when there are more
+    than ``limit``.
+    """
+    count = _antichain_count(rs) - 1
+    if count > limit:
+        raise TooLargeError(count, limit, what="antichain count", limit="antichain limit")
     n = len(rs.roots)
     comparable = [set() for _ in range(n)]
     for a in range(n):
@@ -131,17 +160,12 @@ def antichains(rs: RootSystem, limit: int = ANTICHAIN_ENUMERATION_CAP):
             if rs.poset_leq(ra, rb) or rs.poset_leq(rb, ra):
                 comparable[a].add(b)
                 comparable[b].add(a)
-    count = 0
 
     def extend(chosen, start):
-        nonlocal count
         for k in range(start, n):
             if any(k in comparable[c] for c in chosen):
                 continue
             chosen.append(k)
-            count += 1
-            if count > limit:
-                raise TooLargeError(count, limit)
             yield tuple(chosen)
             yield from extend(chosen, k + 1)
             chosen.pop()

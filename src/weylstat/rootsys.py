@@ -130,9 +130,7 @@ class Component(_ComponentFields):
     @property
     def dimension(self) -> int:
         """Number of ambient coordinates used by the classical realization."""
-        if self.family == "A":
-            return self.rank + 1
-        return self.rank
+        return _dimension(self.family, self.rank)
 
 
 class _FamilySpecFields(NamedTuple):
@@ -160,6 +158,14 @@ class FamilySpec(_FamilySpecFields):
 _COMPONENT_RE = re.compile(r"^(G2|[ABCD])(\d*)$")
 
 
+def _integer(text: str, error: type[Exception]) -> int:
+    """``int(text)``, raising ``error`` where Python refuses a number of too many digits."""
+    try:
+        return int(text)
+    except ValueError:
+        raise error(f"a number of {len(text.strip())} digits is too long") from None
+
+
 def parse_spec(text: str) -> FamilySpec:
     """Parse a descriptor like ``A4``, ``B10``, ``G2`` or ``A3xB4``."""
     parts = []
@@ -175,7 +181,7 @@ def parse_spec(text: str) -> FamilySpec:
         else:
             if not digits:
                 raise InvalidSpecError(f"missing rank in component {token!r}")
-            parts.append(Component(family, int(digits)))
+            parts.append(Component(family, _integer(digits, InvalidSpecError)))
     return FamilySpec(tuple(parts))
 
 
@@ -548,13 +554,13 @@ class RootSystem:
                 raise StaleRootError(f"component prefix required for product system: {text!r}")
         m = re.match(r"^r(\d+)$", body)
         if m:
-            root = Root(comp, "G", int(m.group(1)))
+            root = Root(comp, "G", _integer(m.group(1), StaleRootError))
         else:
             m = re.match(r"^([NOP])\[(\d+)(?:,(\d+))?\]$", body)
             if not m:
                 raise StaleRootError(f"cannot parse root {text!r}")
-            form, i, j = m.group(1), int(m.group(2)), m.group(3)
-            root = Root(comp, form, i, int(j) if j is not None else 0)
+            form, i, j = m.group(1), _integer(m.group(2), StaleRootError), m.group(3)
+            root = Root(comp, form, i, _integer(j, StaleRootError) if j is not None else 0)
         self.index(root)  # membership check
         return root
 
@@ -611,8 +617,7 @@ def _decode_runs(runs) -> tuple[Root, ...]:
 def _positive_root_count(comp: Component) -> int:
     fam, n = comp.family, comp.rank
     if fam == "A":
-        m = n + 1
-        return m * (m - 1) // 2
+        return math.comb(comp.dimension, 2)
     if fam in ("B", "C"):
         return n * n
     if fam == "D":
@@ -703,19 +708,34 @@ def build(spec: FamilySpec | str, validate: bool = True) -> RootSystem:
     return RootSystem(spec, validate=validate)
 
 
-# -- group orders and seeds ------------------------------------------------------
+# -- coordinates, signs, group orders and seeds -------------------------------------
 # Both engines need these: the object model in ``weyl`` and the numpy engine
 # in ``stats``.  They live here, beside the catalog, so that neither engine
 # has to import the other.
 
+def _dimension(family: str, rank: int) -> int:
+    """Number of coordinates of a classical component: rank + 1 for A, else rank."""
+    return rank + 1 if family == "A" else rank
+
+
+def _free_signs(family: str, rank: int) -> int:
+    """Free signs of a classical element, 0 for A, rank for B and C, rank - 1 for D; each
+    later sign is their product (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 8)."""
+    return {"A": 0, "D": rank - 1}.get(family, rank)
+
+
+def _sign_vectors(family: str, rank: int) -> list[tuple[int, ...]]:
+    """Every sign vector of a classical element in enumeration order: the free signs
+    in ``itertools.product((1, -1), repeat=free)`` order, each later sign their product."""
+    dim, free = _dimension(family, rank), _free_signs(family, rank)
+    return [s + (math.prod(s),) * (dim - free) for s in itertools.product((1, -1), repeat=free)]
+
+
 def component_order(comp: Component) -> int:
     """Order of the Weyl group of one irreducible component."""
-    fam, n = comp.family, comp.rank
-    if fam == "G2":
-        return 12  # the dihedral group of order 12
-    if fam == "A":
-        return math.factorial(n + 1)
-    return math.factorial(n) * 2 ** (n if fam in ("B", "C") else n - 1)
+    if comp.family == "G2":
+        return len(_G2_ROWS)
+    return math.factorial(comp.dimension) << _free_signs(*comp)
 
 
 def group_order(rs: RootSystem) -> int:

@@ -248,18 +248,8 @@ _G2_TESTS = {
 
 
 def _signs_matrix(fam: str, n: int) -> np.ndarray:
-    """Every sign vector of a B/C/D component, one int8 row each, ``+`` before ``-``.
-
-    Row ``k`` reads the free signs off the bits of ``k``, most significant
-    first (bit set is ``-1``), which is the order of
-    ``itertools.product((1, -1), repeat=free)``.  Type D has ``n - 1`` free
-    signs; the last one makes the number of ``-1`` even.
-    """
-    free = n if fam in ("B", "C") else n - 1
-    bits = (np.arange(1 << free)[:, None] >> np.arange(free - 1, -1, -1)) & 1
-    if fam == "D":
-        bits = np.hstack([bits, bits.sum(axis=1, keepdims=True) & 1])
-    return (1 - 2 * bits).astype(np.int8)
+    """Every sign vector of a B/C/D component, one int8 row each: ``rootsys._sign_vectors``."""
+    return np.array(rootsys._sign_vectors(fam, n), dtype=np.int8)
 
 
 def _row_dtype(dim: int):
@@ -327,7 +317,7 @@ def _row_blocks(fam: str, rank: int):
     if fam == "G2":
         yield np.ascontiguousarray(_g2_rows().T).T
         return
-    dim = rank + 1 if fam == "A" else rank
+    dim = rootsys._dimension(fam, rank)
     blocks = _permutation_blocks(dim, _row_dtype(dim))
     if fam == "A":
         yield from blocks
@@ -735,16 +725,17 @@ def _draw_rows(
     B, C and D read ``word | 1`` as a signed integer of the width: odd, so
     never zero, and symmetric about 0, so the top bit is a fair sign
     independent of the magnitude.  Type D then negates the last entry of each
-    row holding an odd number of negative entries.  The raw words are drawn in
-    pieces of at most :data:`RAW_PIECE_WORDS` and written into the ``keys``
-    buffer of ``ws`` (or of a throwaway workspace), where the block lies.  G2
-    gathers one uniform row of :data:`_G2_ROWS` per sample, also
-    coordinate-major, whatever ``bits`` says.
+    row with an odd number of negative entries, so that it is the product of
+    the others (``rootsys._sign_vectors``).  The raw words are drawn in pieces
+    of at most :data:`RAW_PIECE_WORDS` and written into the ``keys`` buffer of
+    ``ws`` (or of a throwaway workspace), where the block lies.  G2 gathers
+    one uniform row of :data:`_G2_ROWS` per sample, also coordinate-major,
+    whatever ``bits`` says.
     """
     if fam == "G2":
         rows = _g2_rows()
         return rows.T.take(rng.integers(0, len(rows), size=m), axis=1).T
-    dim = rank + 1 if fam == "A" else rank
+    dim = rootsys._dimension(fam, rank)
     word = np.dtype(f"<u{bits // 8}")
     per_raw = 64 // bits
     n_raw = -(-dim * m // per_raw)

@@ -4,12 +4,12 @@ An element is read through its row ``w^-1 p``, for a generic dominant point
 ``p`` of each component: a root ``beta`` is an inversion iff
 ``<beta, w^-1 p> < 0``.  A classical component has ``p = (1, ..., n)``, and its
 row is the signed one-line word that :func:`render_element` prints; the part
-stores it as a permutation of ``1..n`` plus a sign vector (type A: all signs
-positive; type D: evenly many negative signs).  The G2 component has
-``p = (-3, 1, 2)``, and its part is the index of its row in
-``rootsys._G2_ROWS``; the 12-element group table is read off the root
-vectors.  The constructors make each part from its row, and the simple
-reflections reflect ``p`` by ``rootsys``'s one reflection formula.
+stores it as a permutation of ``1..n`` plus a sign vector, by ``rootsys``'s
+one sign rule (type A: all signs positive; type D: evenly many negative
+signs).  The G2 component has ``p = (-3, 1, 2)``, and its part is the index
+of its row in ``rootsys._G2_ROWS``; the 12-element group table is read off
+the root vectors.  The constructors make each part from its row, and the
+simple reflections reflect ``p`` by ``rootsys``'s one reflection formula.
 Roots, parts and elements are named tuples (:class:`~weylstat.rootsys.Root`,
 :class:`SignedPermPart`, :class:`G2Part`, :class:`WeylElement`), so
 construction runs in C, and a ``Root`` or a part hashes and compares in C
@@ -21,9 +21,9 @@ Composition convention, locked by tests: ``compose(u, v)`` is the map
 ``x -> u(v(x))``.
 
 Enumeration order is a public contract: per component, lexicographic
-permutations crossed with lexicographic sign vectors (``+`` before ``-``,
-type D filtered to even parity), components combined most-significant-first;
-G2 in table order.
+permutations crossed with ``rootsys._sign_vectors`` (lexicographic in the free
+signs, ``+`` before ``-``), components combined most-significant-first; G2 in
+table order.
 """
 
 from __future__ import annotations
@@ -45,7 +45,10 @@ from .rootsys import (
     DEFAULT_CAP,
     Root,
     RootSystem,
+    _free_signs,
+    _integer,
     _reflect,
+    _sign_vectors,
     component_order,
     derived_seed,
     group_order,
@@ -138,37 +141,23 @@ def _part(comp, row):
     return SignedPermPart(tuple(map(abs, row)), tuple(1 if v > 0 else -1 for v in row))
 
 
-def _sign_vectors(comp):
-    """Every sign vector of a part of ``comp``, in enumeration order; at most 2^n."""
-    if comp.family == "A":
-        return [(1,) * comp.dimension]
-    signs = itertools.product((1, -1), repeat=comp.rank)
-    if comp.family == "D":  # evenly many negative signs
-        return [s for s in signs if prod(s) == 1]
-    return list(signs)
-
-
 def identity(rs: RootSystem) -> WeylElement:
     return _new_element(rs, tuple(_part(c, _point(c)) for c in rs.spec.components))
 
 
 def _validated_part(comp, part):
-    family = comp.family
-    if family == "G2":
+    if comp.family == "G2":
         if not isinstance(part, G2Part) or not 0 <= part.index < _G2_ORDER:
             raise WeylstatError(f"invalid G2 part {part!r}")
         return part
     if not isinstance(part, SignedPermPart):
         raise WeylstatError(f"expected a signed permutation, got {part!r}")
-    n = comp.dimension
-    if sorted(part.perm) != list(range(1, n + 1)) or len(part.signs) != n:
+    if sorted(part.perm) != list(_point(comp)) or len(part.signs) != len(part.perm):
         raise WeylstatError(f"malformed signed permutation {part!r}")
-    if any(s not in (1, -1) for s in part.signs):
-        raise WeylstatError("signs must be +1/-1")
-    if family == "A" and any(s == -1 for s in part.signs):
-        raise WeylstatError("type A parts carry no signs")
-    if family == "D" and part.signs.count(-1) % 2 != 0:
-        raise WeylstatError("type D parts need evenly many negative signs")
+    free = _free_signs(*comp)
+    head = part.signs[:free]
+    if any(s not in (1, -1) for s in head) or any(s != prod(head) for s in part.signs[free:]):
+        raise WeylstatError(f"{comp} signs {part.signs} are not {free} free +-1 and then their product")
     return part
 
 
@@ -345,7 +334,7 @@ def _component_parts_iter(comp):
     if comp.family == "G2":
         yield from _G2_PARTS
         return
-    sign_vectors = _sign_vectors(comp)
+    sign_vectors = _sign_vectors(*comp)
     for perm in itertools.permutations(range(1, comp.dimension + 1)):
         for signs in sign_vectors:
             yield SignedPermPart(perm, signs)
@@ -373,23 +362,20 @@ def enumerate_elements(rs: RootSystem, cap: int = DEFAULT_CAP):
 def sample_uniform(rs: RootSystem, rng: random.Random) -> WeylElement:
     """One exactly uniform draw from the group.
 
-    Per component: unbiased shuffle for the permutation; independent fair
-    sign bits for types B/C; type D draws n-1 free bits and completes even
-    parity with their product (exact, since the parity classes are
-    equinumerous); G2 picks a uniform table index.
+    Per component: unbiased shuffle for the permutation; a fair bit for each
+    free sign (``rootsys._free_signs``), each later sign their product (exact
+    for D's even parity, since the parity classes are equinumerous); G2 picks
+    a uniform table index.
     """
     parts = []
     for comp in rs.spec.components:
-        fam, n = comp.family, comp.rank
-        if fam == "G2":
+        if comp.family == "G2":
             parts.append(_G2_PARTS[rng.randrange(_G2_ORDER)])
             continue
         perm = list(range(1, comp.dimension + 1))
         rng.shuffle(perm)
-        free = {"A": 0, "D": n - 1}.get(fam, n)
-        signs = [1 - 2 * rng.getrandbits(1) for _ in range(free)]
-        # the fixed signs: none in B and C, all + in A, and D's last completes even parity
-        signs += [prod(signs)] * (len(perm) - free)
+        signs = [1 - 2 * rng.getrandbits(1) for _ in range(_free_signs(*comp))]
+        signs += [prod(signs)] * (len(perm) - len(signs))  # each later sign their product
         parts.append(SignedPermPart(tuple(perm), tuple(signs)))
     return _new_element(rs, tuple(parts))
 
@@ -449,6 +435,6 @@ def parse_element(rs: RootSystem, text: str) -> WeylElement:
         m = (_G2_CHUNK if g2 else _SIGNED_PERM_CHUNK).fullmatch(chunk)
         if m is None:
             raise WeylstatError(f"cannot read {chunk!r} as a {comp} part")
-        vals = tuple(int(v) for v in m[1].split(","))
+        vals = tuple(_integer(v, WeylstatError) for v in m[1].split(","))
         parts.append(G2Part(vals[0]) if g2 else _part(comp, vals))
     return element(rs, parts)

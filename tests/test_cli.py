@@ -345,6 +345,21 @@ def test_catalog_size_guard_exits_1(capsys, spec, count):
     assert f"catalog size {count} exceeds catalog limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["roots", "A" + "9" * 5000],
+    ["dist", "A3", "--psi", f"N[{'9' * 5000},1]"],
+    ["clt", "A3", "-d", "1" + "0" * 250, "--samples", "10", "--seed", "1"],
+    ["clt", "A3", "-d", "1" + "0" * 400, "--samples", "10", "--seed", "1"],
+    ["depgraph", "A499", "-d", "499"],
+])
+def test_oversized_requests_exit_1_with_one_error_line(capsys, argv):
+    # integers past Python's digit limit, float rates that overflow, a graph of
+    # 62,125,500 candidate pairs: each refused with one line, not a traceback
+    assert cli.run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, sha256", [
     (["sample", "A9", "-d", "2", "--samples", "2000", "--seed", "7", "--format", "json"],
      "89a2914d400ad41ea34d8ce54b93ca65d9970ce7d982c856b8c82bdbba4c3dbf"),

@@ -122,6 +122,13 @@ def test_classify_regime_examples():
     assert rc.r_a == 9 and rc.regime == "A"
 
 
+def test_classify_regime_refuses_rates_that_overflow_a_float():
+    assert clt.classify_regime([3], 10**100).regime == "A"
+    for d in (10**250, 10**400):
+        with pytest.raises(ws.WeylstatError):
+            clt.classify_regime([3], d)
+
+
 def test_classify_regime_exact_boundaries():
     # bucket edges are inclusive on the B side: d <= rank <= d^2
     assert clt.classify_regime([9], 3).r_b == 9

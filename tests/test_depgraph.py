@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,23 @@ def test_antichain_count_small_systems(systems):
 def test_antichain_enumeration_cap(systems):
     with pytest.raises(ws.TooLargeError):
         list(depgraph.antichains(systems("B5"), limit=10))
+
+
+def test_antichains_refuse_before_enumerating():
+    # A13 has Cat(14) - 1 = 2,674,439 nonempty antichains
+    start = time.perf_counter()
+    with pytest.raises(ws.TooLargeError, match="antichain count 2674439 exceeds antichain limit 1000000"):
+        next(depgraph.antichains(ws.build("A13")))
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("spec", ["A1", "A5", "B3", "C4", "D2", "D3", "D5", "G2", "A2xG2", "B2xD3"])
+def test_antichain_limit_is_the_exact_count(systems, spec):
+    rs = systems(spec)
+    count = sum(1 for _ in depgraph.antichains(rs))
+    assert sum(1 for _ in depgraph.antichains(rs, limit=count)) == count
+    with pytest.raises(ws.TooLargeError):
+        next(depgraph.antichains(rs, limit=count - 1))
 
 
 def test_degree_bound_examples(systems):

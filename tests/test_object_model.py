@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import pickle
 import random
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import weylstat as ws
-from weylstat import weyl
+from weylstat import rootsys, weyl
 from weylstat.rootsys import Root
 from weylstat.weyl import G2Part, SignedPermPart, WeylElement
 
@@ -90,6 +91,40 @@ def test_constructors_sampler_and_action_are_pinned(systems):
         for line in _object_model_lines(systems(spec)):
             digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == "c3f14efa3acc523176e1506cd9575ba1e960b151a26cee1f02e097c91c37c388"
+
+
+# -- the sign rule ------------------------------------------------------------------
+
+def _signs_allowed(family, signs):
+    """The textbook rule: A flips no sign, B and C any, D an even number."""
+    if family == "A":
+        return -1 not in signs
+    return family != "D" or signs.count(-1) % 2 == 0
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D2", "D3", "D4", "D5"])
+def test_parts_are_accepted_iff_their_signs_obey_the_rule(systems, spec):
+    rs = systems(spec)
+    perm = weyl.identity(rs).parts[0].perm
+    for signs in itertools.product((1, -1), repeat=len(perm)):
+        part = SignedPermPart(perm, signs)
+        text = "[" + ",".join(str(s * k) for s, k in zip(signs, perm)) + "]"
+        if _signs_allowed(spec[0], signs):
+            assert weyl.element(rs, [part]).parts == (part,)
+            assert weyl.parse_element(rs, text).parts == (part,)
+        else:
+            with pytest.raises(ws.WeylstatError):
+                weyl.element(rs, [part])
+            with pytest.raises(ws.WeylstatError):
+                weyl.parse_element(rs, text)
+
+
+@pytest.mark.parametrize(
+    "spec", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4", "D2", "D3", "D4", "D5", "G2"]
+)
+def test_component_order_counts_the_enumerated_elements(spec):
+    comp, = rootsys.parse_spec(spec).components
+    assert rootsys.component_order(comp) == len(list(weyl.enumerate_elements(ws.build(str(comp)))))
 
 
 # -- per-component slots: results do not depend on call order ---------------------
@@ -361,6 +396,11 @@ def test_parse_element_rejects_malformed_chunks(systems, spec, text):
     with pytest.raises(ws.WeylstatError) as err:
         weyl.parse_element(systems(spec), text)
     assert type(err.value) is ws.WeylstatError
+
+
+def test_parse_element_refuses_oversized_integers(systems):
+    with pytest.raises(ws.WeylstatError):
+        weyl.parse_element(systems("A1"), f"[{'9' * 5000},1]")
 
 
 def test_parse_element_reads_signs_and_g2_indices(systems):

@@ -206,6 +206,17 @@ def test_stale_root_rejected(systems):
         b3.parse_root("Q[1,2]")
 
 
+@pytest.mark.parametrize("template", ["r{}", "N[{},1]", "P[1,{}]"])
+def test_parse_root_refuses_oversized_integers(systems, template):
+    with pytest.raises(ws.StaleRootError):
+        systems("B3").parse_root(template.format("9" * 5000))
+
+
+def test_parse_spec_refuses_oversized_integers():
+    with pytest.raises(ws.InvalidSpecError):
+        ws.parse_spec("A" + "9" * 5000)
+
+
 def test_simple_coefficients_hold_no_table_of_all_expansions():
     # A150 has 11,325 roots over 150 simple roots: a table of every root's
     # coefficients takes about 17 MB, the walk down its cover parents 4.4 MB.
