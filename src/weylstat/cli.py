@@ -28,7 +28,7 @@ from fractions import Fraction
 # command compiles and runs only the modules it needs.
 from . import stats
 from .errors import WeylstatError
-from .rootsys import DEFAULT_CAP, build, parse_spec
+from .rootsys import DEFAULT_CAP, _dimension, build, parse_spec
 
 MAX_THREADS = 64
 # A sample run holds its values in one array of 1, 2 or 8 bytes per sample,
@@ -316,7 +316,8 @@ def _cmd_var(args):
     q = formulas.VarianceQuery(family, n, args.d, args.stat)
     value, branch = formulas.variance_with_branch(q)
     if args.method == "enumerate":
-        rank = n - 1 if family == "A" else n
+        # the catalog rank whose dimension is n; _dimension(family, r) - r is fixed per family
+        rank = 2 * n - _dimension(family, n)
         rs = build(f"{family}{rank}")
         psi = stats.statistic_roots(rs, args.stat, args.d)
         enum_value = stats.exact_variance(rs, psi, cap=_cap(args))

@@ -237,14 +237,23 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# A row inverts the G2 root r_k iff the classical test (form, i, j) of entry k
-# holds on it.  A short root e_j - e_i is an N test.  A long root
-# +-(2e_i - e_j - e_k) pairs with the plane as +-3x_i, so it reads one sign;
-# x_1 > 0 is x_2 + x_3 < 0 there, a P test.
-_G2_TESTS = {
-    1: ("N", 2, 3), 2: ("O", 2, 0), 3: ("N", 1, 2),
-    4: ("N", 1, 3), 5: ("O", 3, 0), 6: ("P", 2, 3),
-}
+def _g2_test(vector):
+    """The classical test (form, i, j) that holds on a row iff it inverts the G2
+    root of sparse ``vector``.  A short root e_j - e_i is an N test.  A long root
+    +-(2e_k - e_a - e_b) pairs with the plane as +-3x_k, so it reads one sign:
+    x_k < 0 for +2, an O test; for -2, x_k > 0, which is x_a + x_b < 0 there, a P test.
+    """
+    coeff = dict(vector)
+    order = sorted(coeff, key=coeff.get)  # by coefficient, ties by coordinate
+    if len(order) == 2:
+        return ("N", *order)
+    if coeff[order[-1]] == 2:
+        return ("O", order[-1], 0)
+    return ("P", *order[1:])
+
+
+# A row inverts the G2 root r_k iff the test of entry k holds on it.
+_G2_TESTS = {k: _g2_test(v) for k, v in enumerate(rootsys._G2_VECTORS, 1)}
 
 
 def _signs_matrix(fam: str, n: int) -> np.ndarray:

@@ -199,8 +199,8 @@ def is_inversion(w: WeylElement, beta: Root) -> bool:
     return apply(w, beta)[1] < 0
 
 
-# By system id, one slot per component: G2's root sets, or the last part seen,
-# then (part, its roots) when it comes back.  A finalizer drops the entry before
+# By system id, one slot per component: G2's root sets, or None until a part
+# comes and then (the last part, its roots).  A finalizer drops the entry before
 # the id can be reused; a slot holds its part, so the part's id cannot be reused
 # either; and a slot is replaced in one store, so threads see old or new.
 _INVERSION_SLOTS: dict[int, list] = {}
@@ -211,33 +211,31 @@ def inversion_set(w: WeylElement) -> set[Root]:
 
     Reads the signed one-line values ``v`` of each classical part: ``N[i,j]``
     is an inversion iff ``v_j < v_i``, ``P[i,j]`` iff ``v_i + v_j < 0`` and
-    ``O[i]`` iff ``v_i < 0``, the tests :func:`apply` agrees with.  A part
-    object met twice in a row at one component keeps its roots while it comes
-    back, in O(1) memory per component; the result does not depend on call order.
+    ``O[i]`` iff ``v_i < 0``, the tests :func:`apply` agrees with.  A classical
+    component keeps the last part object met there with its roots (O(1) memory), so
+    a part is computed once while it keeps coming; the result does not depend on call order.
     """
     rs = w.system
-    try:
-        slots = _INVERSION_SLOTS[id(rs)]
-    except KeyError:
+    slots = _INVERSION_SLOTS.get(id(rs))
+    if slots is None:
         slots = _INVERSION_SLOTS.setdefault(id(rs), [
             tuple(frozenset(r for k, r in enumerate(tests) if mask >> k & 1) for mask in _G2_INV_MASKS)
-            if comp.family == "G2" else (None, None)
+            if comp.family == "G2" else None
             for comp, tests in zip(rs.spec.components, rs.sign_tests)
         ])
         weakref.finalize(rs, _INVERSION_SLOTS.pop, id(rs), None)
-    out = set()
-    for k, (part, tests) in enumerate(zip(w.parts, rs.sign_tests)):
+    out, k = set(), 0
+    for part in w.parts:
         slot = slots[k]
         if isinstance(part, G2Part):
             out.update(slot[part.index])
-        elif slot[0] is part:
+        elif slot is not None and slot[0] is part:
             out.update(slot[1])
-        else:  # at first sight, add to out; at the second, keep the roots
-            found = set() if slot is part else out
-            slots[k] = part
+        else:
+            found = set()
             add = found.add
             v = (0, *map(mul, part.perm, part.signs))
-            n_tests, p_tests, o_tests = tests
+            n_tests, p_tests, o_tests = rs.sign_tests[k]
             for i, j, r in n_tests:
                 if v[j] < v[i]:
                     add(r)
@@ -247,9 +245,9 @@ def inversion_set(w: WeylElement) -> set[Root]:
             for i, r in o_tests:
                 if v[i] < 0:
                     add(r)
-            if found is not out:
-                slots[k] = (part, found)
-                out.update(found)
+            slots[k] = (part, found)
+            out.update(found)
+        k += 1
     return out
 
 
@@ -266,21 +264,22 @@ def compose(u: WeylElement, v: WeylElement) -> WeylElement:
     """
     if u.system is not v.system and u.system.spec != v.system.spec:
         raise ComponentMismatchError(f"element of {u.system.spec} used with system {v.system.spec}")
-    parts = []
-    for k, (pu, pv) in enumerate(zip(u.parts, v.parts)):
+    parts, k = [], 0
+    for pu in u.parts:
+        pv = v.parts[k]
         if isinstance(pu, G2Part):
             parts.append(_G2_PARTS[_G2_MUL[pu.index][pv.index]])
-            continue
-        slot = _COMPOSE_SLOTS.get(k)
-        if slot is None or slot[0] is not pu or slot[1] is not pv:
-            # reads the 1-based values of pv.perm from 1-prefixed tuples (a
-            # classical part has two entries or more, so ``at`` returns a tuple);
-            # tuple.__new__ skips the named tuple's Python-level __new__
-            at = itemgetter(*pv.perm)
-            slot = _COMPOSE_SLOTS[k] = (pu, pv, tuple.__new__(SignedPermPart, (
-                at((0, *pu.perm)), tuple(map(mul, pv.signs, at((0, *pu.signs)))))))
-        parts.append(slot[2])
-    return _new_element(u.system, tuple(parts))
+        else:
+            slot = _COMPOSE_SLOTS.get(k)
+            if slot is None or slot[0] is not pu or slot[1] is not pv:
+                # reads pv.perm's 1-based values from 1-prefixed tuples (a classical
+                # part has two entries or more, so ``at`` returns a tuple)
+                at = itemgetter(*pv.perm)
+                slot = _COMPOSE_SLOTS[k] = (pu, pv, tuple.__new__(SignedPermPart, (
+                    at((0, *pu.perm)), tuple(map(mul, pv.signs, at((0, *pu.signs)))))))
+            parts.append(slot[2])
+        k += 1
+    return tuple.__new__(WeylElement, (u.system, tuple(parts)))
 
 
 def inverse(w: WeylElement) -> WeylElement:
@@ -353,8 +352,8 @@ def enumerate_elements(rs: RootSystem, cap: int = DEFAULT_CAP):
     first, *rest = (_component_parts_iter(c) for c in rs.spec.components)
     rest = [tuple(parts) for parts in rest]
     while block := tuple(itertools.islice(first, 4096)):
-        for parts in itertools.product(block, *rest):
-            yield _new_element(rs, parts)
+        yield from map(tuple.__new__, itertools.repeat(WeylElement),
+                       zip(itertools.repeat(rs), itertools.product(block, *rest)))
 
 
 # -- sampling --------------------------------------------------------------------

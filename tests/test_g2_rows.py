@@ -129,6 +129,16 @@ def test_statistic_roots_selects_psi(systems):
         clt.clt_report(rs, 2, "length", 10, seed=1)
 
 
+def test_g2_tests_derive_from_the_root_vectors():
+    # The table as it was written out by hand, before it was read off
+    # rootsys._G2_VECTORS: r1 = e3 - e2, r2 = 2e2 - e1 - e3, r3 = e2 - e1,
+    # r4 = e3 - e1, r5 = 2e3 - e1 - e2, r6 = e2 + e3 - 2e1.
+    assert stats._G2_TESTS == {
+        1: ("N", 2, 3), 2: ("O", 2, 0), 3: ("N", 1, 2),
+        4: ("N", 1, 3), 5: ("O", 3, 0), 6: ("P", 2, 3),
+    }
+
+
 def test_g2_tests_read_the_sign_of_each_root_vector():
     # Each coordinate test of _G2_TESTS, read on a row x, is <r_k, x> < 0 for
     # the root's vector in the sum-zero plane of Z^3.

@@ -1,5 +1,6 @@
 """The object model's value semantics, its exhaustive oracles, and element parsing."""
 
+import collections
 import gc
 import hashlib
 import itertools
@@ -165,6 +166,38 @@ def test_slots_in_shuffled_order_match_apply(systems, spec):
     for u, v in zip(order, elements):
         _check(u, v)
         _check(u, u)
+
+
+def _q_integer_product(degrees):
+    """Coefficients of prod_i [d_i]_q, where [d]_q = 1 + q + ... + q^(d-1)."""
+    coeffs = [1]
+    for d in degrees:
+        wider = [0] * (len(coeffs) + d - 1)
+        for i, c in enumerate(coeffs):
+            for j in range(d):
+                wider[i + j] += c
+        coeffs = wider
+    return coeffs
+
+
+def test_lengths_of_b5xg2_follow_its_degrees_in_any_order(systems):
+    # W(B5 x G2) counted by length is prod [d_i]_q over the degrees 2, 4, 6, 8, 10
+    # of B5 and 2, 6 of G2 (Humphreys, Reflection Groups and Coxeter Groups,
+    # 3.15); w -> w w0 sends length l to 31 - l and is a bijection.  Checked in
+    # enumeration order, where parts repeat, and shuffled, where they do not.
+    rs = systems("B5xG2")
+    w0 = weyl.longest_element(rs)
+    expected = _q_integer_product([2, 4, 6, 8, 10, 2, 6])
+    assert len(expected) == 32 and sum(expected) == 46080
+    elements = list(weyl.enumerate_elements(rs))
+    shuffled = elements[:]
+    random.Random(3101).shuffle(shuffled)
+    for order in (elements, shuffled):
+        lengths = [len(weyl.inversion_set(w)) for w in order]
+        products = [weyl.compose(w, w0) for w in order]
+        assert sorted(collections.Counter(lengths).items()) == list(enumerate(expected))
+        assert [31 - len(weyl.inversion_set(wv)) for wv in products] == lengths
+        assert len({wv.parts for wv in products}) == 46080
 
 
 def test_one_part_object_in_two_systems(systems):
