@@ -74,6 +74,25 @@ _G2_VECTORS = tuple(
 )
 
 
+def _g2_test(vector):
+    """The classical test (form, i, j) that holds on a row iff it inverts the G2
+    root of sparse ``vector``.  A short root e_j - e_i is an N test.  A long root
+    +-(2e_k - e_a - e_b) pairs with the plane as +-3x_k, so it reads one sign:
+    x_k < 0 for +2, an O test; for -2, x_k > 0, which is x_a + x_b < 0 there, a P test.
+    """
+    coeff = dict(vector)
+    order = sorted(coeff, key=coeff.get)  # by coefficient, ties by coordinate
+    if len(order) == 2:
+        return ("N", *order)
+    if coeff[order[-1]] == 2:
+        return ("O", order[-1], 0)
+    return ("P", *order[1:])
+
+
+# A row of _G2_ROWS inverts the G2 root r_k iff the test of entry k holds on it.
+_G2_TESTS = {k: _g2_test(v) for k, v in enumerate(_G2_VECTORS, 1)}
+
+
 def _reflect(x, vector):
     """``x - 2<x, b>/<b, b> b`` for the root ``b`` of sparse 1-based ``vector``; the
     ratio is an integer at every integer point (of G2's plane, for G2)."""
@@ -468,6 +487,33 @@ class RootSystem:
     def roots_up_to_height(self, d: int) -> tuple[Root, ...]:
         """All roots of height at most ``d`` in catalog order."""
         return _decode_runs(r for r in self._runs if r.height <= d)
+
+    def diagonal_runs(self, ids) -> dict[int, tuple[tuple[str, int, int, int], ...]]:
+        """Each component's roots among the ascending ids ``ids``, as the counting kernel's
+        sorted maximal runs (form, diagonal, first i, last i) of coordinate tests: ``O``
+        roots share the diagonal 0 and a ``G`` root is its test in :data:`_G2_TESTS`.
+        The ids are cut at the catalog's runs by bisection, so no root is decoded.
+        """
+        pieces, p = [], 0
+        while p < len(ids):
+            run = self._runs[bisect.bisect_right(self._run_starts, ids[p]) - 1]
+            stop = bisect.bisect_left(ids, run.first_id + run.length, p)
+            whole = ids[stop - 1] - ids[p] == stop - 1 - p  # the ids there are consecutive
+            for first, last in [(ids[p], ids[stop - 1])] if whole else zip(ids[p:stop], ids[p:stop]):
+                form, diag, lo = run.form, run.diagonal, run.first_i + first - run.first_id
+                hi = lo + last - first
+                if form == "G":  # one root, read as its coordinate test
+                    form, lo, j = _G2_TESTS[lo]
+                    diag, hi = _diagonal(form, lo, j), lo
+                pieces.append((run.component, form, 0 if form == "O" else diag, lo, hi))
+            p = stop
+        out: dict[int, list] = {}
+        for ci, form, diag, lo, hi in sorted(pieces):  # pieces that meet on a diagonal merge
+            runs = out.setdefault(ci, [])
+            if runs and runs[-1][:2] == (form, diag) and runs[-1][3] == lo - 1:
+                lo = runs.pop()[2]
+            runs.append((form, diag, lo, hi))
+        return {ci: tuple(runs) for ci, runs in out.items()}
 
     # -- expansions over simple roots ---------------------------------------
 

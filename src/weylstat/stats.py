@@ -15,14 +15,15 @@ summed cost, 1 per element enumerated and :data:`_LAYER_TRANSITION_COST` per
 transition.  That path never loads numpy (:class:`_Numpy`).
 
 Both paths evaluate the statistic with one kernel over blocks of signed
-one-line rows: the roots of Psi are grouped into runs along diagonals, and
-each run is tested with one comparison of two coordinate slices.  Every
-block, enumerated or sampled, is stored coordinate-major (the values of one
-coordinate are contiguous), so each such slice is contiguous.
+one-line rows: Psi is read as the catalog's runs along diagonals
+(``RootSystem.diagonal_runs``), each tested with one comparison of two
+coordinate slices.  Every block, enumerated or sampled, is stored
+coordinate-major (the values of one coordinate are contiguous), so each
+such slice is contiguous.
 
 G2 is counted by the same kernel: its 12 elements are the rows :data:`_G2_ROWS`,
 the images of one generic point by which ``rootsys`` defines W(G2) once (weyl's
-table derives from them too); each G2 root is a coordinate test (:data:`_G2_TESTS`).
+table derives from them too); each G2 root is a coordinate test (:data:`_G2_TESTS`, from rootsys).
 A sampled G2 component is still drawn as one uniform table index per sample.
 
 A sampled row holds i.i.d. signed keys read off the raw bit stream
@@ -66,7 +67,7 @@ from typing import NamedTuple
 
 from . import rootsys
 from .errors import TooLargeError, WeylstatError
-from .rootsys import DEFAULT_CAP, Root, RootSystem, component_order, derived_seed, group_order
+from .rootsys import DEFAULT_CAP, Root, RootSystem, _G2_TESTS, component_order, derived_seed, group_order
 
 
 class _Numpy:
@@ -93,6 +94,9 @@ RAW_PIECE_WORDS = 8192
 # (:func:`_key_bits`); README "Sampling" gives the measurements.
 _RECOUNT_RUN_COST = 16384
 _REFINED_ENTRY_COST = 36
+# Largest price of a Monte Carlo run, samples x (entries compared + keys drawn):
+# at the measured 0.75-1.6 ns an entry (README "Sampling"), about two minutes.
+_MAX_SAMPLED_ENTRIES = 10**11
 # Cost of one transition of the insertion recursion in enumerated rows, for
 # the rule that picks it over enumeration and for the cap (:func:`_weighted_law`).
 _LAYER_TRANSITION_COST = 128
@@ -192,14 +196,6 @@ def statistic_roots(rs: RootSystem, statistic: str, d: int):
     raise WeylstatError(f"unknown statistic {statistic!r}")
 
 
-def _split_by_component(rs: RootSystem, ids):
-    by_comp: dict[int, list[Root]] = {}
-    for k in ids:
-        r = rs.root(k)
-        by_comp.setdefault(r.component, []).append(r)
-    return by_comp
-
-
 class _Workspace:
     """Named scratch buffers, grown on demand and reused by every later request.
 
@@ -235,25 +231,6 @@ def __getattr__(name: str):
     if name == "_G2_ROWS":
         return _g2_rows()
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _g2_test(vector):
-    """The classical test (form, i, j) that holds on a row iff it inverts the G2
-    root of sparse ``vector``.  A short root e_j - e_i is an N test.  A long root
-    +-(2e_k - e_a - e_b) pairs with the plane as +-3x_k, so it reads one sign:
-    x_k < 0 for +2, an O test; for -2, x_k > 0, which is x_a + x_b < 0 there, a P test.
-    """
-    coeff = dict(vector)
-    order = sorted(coeff, key=coeff.get)  # by coefficient, ties by coordinate
-    if len(order) == 2:
-        return ("N", *order)
-    if coeff[order[-1]] == 2:
-        return ("O", order[-1], 0)
-    return ("P", *order[1:])
-
-
-# A row inverts the G2 root r_k iff the test of entry k holds on it.
-_G2_TESTS = {k: _g2_test(v) for k, v in enumerate(rootsys._G2_VECTORS, 1)}
 
 
 def _signs_matrix(fam: str, n: int) -> np.ndarray:
@@ -343,29 +320,6 @@ def _row_blocks(fam: str, rank: int):
                 yield (part * signs_t[:, None, s : s + CHUNK_ELEMENTS]).reshape(dim, -1).T
 
 
-def _diagonal_runs(roots) -> tuple[tuple[str, int, int, int], ...]:
-    """Maximal runs of ``roots`` along diagonals, as (form, diagonal, first i, last i).
-
-    ``N`` roots lie on the diagonal ``j - i``, ``P`` roots on ``i + j`` and
-    ``O`` roots on one diagonal of their own (0); a ``G`` root is read as its
-    test in :data:`_G2_TESTS`.  Along a diagonal, roots with consecutive ``i``
-    form one run, which :func:`_count_rows` tests with a single comparison of
-    two column slices.
-    """
-    runs: list[list] = []
-    tests = (_G2_TESTS[r.i] if r.form == "G" else (r.form, r.i, r.j) for r in roots)
-    keys = sorted(
-        (form, j - i if form == "N" else i + j if form == "P" else 0, i) for form, i, j in tests
-    )
-    for form, diag, i in keys:
-        last = runs[-1] if runs else None
-        if last is not None and last[0] == form and last[1] == diag and last[3] == i - 1:
-            last[3] = i
-        else:
-            runs.append([form, diag, i, i])
-    return tuple(tuple(run) for run in runs)
-
-
 def _value_dtype(largest: int):
     """The smallest of uint8, uint16 and int64 that holds ``0..largest``."""
     return np.uint8 if largest <= 0xFF else np.uint16 if largest <= 0xFFFF else np.int64
@@ -378,7 +332,7 @@ def _count_rows(
 
     A root ``N[i,j]`` is an inversion iff ``w_j < w_i``, ``P[i,j]`` iff
     ``w_i + w_j < 0`` (tested as ``w_i < -w_j``, which cannot overflow) and
-    ``O[i]`` iff ``w_i < 0``.  ``runs`` comes from :func:`_diagonal_runs`;
+    ``O[i]`` iff ``w_i < 0``.  ``runs`` comes from ``RootSystem.diagonal_runs``;
     each root of run ``k`` adds ``weights[k]`` (default 1) to a row's value.
     The kernel reads the coordinates ``rows.T``: each run is one comparison
     of two coordinate slices of shape ``(run length, m)``, summed over the
@@ -606,8 +560,7 @@ def exact_distribution(rs: RootSystem, psi, cap: int = DEFAULT_CAP) -> dict[int,
 
     Counts sum to the group order.  :func:`_weighted_law` prices and counts it.
     """
-    ids = _canonical_ids(rs, psi)
-    runs = {ci: _diagonal_runs(roots) for ci, roots in _split_by_component(rs, ids).items()}
+    runs = rs.diagonal_runs(_canonical_ids(rs, psi))
     return _weighted_law(rs, {ci: (r, [1] * len(r)) for ci, r in runs.items()}, cap)
 
 
@@ -672,9 +625,12 @@ def exact_joint_distribution(
     weight = {rid: 1 << k for k, rid in enumerate(ids2)}
     for k, rid in enumerate(ids1):
         weight[rid] = weight.get(rid, 0) + (1 << (shift + k))
-    terms = {}
-    for ci, roots in _split_by_component(rs, weight).items():
-        terms[ci] = ([_diagonal_runs([r])[0] for r in roots], [weight[rs.index(r)] for r in roots])
+    terms: dict[int, tuple[list, list]] = {}
+    for rid, w in weight.items():  # one run of one root each
+        for ci, (run,) in rs.diagonal_runs((rid,)).items():
+            runs, weights = terms.setdefault(ci, ([], []))
+            runs.append(run)
+            weights.append(w)
     low = (1 << shift) - 1
     return {(v >> shift, v & low): c for v, c in _weighted_law(rs, terms, cap).items()}
 
@@ -797,17 +753,22 @@ def mc_run(
     of chunk ``c`` is ``numpy.random.default_rng(derived_seed(seed, c))``.
     Each chunk counts in int64, adds its histogram to ``counts`` and writes its
     values into its slice of one array, of the smallest dtype that holds
-    ``len(psi)`` (``_value_dtype``).
+    ``len(psi)`` (``_value_dtype``).  A run whose price, ``n_samples`` times
+    the roots of Psi plus the coordinates of each drawn component, exceeds
+    :data:`_MAX_SAMPLED_ENTRIES` is refused before anything is drawn.
     """
     if n_samples < 1:
         raise WeylstatError("n_samples must be positive")
     ids = _canonical_ids(rs, psi)
-    by_comp = _split_by_component(rs, ids)
     # Only components holding a root of Psi are drawn: the others add nothing.
     parts = []
-    for ci in sorted(by_comp):
-        comp, runs = rs.spec.components[ci], _diagonal_runs(by_comp[ci])
+    for ci, runs in rs.diagonal_runs(ids).items():
+        comp = rs.spec.components[ci]
         parts.append((comp, runs, _key_bits(comp.family, comp.dimension, runs)))
+    price = n_samples * (len(ids) + sum(comp.dimension for comp, _, _ in parts))
+    if price > _MAX_SAMPLED_ENTRIES:
+        what = "sampling cost (samples x (entries compared + keys drawn))"
+        raise TooLargeError(price, _MAX_SAMPLED_ENTRIES, what=what, limit="sampling limit")
     block = _block_samples(max((comp.dimension for comp, _, _ in parts), default=1))
     n_chunks = (n_samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
     values = np.empty(n_samples, dtype=_value_dtype(len(ids)))

@@ -16,10 +16,16 @@ from weylstat.rootsys import Root
 G2_ROOTS = [Root(0, "G", k) for k in range(1, 7)]
 
 
+def _root_runs(root):
+    """The kernel's runs of one root of the G2 catalog: the catalog's run view."""
+    rs = ws.build("G2")
+    return rs.diagonal_runs((rs.index(root),))[0]
+
+
 def _g2_masks(rows):
     """Bit k - 1 of each row's mask: the kernel's test of root r_k on that row."""
     return sum(
-        stats._count_rows(rows, stats._diagonal_runs([r])) << (r.i - 1) for r in G2_ROOTS
+        stats._count_rows(rows, _root_runs(r)) << (r.i - 1) for r in G2_ROOTS
     )
 
 
@@ -153,7 +159,7 @@ def test_g2_tests_read_the_sign_of_each_root_vector():
     for root in G2_ROOTS:
         form, i, j = stats._G2_TESTS[root.i]
         vector = rs._vector(root)
-        kernel = stats._count_rows(rows, stats._diagonal_runs([root])).tolist()
+        kernel = stats._count_rows(rows, _root_runs(root)).tolist()
         for x, counted in zip(rows.tolist(), kernel):
             below = sum(c * x[k - 1] for k, c in vector) < 0
             assert reads[form](x, i, j) == below == bool(counted), (root, x)

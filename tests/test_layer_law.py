@@ -12,11 +12,11 @@ from weylstat.rootsys import component_order
 def _enumerated(rs, psi):
     """The law of Psi with every component enumerated, convolved as the exact path does."""
     law = {0: 1}
+    view = rs.diagonal_runs(stats._canonical_ids(rs, psi))
     for ci, comp in enumerate(rs.spec.components):
-        roots = [r for r in psi if r.component == ci]
         part = {0: component_order(comp)}
-        if roots:
-            runs = stats._diagonal_runs(roots)
+        if ci in view:
+            runs = view[ci]
             part = stats._enumerated_law(comp, runs, [1] * len(runs), stats._Workspace())
         law = stats._convolve(law, part)
     return dict(sorted(law.items()))
@@ -59,7 +59,7 @@ CASES = [(n, d, stat) for n in range(1, 9) for d in range(1, n + 1)
 def test_layer_law_equals_enumeration(systems, n, d, stat):
     rs = systems(f"A{n}")
     comp = rs.spec.components[0]
-    runs = stats._diagonal_runs(stats.statistic_roots(rs, stat, d))
+    runs = rs.diagonal_runs(stats._canonical_ids(rs, stats.statistic_roots(rs, stat, d)))[0]
     layers = set(range(1, d + 1)) if stat == "inversions" else {d}
     law = stats._layer_law(n + 1, layers)
     assert law == stats._enumerated_law(comp, runs, [1] * len(runs), stats._Workspace())
@@ -126,7 +126,7 @@ def test_the_cost_rule_picks_the_recursion_on_a9_up_to_height_3(systems, enumera
     assert stats._layer_transitions(10, 4) == 55473
     comp = rs.spec.components[0]
     for d, layers in ((1, {1}), (2, {1, 2}), (3, {1, 2, 3}), (4, None), (5, None)):
-        runs = stats._diagonal_runs(rs.roots_up_to_height(d))
+        runs = rs.diagonal_runs(stats._canonical_ids(rs, rs.roots_up_to_height(d)))[0]
         assert stats._recursion_layers(comp, runs, [1] * len(runs)) == layers
     hist = stats.exact_distribution(rs, rs.roots_up_to_height(3))
     assert sum(hist.values()) == math.factorial(10) and enumerated_blocks == []

@@ -145,8 +145,8 @@ def _composed_by_apply(u, v):
 
 
 def _check(u, v):
-    # a slot notes a part at its first call, keeps its roots at the second and
-    # reads them from the third on; a compose slot is read from the second
+    # a slot keeps a part's roots at its first call and reads them from the
+    # second on; a compose slot likewise keeps its product, read from the second
     expected = _inversions_by_apply(u)
     for _ in range(3):
         assert weyl.inversion_set(u) == expected
@@ -273,7 +273,7 @@ def test_a_new_part_at_a_freed_address_is_not_a_hit(systems):
     values = [((2, 3, 1), (1, -1, 1)), ((3, 1, 2), (-1, -1, 1))] * 100
     for perm, signs in values:
         w = weyl.element(rs, [SignedPermPart(perm, signs), G2Part(0)])
-        for _ in range(2):  # the second call keeps the part's roots
+        for _ in range(2):  # the first call keeps the part's roots, the second reads them
             assert weyl.inversion_set(w) == _inversions_by_apply(w)
         del w
     for perm, signs in values:

@@ -282,3 +282,82 @@ def test_g2_inner_products_match_the_gram_form(systems, spec):
         for gamma in g2:
             (c, d) = _G2_COEFFS[gamma.i - 1]
             assert rs.inner_product_int(beta, gamma) == 2 * a * c + 6 * b * d - 3 * (a * d + b * c)
+
+
+# -- the run view of a root set ---------------------------------------------------
+
+def _reference_runs(rs, ids):
+    """The per-root grouping that ``diagonal_runs`` replaced: decode each root, split
+    by component, sort the tests by (form, diagonal, i) and merge consecutive i."""
+    from weylstat.rootsys import _G2_TESTS
+
+    by_comp = {}
+    for k in ids:
+        r = rs.roots[k]
+        by_comp.setdefault(r.component, []).append(r)
+    out = {}
+    for ci in sorted(by_comp):
+        tests = (_G2_TESTS[r.i] if r.form == "G" else (r.form, r.i, r.j) for r in by_comp[ci])
+        runs = []
+        for form, diag, i in sorted(
+            (form, j - i if form == "N" else i + j if form == "P" else 0, i) for form, i, j in tests
+        ):
+            if runs and runs[-1][:2] == [form, diag] and runs[-1][3] == i - 1:
+                runs[-1][3] = i
+            else:
+                runs.append([form, diag, i, i])
+        out[ci] = tuple(tuple(run) for run in runs)
+    return out
+
+
+RUN_VIEW_SYSTEMS = ["A1", "A4", "A7", "B2", "B3", "B6", "C2", "C3", "C6", "D2", "D3", "D4", "D6",
+                    "G2", "A3xG2", "B3xC2xD4", "D5xG2", "G2xG2", "B100xG2"]
+
+
+@pytest.mark.parametrize("spec", RUN_VIEW_SYSTEMS)
+def test_diagonal_runs_equal_the_per_root_grouping(systems, spec):
+    # every height layer, every union of heights <= d, and random id sets
+    import random
+
+    rs = systems(spec)
+    layers = [tuple(ids) for ids in rs.height_index.values()]
+    assert len(layers) == rs.max_height
+    selections = layers + [tuple(sorted(sum(layers[:d], ()))) for d in range(1, len(layers) + 1)]
+    rng = random.Random(spec)
+    selections += [tuple(sorted(rng.sample(range(len(rs)), rng.randint(0, len(rs)))))
+                   for _ in range(30)]
+    for ids in selections:
+        view = rs.diagonal_runs(ids)
+        assert list(view.items()) == list(_reference_runs(rs, ids).items()), ids
+
+
+def test_diagonal_runs_read_g2_as_its_coordinate_tests(systems):
+    from weylstat import rootsys, stats
+
+    assert stats._G2_TESTS is rootsys._G2_TESTS  # defined once, bound by the kernel's module
+    rs = systems("A1xG2")
+    assert rs.diagonal_runs(range(1, 7)) == {1: (("N", 1, 1, 2), ("N", 2, 1, 1), ("O", 0, 2, 3),
+                                                 ("P", 5, 2, 2))}
+    assert rs.diagonal_runs(()) == {}
+    assert rs.diagonal_runs((0, 3)) == {0: (("N", 1, 1, 1),), 1: (("N", 1, 1, 1),)}
+
+
+@pytest.mark.parametrize("spec, stat, d, bits", [
+    ("A499", "descents", 1, {0: 16}),  # the workloads' CLI commands
+    ("A9", "inversions", 3, {0: 32}),
+    ("B100xG2", "inversions", 5, {0: 16, 1: 32}),
+])
+def test_key_widths_of_the_workloads_read_the_same_runs(systems, spec, stat, d, bits):
+    from weylstat import stats
+
+    rs = systems(spec)
+    ids = stats._canonical_ids(rs, stats.statistic_roots(rs, stat, d))
+    view, reference = rs.diagonal_runs(ids), _reference_runs(rs, ids)
+    widths = {}
+    for ci, runs in view.items():
+        comp = rs.spec.components[ci]
+        widths[ci] = stats._key_bits(comp.family, comp.dimension, runs)
+        assert widths[ci] == stats._key_bits(comp.family, comp.dimension, reference[ci])
+        ones = [1] * len(runs)
+        assert stats._recursion_layers(comp, runs, ones) == stats._recursion_layers(comp, reference[ci], ones)
+    assert widths == bits

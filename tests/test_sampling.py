@@ -8,12 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weylstat as ws
 from weylstat import clt, stats, weyl
 from weylstat.rootsys import Root
 
 # A degrees-of-freedom or overflow warning from the kernel or the moments is
 # a failure.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def _runs(rs, roots, ci=0):
+    """The kernel's runs of the roots of component ``ci`` in ``roots``: the catalog's run view."""
+    return rs.diagonal_runs(stats._canonical_ids(rs, roots)).get(ci, ())
 
 
 def _component_rows(rs, ci, elements):
@@ -33,7 +39,7 @@ def _kernel_values(rs, psi, elements):
             mask = sum(1 << (r.i - 1) for r in local)
             total += [(weyl._G2_INV_MASKS[w.parts[ci].index] & mask).bit_count() for w in elements]
         elif local:
-            total += stats._count_rows(_component_rows(rs, ci, elements), stats._diagonal_runs(local))
+            total += stats._count_rows(_component_rows(rs, ci, elements), _runs(rs, local, ci))
     return total.tolist()
 
 
@@ -61,7 +67,7 @@ def test_run_kernel_on_width_one_runs(systems, spec):
     rs = systems(spec)
     psi = [r for r in rs.roots if r.form == "G" or r.i % 2 == 1]
     classical = [r for r in psi if r.form != "G"]
-    assert all(lo == hi for _, _, lo, hi in stats._diagonal_runs(classical))
+    assert all(lo == hi for _, _, lo, hi in _runs(rs, classical))
     elements = list(weyl.enumerate_elements(rs))
     assert _kernel_values(rs, psi, elements) == _oracle_values(psi, elements)
 
@@ -96,7 +102,7 @@ def test_run_kernel_accumulator_boundaries(systems, spec, n_roots):
     rows = np.vstack([coords, longest, drawn]).astype(np.int64)
     expected = _pairwise_oracle(rows, roots)
     assert expected[:2].tolist() == [0, n_roots]
-    runs = stats._diagonal_runs(roots)
+    runs = _runs(rs, roots)
     for block in (rows, np.ascontiguousarray(rows.T).T):
         values = stats._count_rows(block, runs)
         assert values.dtype == np.int64
@@ -178,7 +184,7 @@ def test_tie_flags_mark_compared_ties_only():
         [4, -4, 6, 0],  # opposite keys under N, and a zero under O: decided
         [9, 1, 1, 9],  # equal keys that no root compares
     ], dtype=np.int32))
-    runs = stats._diagonal_runs(roots)
+    runs = _runs(ws.build("B4"), roots)
     tied = np.zeros(4, dtype=bool)
     values = stats._count_rows(rows, runs, tied=tied)
     assert tied.tolist() == [True, True, False, False]
@@ -188,7 +194,7 @@ def test_tie_flags_mark_compared_ties_only():
 def test_tie_scan_ignores_equal_keys_across_a_row_boundary():
     # coordinate-major, equal keys of neighbouring rows sit side by side in
     # memory; they belong to different samples and are never compared
-    runs = stats._diagonal_runs([Root(0, "N", 1, 2), Root(0, "N", 2, 3), Root(0, "P", 1, 3)])
+    runs = _runs(ws.build("B3"), [Root(0, "N", 1, 2), Root(0, "N", 2, 3), Root(0, "P", 1, 3)])
     rows = _coordinate_major(np.array([[3, 1, 5], [3, 1, 5], [-3, -1, -5]], dtype=np.int32))
     tied = np.zeros(3, dtype=bool)
     stats._count_rows(rows, runs, tied=tied)
@@ -207,7 +213,7 @@ def test_tie_flags_match_every_compared_pair(systems, spec, data):
     m = data.draw(st.integers(1, 300))
     top = data.draw(st.sampled_from([1, 2, 3, 50, 2**30]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    runs = stats._diagonal_runs(roots)
+    runs = _runs(rs, roots)
     ws = stats._Workspace()
     larger = rng.integers(-2, 3, size=(m + 7, dim), dtype=np.int32)
     stats._count_rows(_coordinate_major(larger), runs, ws, tied=np.zeros(m + 7, dtype=bool))
@@ -266,7 +272,7 @@ def test_mc_run_workspace_matches_throwaway_buffers(systems):
     psi = rs.roots_up_to_height(3)
     parts = []
     for ci, comp in enumerate(rs.spec.components):
-        runs = stats._diagonal_runs([r for r in psi if r.component == ci])
+        runs = _runs(rs, psi, ci)
         parts.append((comp, runs, stats._key_bits(comp.family, comp.dimension, runs)))
     assert {bits for _, _, bits in parts} == {16, 32}
     block = stats._block_samples(max(comp.dimension for comp, _, _ in parts))
@@ -493,3 +499,35 @@ def test_atom_ks_bit_identical_to_per_point_ks(systems, spec, d, stat, seed):
     assert clt._ks_over_atoms(np.bincount(run.values), mean, var) == per_point
     report = clt.clt_report(rs, d, stat, 9_000, seed=seed)
     assert report.ks == per_point
+
+
+def test_sampling_price_is_checked_before_the_first_draw(systems, monkeypatch):
+    # B3 with d <= 2: 5 roots compared and 3 keys drawn per sample; A2 holds no
+    # root of Psi, so it is neither drawn nor priced
+    rs = systems("B3xA2")
+    psi = stats.statistic_roots(rs, "inversions", 2)
+    psi = [r for r in psi if r.component == 0]
+    assert len(psi) == 5
+    monkeypatch.setattr(stats, "_MAX_SAMPLED_ENTRIES", 800)
+    assert stats.mc_run(rs, psi, 100, seed=1).n_samples == 100
+    monkeypatch.setattr(stats, "_MAX_SAMPLED_ENTRIES", 799)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before pricing")
+
+    monkeypatch.setattr(stats, "_draw_rows", no_draw)
+    with pytest.raises(ws.TooLargeError, match=r"^sampling cost \(samples x \(entries compared \+ keys "
+                                                 r"drawn\)\) 800 exceeds sampling limit 799$"):
+        stats.mc_run(rs, psi, 100, seed=1)
+
+
+@pytest.mark.parametrize("spec, stat, d, n, price", [
+    ("A499", "descents", 1, 200_000, 199_800_000),  # criterion 11b and the clt_A499 workload
+    ("B100xG2", "inversions", 5, 400_000, 240_800_000),  # the sample_B100xG2 workload
+    ("A4", "descents", 1, 10**7, 90_000_000),  # README "Sampling"
+])
+def test_the_largest_runs_in_use_are_far_below_the_sampling_limit(systems, spec, stat, d, n, price):
+    rs = systems(spec)
+    psi = stats.statistic_roots(rs, stat, d)
+    drawn = sum(rs.spec.components[ci].dimension for ci in rs.diagonal_runs(stats._canonical_ids(rs, psi)))
+    assert n * (len(psi) + drawn) == price < stats._MAX_SAMPLED_ENTRIES // 100
