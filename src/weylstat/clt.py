@@ -224,15 +224,16 @@ def clt_report(
     psi = stats.statistic_roots(rs, statistic, d)
     if not psi:
         raise WeylstatError(f"no roots of height {'=' if statistic == 'descents' else '<='} {d}")
-    mean = stats.exact_mean(rs, psi)
-    variance = theoretical_variance(rs, d, statistic)
-    graph = depgraph.build_graph(rs, psi)
+    # first, so that a run the sampling price refuses costs nothing else
     run = stats.mc_run(
         rs, psi, n_samples, seed, threads=threads,
         descriptor={"stat": statistic, "d": d},
     )
+    mean = stats.exact_mean(rs, psi)
+    variance = theoretical_variance(rs, d, statistic)
+    delta = max(depgraph.degrees(rs, psi).values())
     ks = _ks_over_atoms(run.counts, mean, variance)
-    crit = janson_criterion(len(psi), graph.max_degree, variance, m=3)
+    crit = janson_criterion(len(psi), delta, variance, m=3)
     regime = None
     if statistic == "inversions":
         regime = classify_regime([c.rank for c in rs.spec.components], d)
@@ -241,7 +242,7 @@ def clt_report(
         statistic=statistic,
         d=d,
         k=len(psi),
-        delta=graph.max_degree,
+        delta=delta,
         mean=mean,
         variance=variance,
         seed=seed,

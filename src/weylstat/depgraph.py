@@ -1,7 +1,11 @@
 """Dependency graphs of root sets: vertices are roots, edges join
 non-orthogonal pairs.  Two indicator families with no connecting edges are
 independent, so degree statistics of these graphs feed the normal
-approximation bounds."""
+approximation bounds.
+
+One rule, in :func:`_cells`, decides dependency.  ``clt`` and the degree
+checks read only :func:`degrees`, counted from the cells' sizes; only
+:func:`build_graph`, for the ``depgraph`` command, lists edges."""
 
 from __future__ import annotations
 
@@ -9,13 +13,13 @@ import math
 from typing import NamedTuple
 
 from .errors import PropertyViolationError, TooLargeError
-from .rootsys import RootSystem
+from .rootsys import Root, RootSystem
 
 ANTICHAIN_ENUMERATION_CAP = 10**6
 
 # Most candidate pairs build_graph tests, so that its graph stays under about 1 GB:
 # `depgraph` of A99 and A139 with d = rank, where every pair is an edge, peaked at
-# 105 MB for 485,100 pairs and 259 MB for 1,342,740, about 180 bytes a pair.
+# 58 MB for 485,100 pairs and 174 MB for 1,342,740, about 120 bytes a pair.
 MAX_GRAPH_PAIRS = 4_000_000
 
 
@@ -38,29 +42,58 @@ class DependencyGraph(NamedTuple):
                     yield (v, w)
 
 
+# The G2 roots orthogonal in pairs, by table entry: r1 _|_ r6, r2 _|_ r4, r3 _|_ r5.
+_G2_PARTNERS = {1: 6, 6: 1, 2: 4, 4: 2, 3: 5, 5: 3}
+
+
+def _cells(rs: RootSystem, psi):
+    """Psi's ids, ascending; each id's cells; each id's partner in Psi, or None;
+    and each cell's ids.  Two distinct roots are dependent iff they share a
+    cell and are not partners.  A classical root's cells are its (component,
+    coordinate) pairs, and ``N[i,j]`` and ``P[i,j]``, the one pair sharing
+    both, are orthogonal partners.  Every two G2 roots share a coordinate, so
+    a G2 root's one cell is its component, and its partner is the one G2 root
+    orthogonal to it.
+    """
+    id_of = {r: rs.index(r) for r in psi}
+    cells, partner, members = {}, {}, {}
+    for r, v in id_of.items():
+        c = r.component
+        if r.form == "G":
+            cells[v], mate = ((c, 0),), Root(c, "G", _G2_PARTNERS[r.i])
+        elif r.form == "O":
+            cells[v], mate = ((c, r.i),), None
+        else:
+            cells[v], mate = ((c, r.i), (c, r.j)), Root(c, "P" if r.form == "N" else "N", r.i, r.j)
+        partner[v] = id_of.get(mate)
+        for cell in cells[v]:
+            members.setdefault(cell, []).append(v)
+    return sorted(cells), cells, partner, members
+
+
+def degrees(rs: RootSystem, psi) -> dict[int, int]:
+    """Each root id of Psi with its dependency degree, in O(|Psi|): the other
+    roots in its cells, less its partner in Psi once per cell."""
+    ids, cells, partner, members = _cells(rs, psi)
+    return {v: sum(len(members[c]) - 1 for c in cells[v]) - len(cells[v]) * (partner[v] is not None)
+            for v in ids}
+
+
 def build_graph(rs: RootSystem, psi) -> DependencyGraph:
     """Graph on psi with edges between non-orthogonal distinct roots.
 
-    Only roots whose vectors share a (component, coordinate) cell can be
-    non-orthogonal, so only those pairs have their inner product tested.
+    Edges follow the rule of :func:`_cells`: only roots sharing a cell are
+    candidates, and each is joined to all of them but its partner.
     """
-    ids = sorted({rs.index(r) for r in psi})
-    roots = {v: rs.root(v) for v in ids}
-    cells = {v: [(r.component, k) for k, _ in rs._vector(r)] for v, r in roots.items()}
-    adj: dict[int, set[int]] = {v: set() for v in ids}
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for v in ids:
-        for cell in cells[v]:
-            buckets.setdefault(cell, []).append(v)
-    pairs = sum(len(b) * (len(b) - 1) // 2 for b in buckets.values())
+    ids, cells, partner, members = _cells(rs, psi)
+    pairs = sum(len(b) * (len(b) - 1) // 2 for b in members.values())
     if pairs > MAX_GRAPH_PAIRS:
         raise TooLargeError(pairs, MAX_GRAPH_PAIRS, what="candidate pair count", limit="pair limit")
+    adj: dict[int, frozenset[int]] = {}
     for v in ids:
-        # ascending pairs, as the all-pairs loop visits them: edges() follows set order
-        for w in sorted({w for cell in cells[v] for w in buckets[cell] if w > v}):
-            if rs._ip(roots[v], roots[w]) != 0:
-                adj[v].add(w)
-                adj[w].add(v)
+        near = {w for cell in cells[v] for w in members[cell]} - {v, partner[v]}
+        # a set filled in ascending order, as the all-pairs loop fills it: edges() follows its order
+        adj[v] = frozenset(set(sorted(near)))
     sizes = []
     seen: set[int] = set()
     for v in ids:
@@ -79,7 +112,7 @@ def build_graph(rs: RootSystem, psi) -> DependencyGraph:
         sizes.append(comp)
     return DependencyGraph(
         vertices=tuple(ids),
-        adjacency={v: frozenset(s) for v, s in adj.items()},
+        adjacency=adj,
         max_degree=max((len(s) for s in adj.values()), default=0),
         component_sizes=tuple(sorted(sizes)),
     )
@@ -93,41 +126,42 @@ def check_antichain_degree(rs: RootSystem, psi):
     :class:`PropertyViolationError`.
     """
     roots = list({rs.index(r): r for r in psi}.values())
-    graph = build_graph(rs, roots)
+    degree = degrees(rs, roots).values()
+    max_degree, edge_count = max(degree, default=0), sum(degree) // 2
     anti = rs.is_antichain(roots)
     if anti and roots:
-        if graph.edge_count > len(roots) - 1:
+        if edge_count > len(roots) - 1:
             raise PropertyViolationError(
-                f"antichain with {graph.edge_count} dependent pairs > |psi|-1 = {len(roots) - 1}"
+                f"antichain with {edge_count} dependent pairs > |psi|-1 = {len(roots) - 1}"
             )
-        if graph.max_degree > 3:
+        if max_degree > 3:
             raise PropertyViolationError(
-                f"antichain with dependency degree {graph.max_degree} > 3"
+                f"antichain with dependency degree {max_degree} > 3"
             )
-    return anti, graph.max_degree, graph.edge_count
+    return anti, max_degree, edge_count
 
 
 def degree_bound_phi_d(rs: RootSystem, d: int):
     """Max dependency degree of the bounded-height root set, with its bound.
 
-    Classical components obey the linear bound ``4 d``; a G2 component never
-    exceeds 5 (one less than its number of positive roots).
+    Classical components obey the linear bound ``4 d``.  A G2 vertex has
+    degree at most 4: the other 5 roots less its one orthogonal partner.  A
+    system of G2 factors alone reports the bound 5, one less than its number
+    of positive roots.
     """
     if d < 1:
         raise PropertyViolationError("d must be positive")
-    psi = rs.roots_up_to_height(d)
-    graph = build_graph(rs, psi)
+    degree = degrees(rs, rs.roots_up_to_height(d))
     classical_present = any(c.family != "G2" for c in rs.spec.components)
     bound = 4 * d if classical_present else 5
-    for v in graph.vertices:
+    for v, deg in degree.items():
         fam = rs.spec.components[rs.root(v).component].family
-        limit = 5 if fam == "G2" else 4 * d
-        if len(graph.adjacency[v]) > limit:
+        limit = 4 if fam == "G2" else 4 * d
+        if deg > limit:
             raise PropertyViolationError(
-                f"vertex {rs.render_root(rs.root(v))} has degree "
-                f"{len(graph.adjacency[v])} > {limit}"
+                f"vertex {rs.render_root(rs.root(v))} has degree {deg} > {limit}"
             )
-    return graph.max_degree, bound
+    return max(degree.values(), default=0), bound
 
 
 def _antichain_count(rs: RootSystem) -> int:

@@ -353,11 +353,13 @@ def test_catalog_size_guard_exits_1(capsys, spec, count):
     ["depgraph", "A499", "-d", "499"],
     ["sample", "A499", "-d", "499", "--samples", "10000000", "--seed", "1"],
     ["sample", "A999", "-d", "999", "--samples", "10000000", "--seed", "1"],
+    ["clt", "A499", "-d", "499", "--samples", "10000000", "--seed", "1"],
 ])
 def test_oversized_requests_exit_1_with_one_error_line(capsys, argv):
     # integers past Python's digit limit, float rates that overflow, a graph of
-    # 62,125,500 candidate pairs, 10^7 samples of 124,750 or 499,500 roots: each
-    # refused with one line, not a traceback
+    # 62,125,500 candidate pairs, 10^7 samples of 124,750 or 499,500 roots (a
+    # `clt` run priced before its degrees are read): each refused with one
+    # line, not a traceback
     assert cli.run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

@@ -200,3 +200,15 @@ def test_g2_variance_is_the_sum_of_pair_covariances(monkeypatch, systems, spec):
     monkeypatch.setattr(stats, "exact_distribution", refuse)
     for (d, stat), variance in expected.items():
         assert clt.theoretical_variance(rs, d, stat) == variance, (d, stat)
+
+
+def test_clt_prices_the_run_before_any_other_work(monkeypatch):
+    # 10^7 samples of A499's 9,790 roots of height <= 20 cost past the sampling
+    # limit: the refusal comes before the variance and the degrees are read
+    def refuse(*args, **kwargs):
+        raise AssertionError("clt_report worked before pricing the run")
+
+    monkeypatch.setattr(clt, "theoretical_variance", refuse)
+    monkeypatch.setattr(depgraph, "degrees", refuse)
+    with pytest.raises(ws.TooLargeError):
+        clt.clt_report(ws.build("A499"), 20, "inversions", 10_000_000, seed=1)

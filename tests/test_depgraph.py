@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+import random
 import time
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import weylstat as ws
 from weylstat import depgraph, formulas, stats
-from weylstat.rootsys import Root
+from weylstat.rootsys import _G2_VECTORS, Root
 
 
 def test_simple_roots_form_path_graph(systems):
@@ -173,3 +174,42 @@ def test_build_graph_matches_all_pairs(systems, spec, data):
     psi = data.draw(st.lists(st.sampled_from(rs.roots), unique=True))
     g = depgraph.build_graph(rs, psi)
     assert g.adjacency == {v: frozenset(s) for v, s in _all_pairs_graph(rs, psi).items()}
+
+
+@pytest.mark.parametrize("spec", ["A6", "B5", "C4", "D5", "A3xG2", "G2xG2"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_degrees_match_all_pairs(systems, spec, data):
+    rs = systems(spec)
+    psi = data.draw(st.lists(st.sampled_from(rs.roots), unique=True))
+    assert depgraph.degrees(rs, psi) == {v: len(s) for v, s in _all_pairs_graph(rs, psi).items()}
+
+
+_DEGREE_SYSTEMS = ["A1", "A4", "A7", "B2", "B3", "B6", "C2", "C3", "C6", "D2", "D3", "D4",
+                   "D6", "G2", "A3xG2", "B3xC2xD4", "D5xG2", "G2xG2"]
+
+
+def test_degrees_match_build_graph_on_layers_unions_and_subsets(systems):
+    rng = random.Random(33)
+    checked = 0
+    for spec in _DEGREE_SYSTEMS:
+        rs = systems(spec)
+        selections = [rs.roots_of_height(d) for d in range(1, rs.max_height + 1)]
+        selections += [rs.roots_up_to_height(d) for d in range(1, rs.max_height + 1)]
+        selections += [rng.sample(rs.roots, rng.randint(0, len(rs.roots))) for _ in range(30)]
+        for psi in selections:
+            graph = depgraph.build_graph(rs, psi)
+            assert depgraph.degrees(rs, psi) == {v: len(graph.adjacency[v]) for v in graph.vertices}
+            checked += 1
+    assert checked == 730
+
+
+def test_g2_partners_are_the_orthogonal_pairs():
+    vectors = dict(enumerate(_G2_VECTORS, 1))
+
+    def ip(a, b):
+        other = dict(vectors[b])
+        return sum(c * other.get(k, 0) for k, c in vectors[a])
+
+    orthogonal = {(a, b) for a in vectors for b in vectors if a != b and ip(a, b) == 0}
+    assert set(depgraph._G2_PARTNERS.items()) == orthogonal
