@@ -224,15 +224,13 @@ def clt_report(
     psi = stats.statistic_roots(rs, statistic, d)
     if not psi:
         raise WeylstatError(f"no roots of height {'=' if statistic == 'descents' else '<='} {d}")
-    # first, so that a run the sampling price refuses costs nothing else
-    run = stats.mc_run(
-        rs, psi, n_samples, seed, threads=threads,
-        descriptor={"stat": statistic, "d": d},
-    )
+    # first, so that a run the sampling price refuses costs nothing else; the
+    # KS distance reads the histogram alone, so no values are kept
+    _, counts, _ = stats._sample_counts(rs, psi, n_samples, seed, threads)
     mean = stats.exact_mean(rs, psi)
     variance = theoretical_variance(rs, d, statistic)
     delta = max(depgraph.degrees(rs, psi).values())
-    ks = _ks_over_atoms(run.counts, mean, variance)
+    ks = _ks_over_atoms(counts, mean, variance)
     crit = janson_criterion(len(psi), delta, variance, m=3)
     regime = None
     if statistic == "inversions":

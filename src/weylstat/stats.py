@@ -43,17 +43,26 @@ about :data:`BLOCK_SAMPLES` squared entries of the widest drawn component
 system and Psi, so results are bit-identical for any worker count: workers
 process disjoint chunks and the merge is associative integer accumulation.
 
-Exact enumeration runs on the calling thread; only ``mc_run`` spreads its
-chunks over worker threads.  An exact law that enumerates, and each sampling
-worker thread, owns one :class:`_Workspace` (:func:`_map_ordered` creates a
-worker's), never shared, and reuses it for every block: the key words, the
-tie flags and the kernel's comparisons live in its buffers.  These
+Exact enumeration runs on the calling thread; only sampling
+(:func:`_sample_counts`) spreads its chunks over worker threads.  An exact
+law that enumerates, and each sampling worker thread, owns one
+:class:`_Workspace` (:func:`_map_ordered` creates a worker's), never
+shared, and reuses it for every block: the key words, the tie flags and the
+kernel's comparisons live in its buffers.  These
 temporaries are 100 KiB to a few MiB per block, at or above glibc's mmap
 threshold, so allocating them afresh gave every block new pages and a page
 fault on each first touch: ``mc_run`` on B100xG2 with ``d <= 5`` and
 400,000 samples took about 79,000 minor faults, against about 3,100 with
 the workspace.  The raw words are drawn in pieces small enough for the
-allocator's heap.
+allocator's heap.  The refinement and the recount stay in the worker's
+buffers too: :func:`_refined_keys` builds its keys in place in one int64
+array.
+``clt`` counts without a values array (:func:`_sample_counts`).  Six fresh
+temporaries per chunk had come from the heap top, which glibc trimmed and
+grew again every chunk: ``clt A499 -d 1 --stat descents`` took 12,362
+minor faults and 39.8 MB peak RSS at 200,000 samples, and 123,727 and
+47.4 MB at 4,000,000; now it takes 6,577 faults and 38.8 MB, and 7,458
+and 38.9 MB (README "Sampling").
 """
 
 from __future__ import annotations
@@ -390,8 +399,9 @@ def _map_ordered(fn, items, threads: int) -> list:
     """``[fn(item, ws) for item in items]``, on a pool when ``threads > 1``.
 
     ``ws`` is the :class:`_Workspace` of the thread that makes the call,
-    created by its first call and reused by every later one.  ``mc_run`` is
-    the one caller; its chunks write their values into one shared array.
+    created by its first call and reused by every later one.
+    :func:`_sample_counts` is the one caller; its chunks add into one shared
+    histogram, and write their values into one shared array if it keeps them.
     """
     global ThreadPoolExecutor
     if threads <= 1:
@@ -472,12 +482,15 @@ def _layer_law(dim: int, layers) -> dict[int, int]:
     so far is one Python int with ``bits`` bits per coefficient, wide enough
     that no count (at most ``dim!``) carries into the next, so a transition
     is one shift and one add.  The ranks between two values of a state give
-    the same comparisons, so they share one shifted term; the last step
-    needs no new states and multiplies that term by their number.
+    the same comparisons and the same raised ranks of the kept values, so
+    they share one shifted term: it is added at the first of those ranks and
+    subtracted after the last in a difference list kept per tuple of raised
+    ranks, and the prefix sums of each list are the next states.  The last
+    step needs no new states and multiplies that term by their number.
 
     The cap's price bounds the transitions, so the states and the memory:
-    tracemalloc peaks at 0.27 MB (S_61, d = 1), 0.47 MB (S_24, d <= 2) and
-    0.66 MB (S_14, d <= 3), the largest laws of the default cap.
+    tracemalloc peaks at 0.28 MB (S_61, d = 1), 0.48 MB (S_24, d <= 2) and
+    0.61 MB (S_14, d <= 3), the largest laws of the default cap.
     """
     depth = max(layers)
     bits = math.factorial(dim).bit_length() + 1
@@ -485,7 +498,8 @@ def _layer_law(dim: int, layers) -> dict[int, int]:
     total = 0
     for k in range(dim):
         last = k == dim - 1
-        nxt: dict[tuple[int, ...], int] = {}
+        # per raised tuple, the differences of its next states' laws over r = 0..k
+        steps: dict[tuple[int, ...], list[int]] = {}
         for state, poly in states.items():
             compared = [state[-h] for h in layers if h <= len(state)]
             kept = state[1:] if len(state) == depth else state
@@ -497,11 +511,20 @@ def _layer_law(dim: int, layers) -> dict[int, int]:
                     total += term * (top + 1 - lo)
                 else:
                     raised = tuple(x + (x >= top) for x in kept)
-                    for r in range(lo, top + 1):
-                        key = (*raised, r)
-                        nxt[key] = nxt.get(key, 0) + term
+                    step = steps.get(raised)
+                    if step is None:
+                        step = steps[raised] = [0] * (k + 2)
+                    step[lo] += term
+                    step[top + 1] -= term
                 lo = top + 1
-        states = nxt
+        # each list is freed as its states are made, so the two never both
+        # peak; its last prefix sum, at r = k + 1, is 0
+        states = {}
+        while steps:
+            raised, step = steps.popitem()
+            for r, poly in enumerate(itertools.accumulate(step)):
+                if poly:
+                    states[(*raised, r)] = poly
     mask = (1 << bits) - 1
     law = {}
     for v in range(sum(dim - h for h in layers) + 1):
@@ -731,30 +754,38 @@ def _refined_keys(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
     continuous keys within each group of equal magnitude is uniform and
     independent across groups; a uniform ``pi`` restricted to disjoint groups
     gives exactly that, so a refined row is an exact draw.
+
+    The keys are built in place in one int64 array; besides it, only the
+    permutations and the sign mask are allocated.  The array is
+    coordinate-major, the layout ``rng.permuted`` returns: adding arrays of
+    two layouts would go through a 64 KiB buffer.
     """
     k, dim = rows.shape
-    pi = rng.permuted(np.broadcast_to(np.arange(dim), (k, dim)), axis=1)
-    keys = rows.astype(np.int64)
-    magnitude = np.abs(keys) * dim + pi
-    return np.where(keys < 0, -magnitude, magnitude)
+    keys = rows.astype(np.int64, order="F")
+    negative = keys < 0
+    np.abs(keys, out=keys)
+    keys *= dim
+    keys += rng.permuted(np.broadcast_to(np.arange(dim), (k, dim)), axis=1)
+    np.negative(keys, out=keys, where=negative)
+    return keys
 
 
-def mc_run(
-    rs: RootSystem,
-    psi,
-    n_samples: int,
-    seed: int,
-    threads: int = 1,
-    descriptor: dict | None = None,
-) -> SampleRun:
-    """Seeded Monte Carlo estimates of the Psi-statistic.
+def _sample_counts(
+    rs: RootSystem, psi, n_samples: int, seed: int, threads: int = 1, keep_values: bool = False
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray | None]:
+    """Histogram of ``n_samples`` seeded draws of the Psi-statistic.
 
+    Returns the sorted root ids of Psi, the histogram, int64 and trimmed
+    after its largest nonzero count, and, when ``keep_values`` is set, the
+    values in draw order (else None): :func:`mc_run` keeps them, ``clt``
+    reads the histogram alone.
     Draw ``i`` of chunk ``c`` is independent of every other draw; the stream
     of chunk ``c`` is ``numpy.random.default_rng(derived_seed(seed, c))``.
-    Each chunk counts in int64, adds its histogram to ``counts`` and writes its
-    values into its slice of one array, of the smallest dtype that holds
-    ``len(psi)`` (``_value_dtype``).  A run whose price, ``n_samples`` times
-    the roots of Psi plus the coordinates of each drawn component, exceeds
+    Each chunk counts in int64, adds its histogram to ``counts`` and, when
+    values are kept, writes them into its slice of one array, of the
+    smallest dtype that holds the number of roots of Psi (``_value_dtype``).
+    A run whose price, ``n_samples`` times the roots of Psi plus the
+    coordinates of each drawn component, exceeds
     :data:`_MAX_SAMPLED_ENTRIES` is refused before anything is drawn.
     """
     if n_samples < 1:
@@ -771,7 +802,7 @@ def mc_run(
         raise TooLargeError(price, _MAX_SAMPLED_ENTRIES, what=what, limit="sampling limit")
     block = _block_samples(max((comp.dimension for comp, _, _ in parts), default=1))
     n_chunks = (n_samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
-    values = np.empty(n_samples, dtype=_value_dtype(len(ids)))
+    values = np.empty(n_samples, dtype=_value_dtype(len(ids))) if keep_values else None
     counts = np.zeros(len(ids) + 1, dtype=np.int64)
     counts_lock = threading.Lock()
 
@@ -798,13 +829,30 @@ def mc_run(
             if found:
                 idx, rows, old = (np.concatenate(x) for x in zip(*found))
                 vals[idx] += _count_rows(_refined_keys(rng, rows), runs, ws) - old
-        values[c * CHUNK_SAMPLES : c * CHUNK_SAMPLES + m] = vals
+        if values is not None:
+            values[c * CHUNK_SAMPLES : c * CHUNK_SAMPLES + m] = vals
         chunk_counts = np.bincount(vals)  # int64 already, so not cast to a copy
         with counts_lock:
             counts[: len(chunk_counts)] += chunk_counts
 
     _map_ordered(run_chunk, range(n_chunks), threads)
-    counts = counts[: np.flatnonzero(counts)[-1] + 1]
+    return ids, counts[: np.flatnonzero(counts)[-1] + 1], values
+
+
+def mc_run(
+    rs: RootSystem,
+    psi,
+    n_samples: int,
+    seed: int,
+    threads: int = 1,
+    descriptor: dict | None = None,
+) -> SampleRun:
+    """Seeded Monte Carlo estimates of the Psi-statistic.
+
+    The values and their histogram come from :func:`_sample_counts`, which
+    also describes the stream and the sampling price.
+    """
+    ids, counts, values = _sample_counts(rs, psi, n_samples, seed, threads, keep_values=True)
     # Moments from the histogram in Python ints: exact, with no int64 overflow.
     n, mean, variance = _moments(dict(enumerate(counts.tolist())))
     variance = Fraction(0) if n == 1 else variance * n / (n - 1)  # the sample variance

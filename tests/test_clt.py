@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -200,6 +201,23 @@ def test_g2_variance_is_the_sum_of_pair_covariances(monkeypatch, systems, spec):
     monkeypatch.setattr(stats, "exact_distribution", refuse)
     for (d, stat), variance in expected.items():
         assert clt.theoretical_variance(rs, d, stat) == variance, (d, stat)
+
+
+def test_clt_memory_does_not_grow_with_the_sample_count(systems):
+    # clt reads the histogram alone and keeps no array of the n values: with
+    # one, 4n samples of A9's 9 descents held 3n more bytes than n (uint8)
+    rs = systems("A9")
+    n = 40_000
+    clt.clt_report(rs, 1, "descents", n, seed=5)  # caches filled before measuring
+    peaks = []
+    for samples in (n, 4 * n):
+        tracemalloc.start()
+        try:
+            clt.clt_report(rs, 1, "descents", samples, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 64 * 1024
 
 
 def test_clt_prices_the_run_before_any_other_work(monkeypatch):

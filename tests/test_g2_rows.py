@@ -104,6 +104,25 @@ def test_g2_draw_is_one_table_index_per_row(seed, m):
     assert np.array_equal(_g2_masks(rows), np.array(weyl._G2_INV_MASKS)[index])
 
 
+def test_g2_rows_leave_every_compared_pair_untied():
+    # why a sampled G2 block never flags a row for the tie refinement: the
+    # entries of each row have the distinct magnitudes 1, 2 and 3, so no N
+    # test (w_j == w_i) or P test (w_i == -w_j) of _G2_TESTS can tie
+    rows = stats._G2_ROWS
+    assert all(sorted(map(abs, row)) == [1, 2, 3] for row in rows.tolist())
+    runs = [_root_runs(r)[0] for r in G2_ROOTS]
+    assert sorted(form for form, *_ in runs) == ["N", "N", "N", "O", "O", "P"]
+    tied = np.zeros(len(rows), dtype=bool)
+    stats._count_rows(rows, runs, tied=tied)
+    assert not tied.any()
+    for form, i, j in stats._G2_TESTS.values():
+        for x in rows.tolist():
+            if form == "N":
+                assert x[j - 1] != x[i - 1]
+            elif form == "P":
+                assert x[i - 1] != -x[j - 1]
+
+
 def _cli_sha256(*argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):

@@ -2,6 +2,7 @@
 atom-level KS, each checked against an exact oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,24 @@ def test_refined_keys_keep_strict_comparisons_and_break_ties(dim, signed):
     assert (refined == np.where(rows < 0, -magnitude, magnitude)).all()
 
 
+def test_refined_keys_are_built_in_place():
+    # the int64 keys and the permutation draw, plus the sign mask; the arange
+    # the permutations start from and numpy's bookkeeping fit in the slack.
+    # Built from fresh temporaries for |key|, the product, the sum and the
+    # signed result, the refinement peaked at 3.1 MB here
+    rows = np.random.default_rng(4).integers(-3, 4, size=(150, 500)).astype(np.int16)
+    entries = rows.size
+    rng = np.random.default_rng(8)
+    stats._refined_keys(rng, rows)
+    tracemalloc.start()
+    try:
+        stats._refined_keys(rng, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * entries + entries + 16_384
+
+
 def _stream_words(seed, n, bits=32):
     """The first ``n`` ``bits``-wide words of the raw stream of ``default_rng(seed)``."""
     per_raw = 64 // bits
@@ -443,6 +462,20 @@ def test_sample_stream_across_chunk_boundaries_and_threads(systems, k):
     full = n0 - stats.CHUNK_SAMPLES  # samples in complete chunks shared by all three
     assert runs[n0 + 1][:n0] == runs[n0]
     assert runs[n0 - 1][:full] == runs[n0][:full]
+
+
+@pytest.mark.parametrize("spec", ["A199", "B4xG2"])
+def test_histogram_only_sampling_matches_mc_run_on_any_thread_count(systems, spec):
+    # clt samples through _sample_counts and keeps no values: its histogram is
+    # mc_run's on any number of threads, rows recounted after a tie included
+    rs = systems(spec)
+    psi = rs.roots_of_height(1)
+    n = 2 * stats.CHUNK_SAMPLES + 5
+    run = stats.mc_run(rs, psi, n, seed=23)
+    for threads in (1, 2, 3):
+        ids, counts, values = stats._sample_counts(rs, psi, n, seed=23, threads=threads)
+        assert ids == stats._canonical_ids(rs, psi) and values is None
+        assert counts.tolist() == run.counts.tolist()
 
 
 @pytest.mark.parametrize("n", [1, stats.CHUNK_SAMPLES - 1, 2 * stats.CHUNK_SAMPLES + 1])
