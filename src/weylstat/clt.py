@@ -225,8 +225,10 @@ def clt_report(
     if not psi:
         raise WeylstatError(f"no roots of height {'=' if statistic == 'descents' else '<='} {d}")
     # first, so that a run the sampling price refuses costs nothing else; the
-    # KS distance reads the histogram alone, so no values are kept
-    _, counts, _ = stats._sample_counts(rs, psi, n_samples, seed, threads)
+    # KS distance reads the histogram alone, so no values are kept, and the
+    # descriptor spares rendering every root of Psi
+    counts = stats.mc_run(rs, psi, n_samples, seed, threads, descriptor={"stat": statistic, "d": d},
+                          keep_values=False).counts
     mean = stats.exact_mean(rs, psi)
     variance = theoretical_variance(rs, d, statistic)
     delta = max(depgraph.degrees(rs, psi).values())

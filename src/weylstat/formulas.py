@@ -41,30 +41,9 @@ def cov_closed(rs: RootSystem, beta: Root, gamma: Root) -> Fraction:
     return mag if ip > 0 else -mag
 
 
-_ANGLES = {
-    # (cos^2, sign of inner product) -> angle as a multiple of pi
-    (F(1), 1): F(0),
-    (F(3, 4), 1): F(1, 6),
-    (F(1, 2), 1): F(1, 4),
-    (F(1, 4), 1): F(1, 3),
-    (F(0), 0): F(1, 2),
-    (F(1, 4), -1): F(2, 3),
-    (F(1, 2), -1): F(3, 4),
-    (F(3, 4), -1): F(5, 6),
-}
-
-
 def angle_of(rs: RootSystem, beta: Root, gamma: Root) -> Fraction:
     """Angle between two catalog roots, as a multiple of pi (0 for a root and itself)."""
-    ip = rs.inner_product_int(beta, gamma)
-    c = F(ip * ip, rs.norm_sq(beta) * rs.norm_sq(gamma))
-    sign = 0 if ip == 0 else (1 if ip > 0 else -1)
-    try:
-        return _ANGLES[(c, sign)]
-    except KeyError:
-        raise InternalConsistencyError(
-            f"angle between {beta} and {gamma} (cos^2 = {c}) is not crystallographic"
-        ) from None
+    return rs._angle(beta, gamma)
 
 
 def cov_closed_angle(rs: RootSystem, beta: Root, gamma: Root) -> Fraction:

@@ -444,16 +444,24 @@ class RootSystem:
         self.index(beta)
         return self._ip(beta, beta)
 
-    def reflection_order(self, beta: Root, gamma: Root) -> int:
-        """Order of the rotation composed of the two reflections: 1, 2, 3, 4 or 6."""
+    def _angle(self, beta: Root, gamma: Root) -> Fraction:
+        """Angle between two catalog roots as a multiple of pi, read from :data:`_ANGLES`."""
         ip = self.inner_product_int(beta, gamma)
         c = Fraction(ip * ip, self.norm_sq(beta) * self.norm_sq(gamma))
         try:
-            return _ORD_FROM_COS2[c]
+            return _ANGLES[c, (ip > 0) - (ip < 0)]
         except KeyError:
             raise InternalConsistencyError(
-                f"cos^2 angle {c} between {beta} and {gamma} is not crystallographic"
+                f"angle between {beta} and {gamma} (cos^2 = {c}) is not crystallographic"
             ) from None
+
+    def reflection_order(self, beta: Root, gamma: Root) -> int:
+        """Order of the rotation composed of the two reflections: 1, 2, 3, 4 or 6.
+
+        The rotation turns by twice the angle ``q * pi``, so its order is the
+        denominator of ``q``.
+        """
+        return self._angle(beta, gamma).denominator
 
     # -- poset -------------------------------------------------------------
 
@@ -611,12 +619,16 @@ class RootSystem:
         return root
 
 
-_ORD_FROM_COS2 = {
-    Fraction(0): 2,
-    Fraction(1, 4): 3,
-    Fraction(1, 2): 4,
-    Fraction(3, 4): 6,
-    Fraction(1): 1,
+_ANGLES = {
+    # (cos^2, sign of inner product) -> angle as a multiple of pi
+    (Fraction(1), 1): Fraction(0),
+    (Fraction(3, 4), 1): Fraction(1, 6),
+    (Fraction(1, 2), 1): Fraction(1, 4),
+    (Fraction(1, 4), 1): Fraction(1, 3),
+    (Fraction(0), 0): Fraction(1, 2),
+    (Fraction(1, 4), -1): Fraction(2, 3),
+    (Fraction(1, 2), -1): Fraction(3, 4),
+    (Fraction(3, 4), -1): Fraction(5, 6),
 }
 
 

@@ -44,7 +44,7 @@ system and Psi, so results are bit-identical for any worker count: workers
 process disjoint chunks and the merge is associative integer accumulation.
 
 Exact enumeration runs on the calling thread; only sampling
-(:func:`_sample_counts`) spreads its chunks over worker threads.  An exact
+(:func:`mc_run`) spreads its chunks over worker threads.  An exact
 law that enumerates, and each sampling worker thread, owns one
 :class:`_Workspace` (:func:`_map_ordered` creates a worker's), never
 shared, and reuses it for every block: the key words, the tie flags and the
@@ -56,13 +56,7 @@ fault on each first touch: ``mc_run`` on B100xG2 with ``d <= 5`` and
 the workspace.  The raw words are drawn in pieces small enough for the
 allocator's heap.  The refinement and the recount stay in the worker's
 buffers too: :func:`_refined_keys` builds its keys in place in one int64
-array.
-``clt`` counts without a values array (:func:`_sample_counts`).  Six fresh
-temporaries per chunk had come from the heap top, which glibc trimmed and
-grew again every chunk: ``clt A499 -d 1 --stat descents`` took 12,362
-minor faults and 39.8 MB peak RSS at 200,000 samples, and 123,727 and
-47.4 MB at 4,000,000; now it takes 6,577 faults and 38.8 MB, and 7,458
-and 38.9 MB (README "Sampling").
+array (README "Sampling" measures the faults this saves).
 """
 
 from __future__ import annotations
@@ -134,7 +128,11 @@ class WPartitionCounts(NamedTuple):
 class SampleRun:
     """A seeded Monte Carlo record with exact sample moments.
 
-    ``samples`` is the one integer array the sampler fills, in draw order;
+    ``samples`` is the one integer array the sampler fills, in draw order,
+    or None for a run made with ``keep_values=False``, which holds only its
+    histogram and whose :meth:`to_json_dict` leaves ``"values"`` out (so a
+    comparison of two such dicts covers spec, Psi, seed, n and the exact
+    moments);
     ``counts`` is ``np.bincount(samples)``, which every statistic reads (as
     :func:`mc_run` counted it per chunk, else counted on first read and cached);
     ``values`` is the samples as a list of Python ints, built on first read
@@ -145,7 +143,7 @@ class SampleRun:
     _COMPARED = ("spec", "descriptor", "seed", "n_samples", "sample_mean", "sample_variance")
 
     def __init__(self, spec: str, descriptor: dict, seed: int, n_samples: int,
-                 samples: np.ndarray, sample_mean: Fraction, sample_variance: Fraction):
+                 samples: np.ndarray | None, sample_mean: Fraction, sample_variance: Fraction):
         self.spec = spec
         self.descriptor = descriptor
         self.seed = seed
@@ -181,7 +179,7 @@ class SampleRun:
             "seed": self.seed,
             "n": self.n_samples,
         }
-        if include_values:
+        if include_values and self.samples is not None:
             out["values"] = self.values
         out["moments"] = {
             "mean": str(self.sample_mean),
@@ -400,7 +398,7 @@ def _map_ordered(fn, items, threads: int) -> list:
 
     ``ws`` is the :class:`_Workspace` of the thread that makes the call,
     created by its first call and reused by every later one.
-    :func:`_sample_counts` is the one caller; its chunks add into one shared
+    :func:`mc_run` is the one caller; its chunks add into one shared
     histogram, and write their values into one shared array if it keeps them.
     """
     global ThreadPoolExecutor
@@ -770,20 +768,25 @@ def _refined_keys(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _sample_counts(
-    rs: RootSystem, psi, n_samples: int, seed: int, threads: int = 1, keep_values: bool = False
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray | None]:
-    """Histogram of ``n_samples`` seeded draws of the Psi-statistic.
+def mc_run(
+    rs: RootSystem,
+    psi,
+    n_samples: int,
+    seed: int,
+    threads: int = 1,
+    descriptor: dict | None = None,
+    keep_values: bool = True,
+) -> SampleRun:
+    """Seeded Monte Carlo estimates of the Psi-statistic.
 
-    Returns the sorted root ids of Psi, the histogram, int64 and trimmed
-    after its largest nonzero count, and, when ``keep_values`` is set, the
-    values in draw order (else None): :func:`mc_run` keeps them, ``clt``
-    reads the histogram alone.
     Draw ``i`` of chunk ``c`` is independent of every other draw; the stream
     of chunk ``c`` is ``numpy.random.default_rng(derived_seed(seed, c))``.
-    Each chunk counts in int64, adds its histogram to ``counts`` and, when
-    values are kept, writes them into its slice of one array, of the
-    smallest dtype that holds the number of roots of Psi (``_value_dtype``).
+    Each chunk counts in int64 and adds its histogram to the run's
+    ``counts``, int64 and trimmed after its largest nonzero count.  With
+    ``keep_values`` (``sample`` keeps them; ``clt`` reads the histogram
+    alone) it also writes its values into its slice of one array, of the
+    smallest dtype that holds the number of roots of Psi (``_value_dtype``);
+    without, ``samples`` is None.
     A run whose price, ``n_samples`` times the roots of Psi plus the
     coordinates of each drawn component, exceeds
     :data:`_MAX_SAMPLED_ENTRIES` is refused before anything is drawn.
@@ -836,23 +839,7 @@ def _sample_counts(
             counts[: len(chunk_counts)] += chunk_counts
 
     _map_ordered(run_chunk, range(n_chunks), threads)
-    return ids, counts[: np.flatnonzero(counts)[-1] + 1], values
-
-
-def mc_run(
-    rs: RootSystem,
-    psi,
-    n_samples: int,
-    seed: int,
-    threads: int = 1,
-    descriptor: dict | None = None,
-) -> SampleRun:
-    """Seeded Monte Carlo estimates of the Psi-statistic.
-
-    The values and their histogram come from :func:`_sample_counts`, which
-    also describes the stream and the sampling price.
-    """
-    ids, counts, values = _sample_counts(rs, psi, n_samples, seed, threads, keep_values=True)
+    counts = counts[: np.flatnonzero(counts)[-1] + 1]
     # Moments from the histogram in Python ints: exact, with no int64 overflow.
     n, mean, variance = _moments(dict(enumerate(counts.tolist())))
     variance = Fraction(0) if n == 1 else variance * n / (n - 1)  # the sample variance

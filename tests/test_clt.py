@@ -220,6 +220,24 @@ def test_clt_memory_does_not_grow_with_the_sample_count(systems):
     assert abs(peaks[1] - peaks[0]) < 64 * 1024
 
 
+def test_clt_samples_through_one_mc_run_call_without_values(systems, monkeypatch):
+    # the one sampling entry, so a wrapper of stats.mc_run sees clt's sampling
+    rs = systems("B3xG2")
+    expected = clt.clt_report(rs, 2, "inversions", 9_000, seed=11, threads=2)
+    calls = []
+    mc_run = stats.mc_run
+
+    def recording(*args, **kwargs):
+        run = mc_run(*args, **kwargs)
+        calls.append((kwargs, run))
+        return run
+
+    monkeypatch.setattr(stats, "mc_run", recording)
+    assert clt.clt_report(rs, 2, "inversions", 9_000, seed=11, threads=2) == expected
+    [(kwargs, run)] = calls
+    assert kwargs["keep_values"] is False and run.samples is None
+
+
 def test_clt_prices_the_run_before_any_other_work(monkeypatch):
     # 10^7 samples of A499's 9,790 roots of height <= 20 cost past the sampling
     # limit: the refusal comes before the variance and the degrees are read

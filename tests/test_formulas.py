@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -138,6 +139,30 @@ def test_boundary_branch_coherence():
             for d in range(1, top + 1):
                 for stat in ("descents", "inversions"):
                     formulas.variance_with_branch(Q(fam, n, d, stat))
+
+
+# Six times each term of a branch label, as (coefficient of n, coefficient of d).
+_LABEL_TERMS = {"d": (0, 6), "n": (6, 0), "2d": (0, 12), "n/2": (3, 0), "2n/3": (4, 0)}
+_LABEL_OPS = {"<": int.__lt__, "<=": int.__le__, ">=": int.__ge__}
+
+
+def test_branch_labels_state_their_predicates():
+    # var prints the labels: each is a chain of <, <= and >= over the terms
+    # above, with an optional parity of d, and holds exactly where its lambda does
+    for (fam, stat), rows in formulas._TABLES.items():
+        for label, pred, _ in rows:
+            chain, _, parity = label.partition(",")
+            parts = re.split(r"(<=|>=|<)", chain)
+            terms = [_LABEL_TERMS[t] for t in parts[::2]]
+            ops = [_LABEL_OPS[op] for op in parts[1::2]]
+            assert parity in ("", "even", "odd") and len(terms) >= 2, label
+            for n in range(2, 61):
+                for d in range(1, 2 * n + 2):
+                    x = [a * n + b * d for a, b in terms]
+                    holds = all(op(lhs, rhs) for op, lhs, rhs in zip(ops, x, x[1:]))
+                    if parity:
+                        holds = holds and d % 2 == (parity == "odd")
+                    assert holds == pred(n, d), (fam, stat, label, n, d)
 
 
 def test_monotonicity_in_d_formula_only():

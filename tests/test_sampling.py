@@ -466,16 +466,21 @@ def test_sample_stream_across_chunk_boundaries_and_threads(systems, k):
 
 @pytest.mark.parametrize("spec", ["A199", "B4xG2"])
 def test_histogram_only_sampling_matches_mc_run_on_any_thread_count(systems, spec):
-    # clt samples through _sample_counts and keeps no values: its histogram is
-    # mc_run's on any number of threads, rows recounted after a tie included
+    # clt samples with keep_values=False: no values, and the histogram of the
+    # run that keeps them on any number of threads, rows recounted after a
+    # tie included; its JSON, which then leaves the values out, is the same
     rs = systems(spec)
     psi = rs.roots_of_height(1)
     n = 2 * stats.CHUNK_SAMPLES + 5
     run = stats.mc_run(rs, psi, n, seed=23)
+    docs = []
     for threads in (1, 2, 3):
-        ids, counts, values = stats._sample_counts(rs, psi, n, seed=23, threads=threads)
-        assert ids == stats._canonical_ids(rs, psi) and values is None
-        assert counts.tolist() == run.counts.tolist()
+        bare = stats.mc_run(rs, psi, n, seed=23, threads=threads, keep_values=False)
+        assert bare.samples is None
+        assert bare.counts.tolist() == run.counts.tolist()
+        docs.append(bare.to_json_dict())
+    assert "values" not in docs[0]
+    assert docs[0] == docs[1] == docs[2] == run.to_json_dict(include_values=False)
 
 
 @pytest.mark.parametrize("n", [1, stats.CHUNK_SAMPLES - 1, 2 * stats.CHUNK_SAMPLES + 1])
