@@ -84,7 +84,7 @@ __all__ = [
     *(name for names in _EXPORTS.values() for name in names),
 ]
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 
 def __getattr__(name):

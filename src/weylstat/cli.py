@@ -353,8 +353,11 @@ def _cmd_sample(args):
     descriptor = None
     if args.psi is None:
         descriptor = {"stat": args.stat, "d": args.d}
+    # only csv and json with values write them; the rest read the histogram
+    keep_values = args.format == "csv" or (args.format == "json" and not args.no_values)
     run = stats.mc_run(
-        rs, psi, args.samples, args.seed, threads=args.threads, descriptor=descriptor
+        rs, psi, args.samples, args.seed, threads=args.threads, descriptor=descriptor,
+        keep_values=keep_values,
     )
     if args.format == "csv":
         return itertools.chain(["index,value\n"], _indexed_csv_pieces(run.samples))

@@ -31,12 +31,13 @@ A sampled row holds i.i.d. signed keys read off the raw bit stream
 raw words a narrow key saves against the ties it adds (:func:`_key_bits`).
 Discrete keys can tie, and a tie matters only where a root compares the two
 keys: the kernel flags those rows, which are few, and each chunk counts its
-flagged rows again, once per component, from keys refined with one random
-permutation per row (:func:`_refined_keys`), which keeps every sampled
+flagged rows again, once per component, after extending their keys with
+fresh raw bits, compared lexicographically after the drawn key, until no
+compared pair ties (:func:`_refined_counts`), which keeps every sampled
 value's law exact.
 
 Monte Carlo runs draw in fixed chunks of :data:`CHUNK_SAMPLES` samples; chunk
-``c`` uses an independent rng stream seeded with ``derived_seed(seed, c)``,
+``c`` uses an independent SFC64 stream seeded with ``derived_seed(seed, c)``,
 and draws its blocks, then its refinements, in a fixed order.  A block has
 about :data:`BLOCK_SAMPLES` squared entries of the widest drawn component
 (:func:`_block_samples`).  Block sizes and key widths depend only on the
@@ -56,7 +57,8 @@ fault on each first touch: ``mc_run`` on B100xG2 with ``d <= 5`` and
 the workspace.  The raw words are drawn in pieces small enough for the
 allocator's heap.  The refinement and the recount stay in the worker's
 buffers too: :func:`_refined_keys` builds its keys in place in one int64
-array (README "Sampling" measures the faults this saves).
+array and draws its raw words in the same pieces (README "Sampling"
+measures the faults this saves).
 """
 
 from __future__ import annotations
@@ -95,8 +97,8 @@ BLOCK_SAMPLES = 512
 RAW_PIECE_WORDS = 8192
 # Costs of tie refinement in drawn key entries, for the key-width rule
 # (:func:`_key_bits`); README "Sampling" gives the measurements.
-_RECOUNT_RUN_COST = 16384
-_REFINED_ENTRY_COST = 36
+_RECOUNT_RUN_COST = 12288
+_REFINED_ENTRY_COST = 8
 # Largest price of a Monte Carlo run, samples x (entries compared + keys drawn):
 # at the measured 0.75-1.6 ns an entry (README "Sampling"), about two minutes.
 _MAX_SAMPLED_ENTRIES = 10**11
@@ -700,7 +702,7 @@ def _draw_rows(
     Row entries are i.i.d. signed keys rather than a signed permutation of
     ``1..dim``; every root test compares entries or reads a sign, so the
     statistic has the law of the signed permutation with the keys' order,
-    once :func:`_refined_keys` breaks the ties that a test compares.
+    once :func:`_refined_counts` breaks the ties that a test compares.
 
     Each key is one ``bits``-wide word of the raw stream (16 or 32, from
     :func:`_key_bits`); the 64-bit raw words split into ``64 // bits``
@@ -744,28 +746,65 @@ def _draw_rows(
     return rows.T
 
 
-def _refined_keys(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
-    """Int64 keys ``sign * (|key| * dim + pi)``, one ``rng.permutation(dim)`` ``pi`` per row.
+def _refined_keys(rng: np.random.Generator, rows: np.ndarray, width: int) -> np.ndarray:
+    """Int64 keys ``sign * (|key| << (63 - width) | fresh)``, for magnitudes below ``2^width``.
 
-    Every strict comparison of ``rows`` and every sign is kept, and no two
-    entries of a row share a magnitude.  Given the drawn words, the order of
-    continuous keys within each group of equal magnitude is uniform and
-    independent across groups; a uniform ``pi`` restricted to disjoint groups
-    gives exactly that, so a refined row is an exact draw.
+    ``fresh`` is the top ``63 - width`` bits of one raw word of ``rng`` per
+    entry; entry ``(r, i)`` takes word ``i * k + r`` of the ``k * dim``
+    words, coordinate-major as :func:`_draw_rows` fills a block.  Every
+    strict comparison of ``rows`` and every sign is kept, and an equal pair
+    is ordered by its fresh bits, compared lexicographically after the old
+    key (Knuth and Yao's lazy bits): the refined keys have the law of keys
+    drawn ``63 - width`` bits finer.
 
-    The keys are built in place in one int64 array; besides it, only the
-    permutations and the sign mask are allocated.  The array is
-    coordinate-major, the layout ``rng.permuted`` returns: adding arrays of
-    two layouts would go through a 64 KiB buffer.
+    The keys are built in place in one coordinate-major int64 array, as
+    ``(key << (63 - width)) + sign * fresh``, the same integers with no
+    branch on the sign: a negation masked by random signs cost about 8 ns an
+    entry.  Besides the array, only the raw words and their signs are
+    allocated, in pieces of at most :data:`RAW_PIECE_WORDS`.
     """
-    k, dim = rows.shape
     keys = rows.astype(np.int64, order="F")
-    negative = keys < 0
-    np.abs(keys, out=keys)
-    keys *= dim
-    keys += rng.permuted(np.broadcast_to(np.arange(dim), (k, dim)), axis=1)
-    np.negative(keys, out=keys, where=negative)
+    keys <<= 63 - width
+    flat = keys.T.reshape(-1)  # a view: keys is coordinate-major
+    for lo in range(0, flat.size, RAW_PIECE_WORDS):
+        part = flat[lo : lo + RAW_PIECE_WORDS]
+        fresh = _raw_words(rng, len(part))
+        fresh >>= width + 1
+        fresh = fresh.view(np.int64)
+        sign = part >> 63  # -1 where the key is negative, else 0
+        fresh ^= sign
+        fresh -= sign  # -fresh where the key is negative
+        part += fresh
     return keys
+
+
+def _refined_counts(rng: np.random.Generator, rows: np.ndarray, runs, ws: _Workspace) -> np.ndarray:
+    """Values of flagged ``rows`` once no pair that a root of ``runs`` compares ties.
+
+    Every key is extended with fresh bits (:func:`_refined_keys`, at the
+    width of the drawn keys' dtype) and the rows are counted again with tie
+    flags on.  The rows where a compared pair still ties are extended again,
+    until none does: their magnitudes are first replaced by dense ranks from
+    1 (an order-preserving map, so the comparisons, ties and signs stay),
+    which frees the low bits.  Extending keys whose every comparison is
+    decided changes no value, so each row's value is that of continuous keys,
+    and the sampled law stays exact.  With 47 or 31 fresh bits a second round
+    comes with probability about 2^-47 or 2^-31 per compared pair.
+    """
+    vals = np.empty(len(rows), dtype=np.int64)
+    todo = np.arange(len(rows))
+    keys, width = rows, 8 * rows.dtype.itemsize
+    while True:
+        keys = _refined_keys(rng, keys, width)
+        tied = np.zeros(len(keys), dtype=bool)
+        vals[todo] = _count_rows(keys, runs, ws, tied=tied)
+        if not tied.any():
+            return vals
+        todo, keys = todo[tied], keys[tied]
+        _, ranks = np.unique(np.abs(keys), return_inverse=True)
+        ranks = ranks.reshape(keys.shape) + 1
+        keys = np.where(keys < 0, -ranks, ranks)
+        width = int(ranks.max()).bit_length()
 
 
 def mc_run(
@@ -780,13 +819,15 @@ def mc_run(
     """Seeded Monte Carlo estimates of the Psi-statistic.
 
     Draw ``i`` of chunk ``c`` is independent of every other draw; the stream
-    of chunk ``c`` is ``numpy.random.default_rng(derived_seed(seed, c))``.
+    of chunk ``c`` is ``numpy.random.Generator(numpy.random.SFC64(derived_seed(seed, c)))``,
+    read in a fixed order: its blocks (:func:`_draw_rows`), then the fresh
+    words of each component's refinement (:func:`_refined_counts`).
     Each chunk counts in int64 and adds its histogram to the run's
     ``counts``, int64 and trimmed after its largest nonzero count.  With
-    ``keep_values`` (``sample`` keeps them; ``clt`` reads the histogram
-    alone) it also writes its values into its slice of one array, of the
-    smallest dtype that holds the number of roots of Psi (``_value_dtype``);
-    without, ``samples`` is None.
+    ``keep_values`` (``sample`` keeps them where its format writes them;
+    ``clt`` reads the histogram alone) it also writes its values into its
+    slice of one array, of the smallest dtype that holds the number of roots
+    of Psi (``_value_dtype``); without, ``samples`` is None.
     A run whose price, ``n_samples`` times the roots of Psi plus the
     coordinates of each drawn component, exceeds
     :data:`_MAX_SAMPLED_ENTRIES` is refused before anything is drawn.
@@ -811,7 +852,7 @@ def mc_run(
 
     def run_chunk(c: int, ws: _Workspace) -> None:
         m = min(CHUNK_SAMPLES, n_samples - c * CHUNK_SAMPLES)
-        rng = np.random.default_rng(derived_seed(seed, c))
+        rng = np.random.Generator(np.random.SFC64(derived_seed(seed, c)))
         vals = np.zeros(m, dtype=np.int64)
         flagged: list[list] = [[] for _ in parts]
         # Blocks drawn in a fixed order from the chunk's stream.
@@ -827,11 +868,11 @@ def mc_run(
                 if len(bad):  # a root compared two equal keys
                     found.append((lo + bad, rows[bad], count[bad]))
         # Recount the flagged rows of each component once per chunk, from keys
-        # refined with the next permutations of the chunk's stream.
+        # extended with the next raw words of the chunk's stream.
         for (_, runs, _), found in zip(parts, flagged):
             if found:
                 idx, rows, old = (np.concatenate(x) for x in zip(*found))
-                vals[idx] += _count_rows(_refined_keys(rng, rows), runs, ws) - old
+                vals[idx] += _refined_counts(rng, rows, runs, ws) - old
         if values is not None:
             values[c * CHUNK_SAMPLES : c * CHUNK_SAMPLES + m] = vals
         chunk_counts = np.bincount(vals)  # int64 already, so not cast to a copy

@@ -367,9 +367,9 @@ def test_oversized_requests_exit_1_with_one_error_line(capsys, argv):
 
 @pytest.mark.parametrize("argv, sha256", [
     (["sample", "A9", "-d", "2", "--samples", "2000", "--seed", "7", "--format", "json"],
-     "89a2914d400ad41ea34d8ce54b93ca65d9970ce7d982c856b8c82bdbba4c3dbf"),
+     "07e0aed2ea41a5df789e5b9c30821fb665270ac23a86a3287337fcd50e599ad7"),
     (["sample", "A3xA40", "-d", "1", "--samples", "5000", "--seed", "3", "--format", "json"],
-     "a894f95ebd1149993c90dd7c443cca4a169e1df715d8a9e8f08babe112bb992b"),
+     "9de09c81344ce5ae0219b122af3539e0a45140503eebbe8cb0f12dcd72b38ee9"),
 ])
 def test_type_a_sample_stream_is_pinned(argv, sha256):
     # type A draws no sign bits: its seeded output is fixed byte for byte
@@ -380,16 +380,40 @@ def test_type_a_sample_stream_is_pinned(argv, sha256):
 @pytest.mark.parametrize("threads", ["1", "2", "8"])
 @pytest.mark.parametrize("argv, sha256", [
     (["sample", "B100xG2", "-d", "5", "--samples", "5000", "--seed", "7", "--format", "json"],
-     "ffe7a3e4202e6f8bb64b2708a512a326e96685c7da3266c1e740b6fa1fd48c4b"),
+     "5880889b011c995d2e6a0549ab00ee9500580d3d607914dfd3bc62b2f41867b8"),
     (["sample", "D6", "-d", "3", "--samples", "4097", "--seed", "3", "--format", "json"],
-     "3595eeaccae09b494095592eaee56ae13ae8c1ea6421fe045dd866ddb0b94fd5"),
+     "9a2f268e1cbe571332efc5d691f679302c8f0d1f1f290cb2341b5a2416ebb3e1"),
     (["clt", "C8", "-d", "2", "--samples", "4000", "--seed", "11", "--format", "json"],
-     "c21462ae6c2aee1f8bf318ffbed270d2bb5fd099e95bb5812fc70c408b14f7c7"),
+     "f92bcdec757df871844e9553469542beb2b0313a2a7dab34a103f1f8084dc26d"),
 ])
 def test_signed_type_sample_stream_is_pinned(argv, sha256, threads):
     # signed keys read off each chunk's raw words: fixed byte for byte
     out = run_cli(*argv, "--threads", threads)
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("fmt, no_values, kept", [
+    ("human", False, False), ("json", True, False), ("json", False, True), ("csv", False, True),
+])
+def test_sample_keeps_values_only_where_it_writes_them(monkeypatch, fmt, no_values, kept):
+    # human and json --no-values read the histogram alone; their stdout is
+    # the bytes of a run that keeps every value
+    from weylstat import stats
+
+    argv = ["sample", "B4xG2", "-d", "3", "--samples", "5000", "--seed", "9", "--format", fmt]
+    argv += ["--no-values"] if no_values else []
+    mc_run = stats.mc_run
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs["keep_values"])
+        return mc_run(*args, **kwargs)
+
+    monkeypatch.setattr(stats, "mc_run", recording)
+    out = run_cli(*argv)
+    assert calls == [kept]
+    monkeypatch.setattr(stats, "mc_run", lambda *args, **kwargs: mc_run(*args, **{**kwargs, "keep_values": True}))
+    assert run_cli(*argv) == out
 
 
 def test_cli_import_leaves_out_the_thread_pool():
@@ -582,7 +606,8 @@ def test_sample_values_across_piece_boundaries_match_json_dumps_and_csv_writer(t
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_sample_values_are_written_in_bounded_pieces(tmp_path, fmt):
     # 10**6 values take 5 MB of JSON or 8.9 MB of CSV text, and 1 MB as the
-    # run's array: writing them in pieces adds a fraction of the text
+    # run's array, which the human run does not keep: writing them in pieces
+    # adds a fraction of the text to the human run's peak and that array
     target = tmp_path / f"values.{fmt}"
     argv = ["sample", "A4", "-d", "1", "--samples", str(10**6), "--seed", "3", "--out", str(target)]
     peaks = []
@@ -594,7 +619,7 @@ def test_sample_values_are_written_in_bounded_pieces(tmp_path, fmt):
         finally:
             tracemalloc.stop()
     run_peak, peak = peaks
-    assert peak - run_peak < target.stat().st_size / 3
+    assert peak - (run_peak + 10**6) < target.stat().st_size / 3
 
 
 @pytest.mark.parametrize("argv", [
@@ -696,14 +721,14 @@ _GOLDEN = [
         "csv": "84e5591ed8d8ab8f79fb8a40b7a77cc54f1ce42247a5e680cc6855ec71ee8043",
     }),
     (["sample", "B3", "-d", "2", "--samples", "500", "--seed", "3"], {
-        "human": "c646dfea85a14790332bb00ad4145e3c99c875d8099bee5c1a0bc2aeb4eeb0b1",
-        "json": "30ebd4a82d18babed69118a32766168344e69c3c220f0f4e090cd8e809392a22",
-        "csv": "95159f1049eae97ab8b5faf5d1b1bd1adaf124aea8fccc436a93a0ced3635bfb",
+        "human": "5a5f0a55ea8117d27c0d810b9d7cfc2810b43f40fa253a26fb615cd1b8603758",
+        "json": "0cd1eb3146ab695bbc7de1b1910f2fb3f0a1f20f060cca40639b97d6490919be",
+        "csv": "c06fcf9c193c7127af04c34a0e0c9a5364c69067f9ef182c6c8f10e9493fb0fb",
     }),
     (["clt", "A2xG2", "-d", "2", "--stat", "descents", "--samples", "500", "--seed", "3"], {
-        "human": "8caa03c0f34d05dc653d1334b5d1e4a843b60e991abdfd0d07b019f19d8d3753",
-        "json": "96dbf078cf7ba3c6ed56a843c0063dea7569bfc3431bb725804b6f0269218951",
-        "csv": "e740ff02f6a7827d4dde4d317647c331430af01cfb61e2cc60ede1a21c678db6",
+        "human": "55c451c3f244aeb7388cbaf8ce804c79653424c952118118774db8458fd1325d",
+        "json": "5986adf297dd629d1222af9dc27d3b76810679587f7f6fe1acff81ae4d8679c4",
+        "csv": "42238f14794c445b8e58cb6da8ab6c3c2c249557f0f956d0f3c412056723cc91",
     }),
     (["depgraph", "G2xB3", "-d", "2"], {
         "human": "a7efccd6417c9fd17080d0129d7b182889427266d818e58ccdcc77b9e55a3cd5",

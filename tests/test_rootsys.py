@@ -344,7 +344,7 @@ def test_diagonal_runs_read_g2_as_its_coordinate_tests(systems):
 
 @pytest.mark.parametrize("spec, stat, d, bits", [
     ("A499", "descents", 1, {0: 16}),  # the workloads' CLI commands
-    ("A9", "inversions", 3, {0: 32}),
+    ("A9", "inversions", 3, {0: 16}),
     ("B100xG2", "inversions", 5, {0: 16, 1: 32}),
 ])
 def test_key_widths_of_the_workloads_read_the_same_runs(systems, spec, stat, d, bits):

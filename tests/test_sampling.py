@@ -225,44 +225,49 @@ def test_tie_flags_match_every_compared_pair(systems, spec, data):
     assert values.tolist() == stats._count_rows(rows, runs).tolist()
 
 
+def _chunk_rng(seed):
+    """A chunk's generator, as :func:`stats.mc_run` seeds it."""
+    return np.random.Generator(np.random.SFC64(seed))
+
+
 @pytest.mark.parametrize("signed", [True, False])
 @pytest.mark.parametrize("dim", [1, 2, 7, 40])
 def test_refined_keys_keep_strict_comparisons_and_break_ties(dim, signed):
     # few distinct keys, so most rows hold ties; unsigned (type A) keys may be 0
     keys = np.random.default_rng(dim).integers(0, 4, size=(500, dim), dtype=np.int32)
     rows = 2 * keys - 3 if signed else keys
-    refined = stats._refined_keys(np.random.default_rng(8), rows)
-    assert refined.dtype == np.int64 and refined.shape == rows.shape
-    a, b = rows[:, :, None], rows[:, None, :]
-    ra, rb = refined[:, :, None], refined[:, None, :]
-    assert (ra < rb)[a < b].all() and (ra + rb < 0)[a + b < 0].all() and (ra + rb > 0)[a + b > 0].all()
-    assert ((refined < 0) == (rows < 0)).all()
-    # no two entries of a row share a magnitude: no N or P comparison can tie
-    distinct = ~np.eye(dim, dtype=bool)
-    assert (np.abs(ra) != np.abs(rb))[:, distinct].all()
-    # the tie-breaks are one permutation of the stream per row
-    rng = np.random.default_rng(8)
-    pi = np.array([rng.permutation(dim) for _ in rows])
-    magnitude = np.abs(rows).astype(np.int64) * dim + pi
-    assert (refined == np.where(rows < 0, -magnitude, magnitude)).all()
+    for width in (3, 32):  # a dense-ranked round, and the first round at 32 bits
+        refined = stats._refined_keys(_chunk_rng(8), rows, width)
+        assert refined.dtype == np.int64 and refined.shape == rows.shape
+        a, b = rows[:, :, None], rows[:, None, :]
+        ra, rb = refined[:, :, None], refined[:, None, :]
+        assert (ra < rb)[a < b].all() and (ra + rb < 0)[a + b < 0].all() and (ra + rb > 0)[a + b > 0].all()
+        assert ((refined < 0) == (rows < 0)).all()
+        # no two entries of a row share a magnitude: no N or P comparison can tie
+        distinct = ~np.eye(dim, dtype=bool)
+        assert (np.abs(ra) != np.abs(rb))[:, distinct].all()
+        # the fresh bits are the top 63 - width bits of one raw word per entry,
+        # taken coordinate-major
+        fresh = _chunk_rng(8).bit_generator.random_raw(rows.size) >> np.uint64(width + 1)
+        magnitude = np.abs(rows).astype(np.int64) << (63 - width) | fresh.astype(np.int64).reshape(dim, -1).T
+        assert (refined == np.where(rows < 0, -magnitude, magnitude)).all()
 
 
 def test_refined_keys_are_built_in_place():
-    # the int64 keys and the permutation draw, plus the sign mask; the arange
-    # the permutations start from and numpy's bookkeeping fit in the slack.
-    # Built from fresh temporaries for |key|, the product, the sum and the
-    # signed result, the refinement peaked at 3.1 MB here
+    # the int64 keys, then the raw words and their signs piece by piece (the
+    # next piece is drawn before the last is freed); numpy's bookkeeping fits
+    # in the slack.  Drawn in one call, the raw words would add 8 bytes an entry
     rows = np.random.default_rng(4).integers(-3, 4, size=(150, 500)).astype(np.int16)
     entries = rows.size
-    rng = np.random.default_rng(8)
-    stats._refined_keys(rng, rows)
+    rng = _chunk_rng(8)
+    stats._refined_keys(rng, rows, 16)
     tracemalloc.start()
     try:
-        stats._refined_keys(rng, rows)
+        stats._refined_keys(rng, rows, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * entries + entries + 16_384
+    assert peak <= 8 * entries + entries + 2 * 8 * stats.RAW_PIECE_WORDS + 16_384
 
 
 def _stream_words(seed, n, bits=32):
@@ -283,6 +288,30 @@ def test_random_keys_drawn_in_pieces_continue_one_word_sequence():
         assert (b.T.reshape(-1) == (words | 1).view(signed)).all()
 
 
+@pytest.mark.parametrize("spec, stat, d, bits", [
+    ("A499", "descents", 1, 16),  # the clt_A499 workload
+    ("A499", "inversions", 3, 16), ("A499", "inversions", 4, 16), ("A499", "inversions", 5, 16),
+    ("A499", "inversions", 8, 16), ("A499", "inversions", 12, 16),
+    ("A499", "inversions", 15, 16), ("A499", "inversions", 20, 32), ("A499", "inversions", 100, 32),
+    ("A99", "inversions", 5, 16), ("A4", "descents", 1, 16), ("A9", "descents", 1, 16),
+    ("B100", "inversions", 5, 16),  # the B100 component of the sample_B100xG2 workload
+    ("B100", "descents", 1, 16), ("D500", "descents", 5, 16),
+    ("C50", "inversions", 3, 16), ("C50", "inversions", 8, 32),
+    ("B500", "inversions", 3, 16), ("B500", "inversions", 5, 16),
+    ("B100", "inversions", 8, 16), ("B100", "inversions", 12, 16),
+    ("B100", "inversions", 16, 32), ("B100", "inversions", 20, 32), ("B20", "inversions", 3, 16),
+    ("B3", "inversions", 2, 32), ("C8", "inversions", 2, 32), ("B10", "inversions", 3, 32),
+    ("C12", "inversions", 2, 32), ("D6", "inversions", 3, 32),
+])
+def test_key_widths_of_the_readme_table(systems, spec, stat, d, bits):
+    # README "Sampling" times each row at both widths
+    rs = systems(spec)
+    psi = stats.statistic_roots(rs, stat, d)
+    [runs] = rs.diagonal_runs(stats._canonical_ids(rs, psi)).values()
+    comp = rs.spec.components[0]
+    assert stats._key_bits(comp.family, comp.dimension, runs) == bits
+
+
 def test_mc_run_workspace_matches_throwaway_buffers(systems):
     # one workspace serves components of different dimensions and key widths
     # in turn; the values equal those of the helpers run with fresh buffers
@@ -299,7 +328,7 @@ def test_mc_run_workspace_matches_throwaway_buffers(systems):
     n = stats.CHUNK_SAMPLES + 700
     values, refined = [], 0
     for c in range(2):
-        rng = np.random.default_rng(weyl.derived_seed(29, c))
+        rng = _chunk_rng(weyl.derived_seed(29, c))
         m = min(stats.CHUNK_SAMPLES, n - c * stats.CHUNK_SAMPLES)
         chunk = np.zeros(m, dtype=np.int64)
         flagged = [[] for _ in parts]
@@ -313,7 +342,8 @@ def test_mc_run_workspace_matches_throwaway_buffers(systems):
             if found:
                 idx = np.array([i for i, _ in found])
                 rows = np.array([row for _, row in found])
-                chunk[idx] += stats._count_rows(stats._refined_keys(rng, rows), runs) - stats._count_rows(rows, runs)
+                throwaway = stats._Workspace()
+                chunk[idx] += stats._refined_counts(rng, rows, runs, throwaway) - stats._count_rows(rows, runs)
                 refined += len(found)
         values += chunk.tolist()
     assert refined > 0
@@ -415,13 +445,18 @@ def _check_law_under_forced_ties(rs, refine):
         assert (p > 1e-6) == refine, (statistic, p)
 
 
+def _leave_ties_unrefined(monkeypatch):
+    """Count flagged rows from their drawn keys: the refinement is replaced above its loop."""
+    monkeypatch.setattr(stats, "_refined_counts", lambda rng, rows, runs, ws: stats._count_rows(rows, runs, ws))
+
+
 @pytest.mark.parametrize("refine", [True, False])
 @pytest.mark.parametrize("spec", FORCED_TIE_SPECS)
 def test_mc_law_is_exact_under_forced_ties(systems, monkeypatch, spec, refine):
     # with the ties left as drawn, the chi-square test must reject: it has power
     _coarse_words(monkeypatch)
     if not refine:
-        monkeypatch.setattr(stats, "_refined_keys", lambda rng, rows: rows)
+        _leave_ties_unrefined(monkeypatch)
     _check_law_under_forced_ties(systems(spec), refine)
 
 
@@ -432,8 +467,41 @@ def test_mc_law_is_exact_under_forced_ties_at_16_bits(systems, monkeypatch, spec
     # four magnitudes; refined, the law is exact, and unrefined it is not
     _coarse_words(monkeypatch, 16)
     if not refine:
-        monkeypatch.setattr(stats, "_refined_keys", lambda rng, rows: rows)
+        _leave_ties_unrefined(monkeypatch)
     _check_law_under_forced_ties(systems(spec), refine)
+
+
+@pytest.mark.parametrize("bits", [16, 32])
+@pytest.mark.parametrize("spec", ["A4", "C4", "D5", "A3xB3"])
+def test_mc_law_is_exact_when_the_first_extension_ties(systems, monkeypatch, spec, bits):
+    # coarse keys, and all-zero fresh words for the first extension of every
+    # refinement: each compared tie survives it, so every refinement must
+    # dense-rank and extend again, from coarse words that tie often too
+    _coarse_words(monkeypatch, bits)
+    raw_words, refined_keys, refined_counts = stats._raw_words, stats._refined_keys, stats._refined_counts
+    rounds, zero = [], [False]
+
+    def counts(rng, rows, runs, ws):
+        rounds.append(0)
+        return refined_counts(rng, rows, runs, ws)
+
+    def keys(rng, rows, width):
+        rounds[-1] += 1
+        zero[0] = rounds[-1] == 1
+        try:
+            return refined_keys(rng, rows, width)
+        finally:
+            zero[0] = False
+
+    def words(rng, n):
+        drawn = raw_words(rng, n)
+        return np.zeros_like(drawn) if zero[0] else drawn
+
+    monkeypatch.setattr(stats, "_refined_counts", counts)
+    monkeypatch.setattr(stats, "_refined_keys", keys)
+    monkeypatch.setattr(stats, "_raw_words", words)
+    _check_law_under_forced_ties(systems(spec), True)
+    assert rounds and min(rounds) >= 2 and max(rounds) >= 3
 
 
 @pytest.mark.parametrize("product, alone", [("A2xB300", "A2"), ("G2xA5xD4", "A5")])
