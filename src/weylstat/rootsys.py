@@ -615,7 +615,10 @@ class RootSystem:
                 raise StaleRootError(f"cannot parse root {text!r}")
             form, i, j = m.group(1), _integer(m.group(2), StaleRootError), m.group(3)
             root = Root(comp, form, i, _integer(j, StaleRootError) if j is not None else 0)
-        self.index(root)  # membership check
+        try:
+            self.index(root)
+        except StaleRootError:
+            raise StaleRootError(f"root {text!r} is not in the catalog of {self.spec}") from None
         return root
 
 

@@ -227,7 +227,9 @@ def test_threads_out_of_range_is_a_usage_error(monkeypatch, capsys, value):
     (("wpartition", "B7", "N[1,2]", "P[2,3]", "--format", "json"), []),
     (("cov", "B7", "N[1,2]", "P[2,3]", "--method", "enumerate"), []),
     (("sample", "B7", "-d", "3", "--samples", "10000", "--seed", "3"), [2]),
-], ids=["dist", "var", "wpartition", "cov", "sample"])
+    # one chunk has one worker, which runs on the calling thread
+    (("sample", "B7", "-d", "3", "--samples", "4096", "--seed", "3"), []),
+], ids=["dist", "var", "wpartition", "cov", "sample", "sample-one-chunk"])
 def test_only_sampling_starts_a_thread_pool(monkeypatch, argv, pools):
     from concurrent.futures import ThreadPoolExecutor
 
@@ -647,6 +649,11 @@ def test_out_to_an_unwritable_path_is_an_error(tmp_path, capsys, where):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "missing").exists()
+
+
+def test_a_root_outside_the_catalog_is_named_as_typed(capsys):
+    assert cli.run(["dist", "A3", "--psi", "N[2,1]"]) == 1
+    assert capsys.readouterr().err == "error: root 'N[2,1]' is not in the catalog of A3\n"
 
 
 def test_repeated_components_need_the_ordinal_prefix_on_the_command_line(capsys):

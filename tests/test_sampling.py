@@ -551,6 +551,17 @@ def test_histogram_only_sampling_matches_mc_run_on_any_thread_count(systems, spe
     assert docs[0] == docs[1] == docs[2] == run.to_json_dict(include_values=False)
 
 
+def test_a_histogram_only_run_has_no_values(systems):
+    rs = systems("B4xG2")
+    psi = rs.roots_up_to_height(3)
+    run = stats.mc_run(rs, psi, 1000, seed=5, keep_values=False)
+    mean, variance = stats.exact_mean(rs, psi), stats.exact_variance(rs, psi)
+    for read in (lambda: run.values, lambda: clt.standardize(run, mean, variance)):
+        with pytest.raises(ws.WeylstatError, match="read its counts"):
+            read()
+    assert stats.bootstrap_variance_se(run) > 0
+
+
 @pytest.mark.parametrize("n", [1, stats.CHUNK_SAMPLES - 1, 2 * stats.CHUNK_SAMPLES + 1])
 @pytest.mark.parametrize("threads", [1, 2, 8])
 def test_run_counts_are_the_histogram_of_its_samples(systems, n, threads):
