@@ -173,6 +173,10 @@ def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:
+        digits = text.strip()
+        digits = digits[1:] if digits[:1] in ("+", "-") else digits
+        if digits.isdecimal():  # a number that int() refuses for its length: not echoed
+            raise argparse.ArgumentTypeError(f"a number of {len(digits)} digits is too long") from None
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
 
 
@@ -215,8 +219,9 @@ def _cap(args) -> int:
         return DEFAULT_CAP
     try:
         return _height(env)
-    except argparse.ArgumentTypeError:
-        raise WeylstatError(f"WEYLSTAT_CAP must be an integer of at least 1, got {env!r}") from None
+    except argparse.ArgumentTypeError as e:
+        got = e if "too long" in str(e) else f"got {env!r}"  # a digit count, not the number
+        raise WeylstatError(f"WEYLSTAT_CAP must be an integer of at least 1, {got}") from None
 
 
 # -- subcommand handlers ---------------------------------------------------------

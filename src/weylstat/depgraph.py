@@ -92,7 +92,8 @@ def build_graph(rs: RootSystem, psi) -> DependencyGraph:
     adj: dict[int, frozenset[int]] = {}
     for v in ids:
         near = {w for cell in cells[v] for w in members[cell]} - {v, partner[v]}
-        # a set filled in ascending order, as the all-pairs loop fills it: edges() follows its order
+        # filled in ascending order, as the all-pairs loop filled it: edges() is not sorted (a frozenset
+        # iterates in hash-table order) but follows the layout this gives, which the output pins
         adj[v] = frozenset(set(sorted(near)))
     sizes = []
     seen: set[int] = set()

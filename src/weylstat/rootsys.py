@@ -317,26 +317,6 @@ class RootSystem:
         return _decode_runs(self._runs)
 
     @cached_property
-    def sign_tests(self) -> tuple[tuple, ...]:
-        """Per component, ``(N, P, O)`` tuples of ``(i, j, root)``, ``(i, j, root)``
-        and ``(i, root)`` in catalog order; for G2 its roots, whose catalog order
-        is table order r1..r6.
-        """
-        out = []
-        for ci, comp in enumerate(self.spec.components):
-            ids = self.component_root_ids(ci)
-            roots = self.roots[ids.start : ids.stop]
-            if comp.family == "G2":
-                out.append(roots)
-            else:
-                out.append((
-                    tuple((r.i, r.j, r) for r in roots if r.form == "N"),
-                    tuple((r.i, r.j, r) for r in roots if r.form == "P"),
-                    tuple((r.i, r) for r in roots if r.form == "O"),
-                ))
-        return tuple(out)
-
-    @cached_property
     def heights(self) -> tuple[int, ...]:
         """Height of every root, by catalog id."""
         return tuple(itertools.chain.from_iterable([r.height] * r.length for r in self._runs))

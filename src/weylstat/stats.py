@@ -813,8 +813,8 @@ def mc_run(
     coordinates of each drawn component, exceeds
     :data:`_MAX_SAMPLED_ENTRIES` is refused before anything is drawn.
     """
-    if n_samples < 1:
-        raise WeylstatError("n_samples must be positive")
+    if n_samples < 1 or threads < 1:
+        raise WeylstatError(f"n_samples and threads must be positive, got {n_samples} and {threads}")
     ids = _canonical_ids(rs, psi)
     # Only components holding a root of Psi are drawn: the others add nothing.
     parts = []
@@ -860,7 +860,7 @@ def mc_run(
         with counts_lock:
             counts[: len(chunk_counts)] += chunk_counts
 
-    w = max(1, min(threads, n_chunks))
+    w = min(threads, n_chunks)
 
     def worker(t: int) -> None:
         ws = _Workspace()

@@ -199,11 +199,13 @@ def is_inversion(w: WeylElement, beta: Root) -> bool:
     return apply(w, beta)[1] < 0
 
 
-# By system id, one slot per component: G2's root sets, or None until a part
-# comes and then (the last part, its roots).  A finalizer drops the entry before
-# the id can be reused; a slot holds its part, so the part's id cannot be reused
-# either; and a slot is replaced in one store, so threads see old or new.
-_INVERSION_SLOTS: dict[int, list] = {}
+# By system id, (tests, slots), made on the first call, one item each per component:
+# classical tests (N, P, O) as (i, j, root), (i, j, root) and (i, root) in catalog
+# order, and a slot that is None until a part comes and then (the last part, its
+# roots); for G2, its roots and a slot of its 12 root sets.  A finalizer drops the
+# entry before the id can be reused; a slot holds its part, so the part's id cannot
+# be reused either; and a slot is replaced in one store, so threads see old or new.
+_INVERSION_SLOTS: dict[int, tuple] = {}
 
 
 def inversion_set(w: WeylElement) -> set[Root]:
@@ -211,19 +213,29 @@ def inversion_set(w: WeylElement) -> set[Root]:
 
     Reads the signed one-line values ``v`` of each classical part: ``N[i,j]``
     is an inversion iff ``v_j < v_i``, ``P[i,j]`` iff ``v_i + v_j < 0`` and
-    ``O[i]`` iff ``v_i < 0``, the tests :func:`apply` agrees with.  A classical
-    component keeps the last part object met there with its roots (O(1) memory), so
-    a part is computed once while it keeps coming; the result does not depend on call order.
+    ``O[i]`` iff ``v_i < 0``, the tests :func:`apply` agrees with, built per root
+    on a system's first call and kept beside its slots.  A classical component
+    keeps the last part object met there with its roots (O(1) memory), so a part
+    is computed once while it keeps coming; the result does not depend on call order.
     """
     rs = w.system
-    slots = _INVERSION_SLOTS.get(id(rs))
-    if slots is None:
-        slots = _INVERSION_SLOTS.setdefault(id(rs), [
-            tuple(frozenset(r for k, r in enumerate(tests) if mask >> k & 1) for mask in _G2_INV_MASKS)
-            if comp.family == "G2" else None
-            for comp, tests in zip(rs.spec.components, rs.sign_tests)
-        ])
+    entry = _INVERSION_SLOTS.get(id(rs))
+    if entry is None:
+        tests, slots = [], []
+        for ci, comp in enumerate(rs.spec.components):
+            ids = rs.component_root_ids(ci)
+            roots = rs.roots[ids.start : ids.stop]
+            if comp.family == "G2":
+                tests.append(roots)
+                slots.append(tuple(frozenset(r for k, r in enumerate(roots) if mask >> k & 1)
+                                   for mask in _G2_INV_MASKS))
+            else:
+                tests.append(tuple(tuple((r.i, r) if f == "O" else (r.i, r.j, r)
+                                         for r in roots if r.form == f) for f in "NPO"))
+                slots.append(None)
+        entry = _INVERSION_SLOTS.setdefault(id(rs), (tests, slots))
         weakref.finalize(rs, _INVERSION_SLOTS.pop, id(rs), None)
+    tests, slots = entry
     out, k = set(), 0
     for part in w.parts:
         slot = slots[k]
@@ -235,7 +247,7 @@ def inversion_set(w: WeylElement) -> set[Root]:
             found = set()
             add = found.add
             v = (0, *map(mul, part.perm, part.signs))
-            n_tests, p_tests, o_tests = rs.sign_tests[k]
+            n_tests, p_tests, o_tests = tests[k]
             for i, j, r in n_tests:
                 if v[j] < v[i]:
                     add(r)

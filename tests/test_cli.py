@@ -334,6 +334,28 @@ def test_a_non_integer_is_a_readable_usage_error(monkeypatch, capsys, argv, opti
     assert "invalid" not in message and "_" not in message  # no parser function named
 
 
+_TOO_LONG = "9" * 5000  # int() refuses a number of more than 4300 digits
+
+
+@pytest.mark.parametrize("argv, env, code", [
+    (["sample", "A3", "-d", "1", "--samples", "10", "--seed", _TOO_LONG], None, 2),
+    (["dist", "A3", "-d", _TOO_LONG], None, 2),
+    (["dist", "A3", "-d", "1", "--cap", _TOO_LONG], None, 2),
+    (["dist", "A3", "-d", "1"], _TOO_LONG, 1),
+], ids=["seed", "d", "cap", "env"])
+def test_a_too_long_integer_is_named_by_its_digit_count(monkeypatch, capsys, argv, env, code):
+    if env is not None:
+        monkeypatch.setenv("WEYLSTAT_CAP", env)
+    try:
+        result = cli.run(argv)
+    except SystemExit as err:
+        result = err.code
+    assert result == code
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert message.endswith("a number of 5000 digits is too long")
+    assert len(message) < 200
+
+
 def test_samples_bound_is_inclusive():
     args = cli.build_parser().parse_args(
         ["sample", "B3", "-d", "2", "--samples", str(cli.MAX_SAMPLES), "--seed", "1"]

@@ -308,6 +308,18 @@ def test_slots_do_not_keep_a_system_alive():
     assert gone() is None
 
 
+def test_a_freed_system_leaves_the_inversion_registry():
+    # the entry holds a test tuple per root beside the slots; the finalizer drops it
+    rs = ws.build("B3xG2")
+    weyl.inversion_set(weyl.parse_element(rs, "[-2,3,1]xg5"))
+    key = id(rs)
+    tests, slots = weyl._INVERSION_SLOTS[key]
+    assert len(tests) == len(slots) == 2
+    del rs, tests, slots
+    gc.collect()
+    assert key not in weyl._INVERSION_SLOTS
+
+
 # -- value semantics of roots, parts and elements ----------------------------------
 
 def test_reprs_are_the_field_reprs():

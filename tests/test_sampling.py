@@ -618,6 +618,13 @@ def test_atom_ks_bit_identical_to_per_point_ks(systems, spec, d, stat, seed):
     assert report.ks == per_point
 
 
+@pytest.mark.parametrize("n_samples, threads", [(10, 0), (10, -3), (0, 1)])
+def test_mc_run_refuses_fewer_than_one_sample_or_thread(systems, n_samples, threads):
+    rs = systems("A3")
+    with pytest.raises(ws.WeylstatError, match="must be positive"):
+        stats.mc_run(rs, rs.simple_roots(), n_samples, 1, threads=threads)
+
+
 def test_sampling_price_is_checked_before_the_first_draw(systems, monkeypatch):
     # B3 with d <= 2: 5 roots compared and 3 keys drawn per sample; A2 holds no
     # root of Psi, so it is neither drawn nor priced
